@@ -230,18 +230,46 @@ class ProfileVector:
 
     @classmethod
     def from_text(cls, text: str) -> "ProfileVector":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        m = re.fullmatch(r"q=(\d+) ell=(\d+)", lines[0].strip())
-        if not m:
-            raise ValueError(f"bad profile header: {lines[0]!r}")
-        params = Params(int(m.group(1)), int(m.group(2)))
-        counts = [0] * params.word_count
-        if len(lines) - 1 != params.word_count:
-            raise ValueError("profile line count does not match q^ell")
-        for ln in lines[1:]:
-            ws, cs = ln.split()
-            counts[word_index(parse_word(ws), params.q)] = int(cs)
-        return cls(params, tuple(counts))
+        params, fields = parse_vector_text(text)
+        for f in fields:
+            if not re.fullmatch(r"[0-9]+", f):
+                raise ValueError(f"bad profile count: {f!r}")
+        return cls(params, tuple(int(f) for f in fields))
+
+
+def parse_vector_text(text: str) -> tuple[Params, list[str]]:
+    """Strict reader of the vector text format shared by profiles and vectors.
+
+    The format is a ``q=<q> ell=<ell>`` header, then one ``<word> <value>``
+    line for every word; blank lines are ignored.  Returns the parameters and
+    the value fields in word order.  Raises ValueError on a bad header, a
+    malformed line, a word of the wrong length or alphabet, and a missing or
+    repeated word.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty vector text")
+    m = re.fullmatch(r"q=(\d+) ell=(\d+)", lines[0].strip())
+    if not m:
+        raise ValueError(f"bad vector header: {lines[0]!r}")
+    params = Params(int(m.group(1)), int(m.group(2)))
+    if len(lines) - 1 != params.word_count:
+        raise ValueError(
+            f"expected {params.word_count} word lines, got {len(lines) - 1}"
+        )
+    fields: list[str | None] = [None] * params.word_count
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed word line: {ln!r}")
+        w = parse_word(parts[0])
+        if len(w) != params.ell:
+            raise ValueError(f"word {parts[0]!r} does not have length {params.ell}")
+        idx = word_index(w, params.q)
+        if fields[idx] is not None:
+            raise ValueError(f"word {parts[0]} listed twice")
+        fields[idx] = parts[1]
+    return params, fields
 
 
 def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:

@@ -7,8 +7,10 @@ separation constraints are kept only between adjacent ranks (transitivity
 makes the all-pairs version equivalent) and the LP is solved after the
 substitution ``value(rank k) = k + e_1 + ... + e_k`` with slack variables
 ``e >= 0``, which folds the ordering and lower-bound constraints into plain
-sign constraints and leaves one integer equality per node.  No floating point
-appears anywhere on the decision path.
+sign constraints and leaves one integer equality per node.  When that system
+has no solution, the simplex returns a Farkas vector over the nodes, which is
+checked before the verdict is returned.  No floating point appears anywhere
+on the decision path.
 
 A cheap necessary condition is checked first: a node whose incoming words can
 all be matched below (or all above) its outgoing words certifies that the
@@ -22,11 +24,15 @@ remaining pairs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, islice
+from operator import mul
+from typing import Sequence
 
-from ._simplex import solve_nonnegative
+from ._simplex import Phase1, phase1
 from .core import (
     Entry,
     Params,
@@ -36,6 +42,7 @@ from .core import (
     in_words,
     is_constant,
     out_words,
+    parse_vector_text,
     satisfies,
     word_index,
     word_text,
@@ -93,20 +100,13 @@ class FeasibleVector:
 
     @classmethod
     def from_text(cls, text: str) -> "FeasibleVector":
-        import re
-
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        m = re.fullmatch(r"q=(\d+) ell=(\d+)", lines[0].strip())
-        if not m:
-            raise ValueError(f"bad vector header: {lines[0]!r}")
-        params = Params(int(m.group(1)), int(m.group(2)))
-        entries: list[Entry] = [0] * params.word_count
-        for ln in lines[1:]:
-            ws, es = ln.split()
-            val = Fraction(es)
-            entries[word_index(tuple(int(c) for c in ws), params.q)] = (
-                int(val) if val.denominator == 1 else val
-            )
+        params, fields = parse_vector_text(text)
+        entries: list[Entry] = []
+        for f in fields:
+            if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", f):
+                raise ValueError(f"bad vector entry: {f!r}")
+            val = Fraction(f)
+            entries.append(int(val) if val.denominator == 1 else val)
         return cls(params, tuple(entries))
 
 
@@ -123,9 +123,17 @@ class MatchingWitness:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision with its certificate.
+
+    A feasible verdict carries a checked ``vector``.  An infeasible one
+    carries a ``witness`` description and, when the LP refuted the order, the
+    checked node weights ``farkas`` (see :func:`check_farkas`).
+    """
+
     feasible: bool
     vector: FeasibleVector | None = None
     witness: str | None = None
+    farkas: tuple[int, ...] | None = None
 
     def to_text(self) -> str:
         if self.feasible:
@@ -141,6 +149,9 @@ class _Tables:
         self.params = params
         q, ell, n = params.q, params.ell, params.word_count
         self.lp_rows: list[list[int]] = []  # coefficient per word index
+        # Per word index: the node it leaves (its prefix) and enters (suffix).
+        self.heads = [idx // q for idx in range(n)]
+        self.tails = [idx % q ** (ell - 1) for idx in range(n)]
         self.check_nodes: list[tuple[Word, list[tuple[int, int]]]] = []
         if ell < 2:
             return
@@ -197,48 +208,66 @@ def order_precheck_witness(
     return None
 
 
-def _lp_system(order: tuple[int, ...], tables: _Tables):
-    """Equality system over the slack variables for a given rank ordering."""
-    n = len(order)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for coef in tables.lp_rows:
-        arr = [coef[idx] for idx in order]
-        suffix = [0] * n
-        acc = 0
-        for i in range(n - 1, -1, -1):
-            acc += arr[i]
-            suffix[i] = acc
-        if acc != 0:
-            raise AssertionError("node coefficients must sum to zero")
-        rows.append(suffix)
-        rhs.append(-sum((k + 1) * a for k, a in enumerate(arr) if a))
-    return rows, rhs
+class _OrderLP:
+    """The slack LP of one rank ordering, built once for pricing and columns.
+
+    Row r is the balance equation of node r.  Column k is the slack e_k, and
+    its entry in row r is the suffix sum, from rank k on, of node r's +1/-1
+    incidence to the ranked words: +1 where the word leaves r, -1 where it
+    enters r.  So ``y A_k`` is the suffix sum of ``y[head] - y[tail]``.
+    ``rhs[r]`` is minus the sum of that incidence weighted by 1-based rank.
+    """
+
+    def __init__(self, order: tuple[int, ...], tables: _Tables):
+        self.heads = [tables.heads[idx] for idx in order]
+        self.tails = [tables.tails[idx] for idx in order]
+        self.rhs = rhs = [0] * len(tables.lp_rows)
+        for k, (h, t) in enumerate(zip(self.heads, self.tails), 1):
+            rhs[h] -= k
+            rhs[t] += k
+
+    def price(self, y: Sequence[int]) -> list[int]:
+        d = [y[h] - y[t] for h, t in zip(self.heads, self.tails)]
+        d.reverse()
+        scores = list(accumulate(d))
+        scores.reverse()
+        return scores
+
+    def column(self, k: int) -> list[int]:
+        a = [0] * len(self.rhs)
+        for h, t in zip(islice(self.heads, k, None), islice(self.tails, k, None)):
+            a[h] += 1
+            a[t] -= 1
+        return a
 
 
-def order_lp_solution(
-    order: tuple[int, ...], tables: _Tables
-) -> list[Fraction] | None:
-    """Exact entry values realizing the ordering, indexed by rank position."""
+def order_lp_solution(order: tuple[int, ...], tables: _Tables) -> Phase1:
+    """Exact phase-1 solve of the ordering's LP over the slack variables.
+
+    When feasible, ``x[k] / denom`` is the slack e_k, so rank k gets the value
+    ``k + 1 + (x[0] + ... + x[k]) / denom``.  Otherwise ``farkas`` holds node
+    weights that refute the ordering (see :func:`check_farkas`).
+    """
     if not tables.lp_rows:
-        return [Fraction(k + 1) for k in range(len(order))]
-    rows, rhs = _lp_system(order, tables)
-    e = solve_nonnegative(rows, rhs)
-    if e is None:
-        return None
-    values = []
-    acc = Fraction(0)
-    for k in range(len(order)):
-        acc += e[k]
-        values.append(acc + (k + 1))
-    return values
+        return Phase1([0] * len(order), 1, None, 0, 0)
+    lp = _OrderLP(order, tables)
+    return phase1(lp.rhs, len(order), lp.column, lp.price)
 
 
-def order_lp_feasible(order: tuple[int, ...], tables: _Tables) -> bool:
-    if not tables.lp_rows:
-        return True
-    rows, rhs = _lp_system(order, tables)
-    return solve_nonnegative(rows, rhs) is not None
+def check_farkas(perm: RankPermutation, y: Sequence[int]) -> None:
+    """Raise ValueError unless ``y`` proves that ``perm`` is unrealizable.
+
+    ``y`` weights the node balance equations of the ordering's slack LP
+    ``A e = b``.  It is a proof when ``y A <= 0`` and ``y b > 0``: for any
+    slacks ``e >= 0`` the weighted sum of the equations would equate
+    ``y A e <= 0`` with ``y b > 0``.
+    """
+    tables = constraint_tables(perm.params)
+    if not y or len(y) != len(tables.lp_rows):
+        raise ValueError("one weight per overlap node expected")
+    lp = _OrderLP(perm.order, tables)
+    if max(lp.price(y)) > 0 or sum(map(mul, y, lp.rhs)) <= 0:
+        raise ValueError("not a Farkas certificate for this order")
 
 
 def matching_precheck(perm: RankPermutation) -> MatchingWitness | None:
@@ -267,14 +296,18 @@ def decide(perm: RankPermutation, *, use_precheck: bool = True) -> Verdict:
         witness = matching_precheck(perm)
         if witness is not None:
             return Verdict(False, witness=witness.describe())
-    values = order_lp_solution(perm.order, tables)
-    if values is None:
+    lp = order_lp_solution(perm.order, tables)
+    if lp.x is None:
+        check_farkas(perm, lp.farkas)
         return Verdict(
-            False, witness="no nonnegative flow-conserving assignment exists"
+            False,
+            witness="no nonnegative flow-conserving assignment exists",
+            farkas=tuple(lp.farkas),
         )
     entries: list[Entry] = [0] * params.word_count
-    for k, idx in enumerate(perm.order):
-        v = values[k]
+    d = lp.denom
+    for k, (idx, acc) in enumerate(zip(perm.order, accumulate(lp.x))):
+        v = Fraction((k + 1) * d + acc, d)
         entries[idx] = int(v) if v.denominator == 1 else v
     vector = FeasibleVector(params, tuple(entries))
     vector.check(perm)

@@ -24,7 +24,7 @@ from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import (
     FeasibleVector,
     constraint_tables,
-    order_lp_feasible,
+    order_lp_solution,
     order_precheck_witness,
 )
 
@@ -70,12 +70,12 @@ def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int]:
     for order in stream:
         hit = order_precheck_witness(order, tables)
         if hit is None:
-            if order_lp_feasible(order, tables):
+            if order_lp_solution(order, tables).x is not None:
                 feasible.append(order)
             else:
                 silent_infeasible += 1
         elif lp_all:
-            if order_lp_feasible(order, tables):
+            if order_lp_solution(order, tables).x is not None:
                 hit_feasible += 1
             else:
                 hit_infeasible += 1

@@ -2,14 +2,18 @@ import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 
-from profilerank._simplex import solve_nonnegative
-from profilerank.core import Params, RankPermutation, rank_of
+from profilerank import encoder
+from profilerank._simplex import DEGENERATE_STREAK, phase1, solve_nonnegative
+from profilerank.core import Params, ProfileVector, RankPermutation, rank_of
 from profilerank.feasibility import (
     FeasibleVector,
     alpha_star_lower,
+    check_farkas,
+    constraint_tables,
     decide,
     matching_precheck,
     upper_bound,
@@ -49,6 +53,55 @@ def test_simplex_random_systems_against_verification():
         for row, b in zip(rows, rhs):
             assert sum(r * v for r, v in zip(row, x)) == b
         assert all(v >= 0 for v in x)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _dense_phase1(rows, rhs):
+    cols = list(zip(*rows))
+    return phase1(rhs, len(cols), cols.__getitem__, lambda y: [_dot(y, c) for c in cols])
+
+
+def test_simplex_degenerate_system_falls_back_to_bland():
+    # x_0 = x_1 = ... = x_k through k zero-rhs chain rows, each repeated
+    # negated, and one row fixing the sum: every early pivot is degenerate.
+    k = 30
+    n = k + 1
+    chain = [[(j == i) - (j == i + 1) for j in range(n)] for i in range(k)]
+    rows = chain + [[-a for a in row] for row in chain] + [[1] * n]
+    rhs = [0] * (2 * k) + [n]
+    result = _dense_phase1(rows, rhs)
+    assert result.pivots > DEGENERATE_STREAK
+    assert result.bland_pivots > 0
+    assert [Fraction(v, result.denom) for v in result.x] == [1] * n
+
+    # Pinning x_k to 0 as well leaves no solution; the Farkas vector says so.
+    rows.append([0] * k + [1])
+    rhs.append(0)
+    result = _dense_phase1(rows, rhs)
+    assert result.x is None and result.bland_pivots > 0
+    y = result.farkas
+    assert all(_dot(y, col) <= 0 for col in zip(*rows))
+    assert _dot(y, rhs) > 0
+
+
+def test_simplex_infeasible_systems_carry_farkas_vectors():
+    rng = random.Random(12)
+    refuted = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-6, 6) for _ in range(m)]
+        result = _dense_phase1(rows, rhs)
+        if result.x is not None:
+            continue
+        refuted += 1
+        y = result.farkas
+        assert all(_dot(y, col) <= 0 for col in zip(*rows))
+        assert _dot(y, rhs) > 0
+    assert refuted > 50
 
 
 # -- decide -------------------------------------------------------------------
@@ -101,6 +154,111 @@ def test_precheck_and_lp_agree_with_and_without_shortcut():
         order = tuple(rng.sample(range(9), 9))
         perm = RankPermutation(P32, order)
         assert decide(perm).feasible == decide(perm, use_precheck=False).feasible
+
+
+def test_lp_refutation_carries_checked_farkas_vector():
+    # The pre-check refutes this order; the LP alone must refute it too.
+    perm = RankPermutation.from_text("10,20,01,02,00,11,12,21,22")
+    verdict = decide(perm, use_precheck=False)
+    assert not verdict.feasible and verdict.vector is None
+    y = verdict.farkas
+    assert len(y) == 3
+    check_farkas(perm, y)
+    assert verdict.to_text().splitlines() == [
+        "status=infeasible witness=no nonnegative flow-conserving assignment exists"
+    ]
+    # The pre-check's verdict has no LP behind it.
+    assert decide(perm).farkas is None
+
+
+def test_perturbed_farkas_vector_fails_the_check():
+    perm = RankPermutation.from_text("10,20,01,02,00,11,12,21,22")
+    y = decide(perm, use_precheck=False).farkas
+    check_farkas(perm, y)
+    # The slack LP A e = b of the order, from its definition: column k holds
+    # each node's coefficient sums over ranks k and up.
+    rows = constraint_tables(P32).lp_rows
+    order = perm.order
+    columns = [[sum(row[i] for i in order[k:]) for row in rows] for k in range(9)]
+    b = [-sum((k + 1) * row[i] for k, i in enumerate(order)) for row in rows]
+    perturbed = [tuple(-v for v in y), (0, 0, 0), y[:2], y + (1,)]
+    for col in filter(any, columns):
+        # Far enough along a column, y A_k turns positive.
+        t = 1 + abs(_dot(y, col))
+        perturbed.append(tuple(v + t * c for v, c in zip(y, col)))
+    # Far enough against b, y b turns negative.
+    perturbed.append(tuple(v * _dot(b, b) - (_dot(y, b) + 1) * c for v, c in zip(y, b)))
+    for bad in perturbed:
+        with pytest.raises(ValueError):
+            check_farkas(perm, bad)
+    # Node weights that refute one order need not refute another.
+    with pytest.raises(ValueError):
+        check_farkas(RankPermutation.from_text(CHANNEL_ORDER), y)
+
+
+def test_lp_refutations_at_window_three_are_certified():
+    rng = random.Random(13)
+    p33 = Params(3, 3)
+    refuted = 0
+    for _ in range(30):
+        perm = RankPermutation(p33, tuple(rng.sample(range(27), 27)))
+        verdict = decide(perm, use_precheck=False)
+        if not verdict.feasible:
+            refuted += 1
+            check_farkas(perm, verdict.farkas)
+    assert refuted > 0
+
+
+def test_decide_window_four_lp_refutation(repo):
+    # An encoder order at (4,4) with the word at rank 154 moved down to rank
+    # 36: the pre-check stays silent and the LP refutes it.
+    p44 = Params(4, 4)
+    vec = encoder.encode_b(encoder.random_info_b(4, 4, random.Random(0)), repo)
+    order = list(rank_of(vec.entries, p44).order)
+    order.insert(36, order.pop(154))
+    perm = RankPermutation(p44, tuple(order))
+    assert matching_precheck(perm) is None
+    verdict = decide(perm)
+    assert not verdict.feasible
+    check_farkas(perm, verdict.farkas)
+    assert decide(RankPermutation(p44, rank_of(vec.entries, p44).order)).feasible
+
+
+def _swapped_encoder_orders(repo, q, ell, count, rng):
+    params = Params(q, ell)
+    for _ in range(count):
+        vec = encoder.encode_b(encoder.random_info_b(q, ell, rng), repo)
+        order = list(rank_of(vec.entries, params).order)
+        for _ in range(rng.randint(0, params.word_count)):
+            j = rng.randrange(len(order) - 1)
+            order[j], order[j + 1] = order[j + 1], order[j]
+        yield RankPermutation(params, tuple(order))
+
+
+@pytest.mark.parametrize("q, ell", [(4, 3), (3, 4)])
+def test_lp_verdicts_agree_with_highs(repo, q, ell):
+    """decide's LP against scipy's HiGHS on the unsubstituted LP (entries
+    >= 1, unit steps along the order, flow balance at every node)."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    a_eq = np.array(constraint_tables(Params(q, ell)).lp_rows, dtype=float)
+    n = q**ell
+    verdicts = []
+    for perm in _swapped_encoder_orders(repo, q, ell, 40, random.Random(q * 10 + ell)):
+        a_ub = np.zeros((n - 1, n))
+        for k, (lo, hi) in enumerate(zip(perm.order, perm.order[1:])):
+            a_ub[k, lo], a_ub[k, hi] = 1, -1
+        res = optimize.linprog(
+            np.zeros(n), A_ub=a_ub, b_ub=-np.ones(n - 1), A_eq=a_eq,
+            b_eq=np.zeros(len(a_eq)), bounds=(1, None), method="highs",
+        )
+        assert res.status in (0, 2)  # solved or proven infeasible
+        verdict = decide(perm, use_precheck=False)
+        assert verdict.feasible == (res.status == 0)
+        if not verdict.feasible:
+            check_farkas(perm, verdict.farkas)
+        verdicts.append(verdict.feasible)
+    assert 0 < sum(verdicts) < len(verdicts)  # both answers occur
 
 
 def test_scaling_closure():
@@ -195,6 +353,41 @@ def test_verdict_serialization_round_trip():
     assert text.startswith("status=feasible")
     restored = FeasibleVector.from_text("\n".join(text.splitlines()[1:]))
     assert restored.entries == verdict.vector.entries
+
+
+# -- strict vector parsers -----------------------------------------------------
+
+BAD_VECTOR_TEXTS = [
+    "",  # no header
+    "q=2\n0 1\n1 2",  # bad header
+    "q=3 ell=2\n00 4\n01 7",  # missing word lines
+    "q=2 ell=1\n0 3\n0 5",  # duplicate word, other word missing
+    "q=2 ell=1\n0 3\n1 5\n1 5",  # duplicate word, extra line
+    "q=2 ell=1\n0 3\n1",  # no value
+    "q=2 ell=1\n0 3\n1 5 6",  # extra field
+    "q=2 ell=1\n0 3\n2 5",  # symbol outside the alphabet
+    "q=2 ell=1\n0 3\nx 5",  # not a word
+    "q=2 ell=2\n00 1\n01 2\n10 3\n1 4",  # word of the wrong length
+    "q=2 ell=1\n0 3\n1 1.5",  # decimal value
+    "q=2 ell=1\n0 3\n1 1e3",
+    "q=2 ell=1\n0 3\n1 3/0",
+    "q=2 ell=1\n0 3\n1 +5",
+]
+
+
+@pytest.mark.parametrize("text", BAD_VECTOR_TEXTS)
+@pytest.mark.parametrize("parse", [ProfileVector.from_text, FeasibleVector.from_text])
+def test_vector_parsers_reject_malformed_text(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
+
+
+def test_vector_parsers_read_words_in_any_order():
+    text = "q=2 ell=1\n\n1 5/2\n0 3\n"
+    assert FeasibleVector.from_text(text).entries == (3, Fraction(5, 2))
+    with pytest.raises(ValueError):
+        ProfileVector.from_text(text)  # counts are integers
+    assert ProfileVector.from_text("q=2 ell=1\n1 5\n0 3").counts == (3, 5)
 
 
 def test_feasible_vector_check_rejects_violations():
