@@ -8,6 +8,7 @@ per-read drops), each fully determined by an explicit seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -39,12 +40,30 @@ class DropNoise:
     rate: float
 
     def apply(self, counts: Sequence[int], rng: random.Random) -> list[int]:
-        if not 0.0 <= self.rate <= 1.0:
+        """Kept reads per count, each a Binomial(c, 1 - rate) draw.
+
+        Only the rarer outcome (drop if rate <= 1/2, else keep) is sampled,
+        by skipping geometric runs of the other one, so a count costs
+        O(c * min(rate, 1 - rate) + 1) draws.  Rates 0 and 1 draw nothing.
+        """
+        rate = self.rate
+        if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
+        rare = min(rate, 1.0 - rate)
+        if rare == 0.0:
+            return [c if rate == 0.0 else 0 for c in counts]
+        log_common = math.log1p(-rare)
         out = []
         for c in counts:
-            kept = sum(1 for _ in range(c) if rng.random() >= self.rate)
-            out.append(kept)
+            hits, left = 0, c
+            while True:
+                # reads of the common outcome before the next rare one
+                gap = math.log(1.0 - rng.random()) / log_common
+                if gap >= left:
+                    break
+                left -= int(gap) + 1
+                hits += 1
+            out.append(c - hits if rare == rate else hits)
         return out
 
     def label(self) -> str:

@@ -129,8 +129,10 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     repo = encoder.Repository.load(args.repo)
     fv = feasibility.FeasibleVector.from_text(_read(args.vector))
-    entries = tuple(int(e) for e in fv.entries)
     try:
+        if not fv.is_integral():
+            raise encoder.NotACodeword("encoder outputs have integer entries")
+        entries = tuple(int(e) for e in fv.entries)
         if args.kind == "a":
             info = encoder.decode_a(
                 encoder.vector_to_matrix(entries, fv.params.q), repo

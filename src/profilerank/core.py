@@ -98,8 +98,12 @@ def word_text(w: Word) -> str:
     return "".join(str(s) for s in w)
 
 
+_DIGIT_STRING = re.compile(r"[0-9]+")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_word(text: str) -> Word:
-    if not re.fullmatch(r"[0-9]+", text):
+    if not _DIGIT_STRING.fullmatch(text):
         raise ValueError(f"not a digit-string word: {text!r}")
     return tuple(int(c) for c in text)
 
@@ -273,12 +277,39 @@ def parse_vector_text(text: str) -> tuple[Params, list[str]]:
 
 
 def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
-    """Profile vector of a circular string: windows wrap around the end."""
-    symbols = parse_symbols(x, params.q)
+    """Profile vector of a circular string: windows wrap around the end.
+
+    When q^ell <= 256 every window index fits in one byte, so the string is
+    turned into bytes and the indices of all windows are formed at once as
+    one base-256 integer (Horner's rule over the ell shifted copies of the
+    string; no digit carries, since each stays <= q^ell - 1), then each word
+    is counted with ``bytes.count``.  Larger word sets take a symbol loop.
+    """
+    q, ell = params.q, params.ell
+    if params.word_count <= 256:
+        if isinstance(x, str):
+            if not _DIGIT_STRING.fullmatch(x):
+                raise ValueError(f"not a digit-string word: {x!r}")
+            x = x.encode("ascii").translate(_DIGIT_VALUES)
+        data = bytes(x)
+        bad = data.translate(None, bytes(range(q)))
+        if bad:
+            raise ValueError(f"symbol {bad[0]} out of range for q={q}")
+        n = len(data)
+        if n < 1:
+            raise ValueError("profile of the empty string is undefined")
+        wrapped = data + (data * (ell // n + 1))[: ell - 1]
+        acc = 0
+        for j in range(ell):
+            acc = acc * q + int.from_bytes(wrapped[j : j + n], "big")
+        windows = acc.to_bytes(n, "big")
+        return ProfileVector(
+            params, tuple(windows.count(w) for w in range(params.word_count))
+        )
+    symbols = parse_symbols(x, q)
     n = len(symbols)
     if n < 1:
         raise ValueError("profile of the empty string is undefined")
-    q, ell = params.q, params.ell
     counts = [0] * params.word_count
     # Maintain the window index incrementally: drop the leading digit, shift,
     # append the next symbol.
@@ -290,17 +321,22 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     return ProfileVector(params, tuple(counts))
 
 
-def first_flow_violation(p: ProfileVector) -> Word | None:
-    """First node (in lexicographic order) whose in-count differs from its
-    out-count, or None if the profile conserves flow everywhere."""
-    params = p.params
-    if params.ell < 2:
+def first_flow_violation(
+    values: Union[ProfileVector, Sequence[Entry]], params: Params | None = None
+) -> Word | None:
+    """First node (in lexicographic order) whose in-sum differs from its
+    out-sum, or None if the entries conserve flow everywhere.
+
+    Takes a profile, or bare entries (integers or fractions) with ``params``.
+    """
+    vec, p = _entries(values, params)
+    if p.ell < 2:
         raise ValueError("flow conservation is defined only for ell >= 2")
-    for v in params.nodes():
-        inflow = sum(p[w] for w in in_words(v, params.q))
-        outflow = sum(p[w] for w in out_words(v, params.q))
-        if inflow != outflow:
-            return v
+    q, nodes = p.q, p.node_count
+    for v in range(nodes):
+        # out-words of node v are v*q + s, in-words are s*nodes + v
+        if sum(vec[v * q : v * q + q]) != sum(vec[v::nodes]):
+            return index_to_word(v, q, p.ell - 1)
     return None
 
 

@@ -132,9 +132,13 @@ class Repository:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if lines[-1] != f"sha256={digest}":
             raise ValueError("repository checksum mismatch")
-        vectors = tuple(
-            tuple(int(t) for t in ln.split()) for ln in lines[1:-1]
-        )
+        width = BASE_Q * BASE_Q
+        vectors = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:-1])
+        for number, vec in enumerate(vectors, start=2):
+            if len(vec) != width:
+                raise ValueError(
+                    f"repository line {number} has {len(vec)} entries, not {width}"
+                )
         return cls(vectors)
 
 

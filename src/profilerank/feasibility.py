@@ -39,6 +39,7 @@ from .core import (
     ProfileVector,
     RankPermutation,
     Word,
+    first_flow_violation,
     in_words,
     is_constant,
     out_words,
@@ -72,11 +73,9 @@ class FeasibleVector:
         if len(set(self.entries)) != len(self.entries):
             raise ValueError("entries must be pairwise distinct")
         if p.ell >= 2:
-            for v in p.nodes():
-                inflow = sum(self[w] for w in in_words(v, p.q))
-                outflow = sum(self[w] for w in out_words(v, p.q))
-                if inflow != outflow:
-                    raise ValueError(f"flow violated at node {word_text(v)}")
+            v = first_flow_violation(self.entries, p)
+            if v is not None:
+                raise ValueError(f"flow violated at node {word_text(v)}")
         if perm is not None and not satisfies(self.entries, perm, p):
             raise ValueError("vector does not realize the stated permutation")
 

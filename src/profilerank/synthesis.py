@@ -86,11 +86,20 @@ def check_connectivity(p: ProfileVector) -> bool:
     return True
 
 
-def eulerian_string(p: ProfileVector) -> bytes:
-    """Deterministic circular witness whose profile is exactly ``p``.
+def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
+    """The witness of :func:`eulerian_string` as ``(symbols, repeats)`` runs.
 
-    Walks the overlap multigraph with ``p[w]`` parallel copies of each edge,
-    consuming out-edges in lexicographic order from the smallest active node.
+    The runs expand to the witness followed by its first symbol again (the
+    closing node of the walk), so ``sum(len(s) * k)`` is ``p.total() + 1``.
+    Their number does not grow with the counts: it is bounded by a function
+    of q and ell alone, however long the witness is.
+
+    The walk is Hierholzer's, taking the smallest remaining out-edge at every
+    step.  While no edge runs out, that rule is a fixed successor map, so a
+    walk that enters a cycle of it goes round that cycle once per unit of the
+    cycle's smallest remaining count: those laps are pushed as one run.  Runs
+    are popped whole once all of their nodes are exhausted, or split at the
+    last node of their final lap that still has edges left.
     """
     if not check_connectivity(p):
         raise ValueError("support graph is not strongly connected")
@@ -99,38 +108,73 @@ def eulerian_string(p: ProfileVector) -> bytes:
     if q > 255:
         raise ValueError("byte-string synthesis supports q <= 255")
     if ell == 1:
-        out = bytearray()
-        for s, c in enumerate(p.counts):
-            out.extend([s] * c)
-        return bytes(out)
+        runs = [(bytes((s,)), c) for s, c in enumerate(p.counts) if c]
+        return runs + [(runs[0][0], 1)]
 
     remaining = list(p.counts)
     node_count = params.node_count
-    sub = q ** (ell - 2)  # node -> suffix-node division, first-symbol extraction
-    start = -1
-    for u in range(node_count):
-        if any(remaining[u * q + s] for s in range(q)):
-            start = u
-            break
     ptr = [0] * node_count
-    stack = [start]
-    trail: list[int] = []
-    while stack:
-        u = stack[-1]
-        s = ptr[u]
-        base = u * q
+
+    def out_edge(u: int) -> int:
+        """Smallest out-edge word of ``u`` with a count left, or -1."""
+        s, base = ptr[u], u * q
         while s < q and remaining[base + s] == 0:
             s += 1
         ptr[u] = s
-        if s < q:
-            remaining[base + s] -= 1
-            stack.append((base + s) % node_count)  # suffix node of the edge word
+        return base + s if s < q else -1
+
+    start = next(u for u in range(node_count) if out_edge(u) >= 0)
+    stack: list[tuple[tuple[int, ...], int]] = [((start,), 1)]  # (nodes, laps)
+    popped: list[tuple[tuple[int, ...], int]] = []
+    while stack:
+        nodes, laps = stack[-1]
+        e = out_edge(nodes[-1])
+        if e >= 0:
+            # Follow the successor map until a node repeats (a cycle to lap)
+            # or has no edge left (the start of the current closed sub-walk).
+            walk, edges, pos = [nodes[-1]], [], {nodes[-1]: 0}
+            while e >= 0 and (v := e % node_count) not in pos:
+                edges.append(e)
+                pos[v] = len(walk)
+                walk.append(v)
+                e = out_edge(v)
+            i = pos[v] if e >= 0 else len(walk) - 1
+            for f in edges[:i]:
+                remaining[f] -= 1
+            if i:
+                stack.append((tuple(walk[1 : i + 1]), 1))
+            if e >= 0:
+                cycle = edges[i:] + [e]
+                k = min(remaining[f] for f in cycle)
+                for f in cycle:
+                    remaining[f] -= k
+                stack.append((tuple(walk[i + 1 :]) + (walk[i],), k))
         else:
-            trail.append(stack.pop())
-    trail.reverse()
-    # trail is the closed node walk; emitting each node's first symbol yields
-    # the circular string whose sliding windows are exactly the edges used.
-    return bytes(u // sub for u in trail[:-1])
+            stack.pop()
+            j = len(nodes) - 2
+            while j >= 0 and out_edge(nodes[j]) < 0:
+                j -= 1
+            if j < 0:
+                popped.append((nodes, laps))
+            else:
+                popped.append((nodes[j + 1 :], 1))
+                if laps > 1:
+                    stack.append((nodes, laps - 1))
+                stack.append((nodes[: j + 1], 1))
+    # Reversed, the pops are the closed node walk; each node's first symbol
+    # starts the edge word that leaves it.
+    sub = q ** (ell - 2)
+    return [(bytes(u // sub for u in nodes), k) for nodes, k in reversed(popped)]
+
+
+def eulerian_string(p: ProfileVector) -> bytes:
+    """Deterministic circular witness whose profile is exactly ``p``.
+
+    Walks the overlap multigraph with ``p[w]`` parallel copies of each edge,
+    consuming out-edges in lexicographic order from the smallest active node;
+    :func:`eulerian_runs` does the walk lap by lap.
+    """
+    return b"".join(s * k for s, k in eulerian_runs(p))[:-1]
 
 
 def verify(x: str | bytes | Sequence[int], perm: RankPermutation) -> bool:
@@ -185,13 +229,11 @@ def markov_matrix(s: Sequence[Fraction], params: Params) -> TransitionMatrix:
     if sum(vec) != 1:
         raise ValueError("distribution must sum to exactly 1")
     if ell >= 2:
-        for v in all_words(q, ell - 1):
-            inflow = sum(vec[word_index((t,) + v, q)] for t in range(q))
-            outflow = sum(vec[word_index(v + (t,), q)] for t in range(q))
-            if inflow != outflow:
-                raise ValueError(
-                    f"flow violated at node {word_text(v)}: stationarity would fail"
-                )
+        v = first_flow_violation(vec, params)
+        if v is not None:
+            raise ValueError(
+                f"flow violated at node {word_text(v)}: stationarity would fail"
+            )
     rows = []
     for idx, a in enumerate(all_words(q, ell)):
         tail = a[1:]

@@ -1,4 +1,7 @@
+import math
 import random
+
+import pytest
 
 from profilerank.channel import (
     AdditiveNoise,
@@ -37,6 +40,39 @@ def test_drop_noise_never_increases():
     noisy = perturb(STORAGE, DropNoise(0.3), seed=5)
     assert all(n <= c for n, c in zip(noisy.counts, STORAGE.counts))
     assert perturb(STORAGE, DropNoise(0.0), seed=5).counts == STORAGE.counts
+
+
+@pytest.mark.parametrize("c", [3, 1000])
+@pytest.mark.parametrize("rate", [0.01, 0.3, 0.7, 0.99])
+def test_drop_noise_is_binomial(rate, c):
+    # kept reads of a count c follow Binomial(c, 1 - rate); compare the sample
+    # mean and variance with five standard errors of each for this sample size
+    samples = 2000
+    kept = DropNoise(rate).apply([c] * samples, random.Random(17))
+    mean = sum(kept) / samples
+    var = sum((k - mean) ** 2 for k in kept) / (samples - 1)
+    p = 1 - rate
+    true_mean, true_var = c * p, c * p * (1 - p)
+    excess_kurtosis = (1 - 6 * p * (1 - p)) / true_var
+    assert abs(mean - true_mean) < 5 * math.sqrt(true_var / samples)
+    assert abs(var - true_var) < 5 * true_var * math.sqrt((2 + excess_kurtosis) / samples)
+
+
+def test_drop_noise_extreme_rates_are_exact():
+    counts = [0, 1, 7, 10**30]
+    rng = random.Random(0)
+    assert DropNoise(0.0).apply(counts, rng) == counts
+    assert DropNoise(1.0).apply(counts, rng) == [0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        DropNoise(1.5).apply(counts, rng)
+
+
+def test_drop_noise_is_deterministic_per_seed():
+    big = ProfileVector(P32, tuple(1000 * c for c in STORAGE.counts))
+    for rate in (0.01, 0.5, 0.9):
+        a = perturb(big, DropNoise(rate), seed=21)
+        assert a == perturb(big, DropNoise(rate), seed=21)
+        assert a != perturb(big, DropNoise(rate), seed=22)
 
 
 def test_channel_figure_error_pattern_decodes():

@@ -5,6 +5,7 @@ import pytest
 from profilerank.cli import main
 from profilerank.core import Params, ProfileVector, profile_of
 from profilerank.encoder import (
+    encode_b,
     info_a_to_text,
     info_b_to_text,
     random_info_a,
@@ -151,6 +152,24 @@ def test_decode_rejects_non_codeword(repo_path, tmp_path, capsys):
     vfile = tmp_path / "bad.txt"
     vfile.write_text(bad.to_text())
     assert main(["decode", "a", "--vector", str(vfile), "--repo", repo_path]) == 2
+
+
+def test_decode_rejects_non_integral_entry(repo, repo_path, tmp_path, capsys):
+    info = random_info_b(3, 3, random.Random(5))
+    vec = encode_b(info, repo).to_feasible()
+    good = tmp_path / "good.txt"
+    good.write_text(vec.to_text())
+    assert main(["decode", "b", "--vector", str(good), "--repo", repo_path]) == 0
+    assert capsys.readouterr().out == info_b_to_text(info)
+    # halve one entry and add 1/2: int() would floor it back to the codeword
+    i = max(range(len(vec.entries)), key=vec.entries.__getitem__)
+    lines = vec.to_text().splitlines()
+    word, value = lines[1 + i].split()
+    lines[1 + i] = f"{word} {2 * int(value) + 1}/2"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["decode", "b", "--vector", str(bad), "--repo", repo_path]) == 2
+    assert "not-a-codeword" in capsys.readouterr().err
 
 
 def test_simulate_command(tmp_path, capsys):

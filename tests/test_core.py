@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,53 @@ def test_profile_rejects_bad_symbol():
         profile_of("013", P32)
 
 
+def _reference_profile(symbols, params):
+    """Window counts by direct per-position indexing."""
+    q, ell = params.q, params.ell
+    n = len(symbols)
+    counts = [0] * params.word_count
+    for i in range(n):
+        counts[word_index(tuple(symbols[(i + j) % n] for j in range(ell)), q)] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [Params(2, 1), Params(3, 2), Params(5, 2), Params(2, 5), Params(4, 3),
+     Params(6, 3), Params(16, 2), Params(4, 4), Params(17, 2), Params(3, 6)],
+)
+def test_profile_of_matches_reference_on_all_input_forms(params):
+    # q^ell runs both below and above 256, so both counting paths are covered
+    rng = random.Random(params.q * 100 + params.ell)
+    for n in (1, 2, params.ell - 1, params.ell, params.ell + 1, 57, 300):
+        if n < 1:
+            continue
+        x = [rng.randrange(params.q) for _ in range(n)]
+        want = _reference_profile(x, params)
+        assert profile_of(x, params).counts == want
+        assert profile_of(tuple(x), params).counts == want
+        assert profile_of(bytes(x), params).counts == want
+        assert profile_of(bytearray(x), params).counts == want
+        if params.q <= 10:
+            assert profile_of("".join(map(str, x)), params).counts == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [bytes([0, 3]), [0, 3], "03", "0 1", "0a", bytes([0, 255]), [0, -1], b"", "", []],
+)
+def test_profile_of_rejects_out_of_range_and_empty(bad):
+    with pytest.raises(ValueError):
+        profile_of(bad, Params(3, 2))
+
+
+def test_profile_of_large_alphabet_rejects_bad_symbols():
+    with pytest.raises(ValueError):
+        profile_of([0, 17], Params(17, 2))
+    with pytest.raises(ValueError):
+        profile_of(b"", Params(17, 2))
+
+
 def test_flow_conservation_of_string_profiles():
     rng = random.Random(1)
     for _ in range(50):
@@ -105,6 +153,17 @@ def test_flow_violation_witness():
     assert not is_flow_conserving(p)
     only12 = ProfileVector(P32, (0, 0, 0, 0, 0, 1, 0, 0, 0))
     assert first_flow_violation(only12) == (1,)
+
+
+def test_flow_violation_on_bare_entries():
+    p = ProfileVector(Params(2, 2), (1, 2, 1, 0))
+    assert first_flow_violation(p.counts, p.params) == (0,)
+    halves = tuple(Fraction(c, 2) for c in CHANNEL_PROFILE)
+    assert first_flow_violation(halves, P32) is None
+    with pytest.raises(ValueError):
+        first_flow_violation(p.counts)
+    with pytest.raises(ValueError):
+        first_flow_violation(p.counts[:3], p.params)
 
 
 def test_flow_check_rejects_window_one():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -300,6 +301,32 @@ def test_repository_load_rejects_corruption(repo, tmp_path):
     lines = path.read_text().splitlines()
     lines[5] = "9 9 9 9 9 9 9 9 9"
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        Repository.load(path)
+
+
+def _rewrite_with_trailer(path, rows):
+    """Write repository rows under a freshly computed sha256 trailer."""
+    body = "\n".join(rows) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body + f"sha256={digest}\n")
+
+
+def test_repository_load_rejects_wrong_row_width(repo, tmp_path):
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[1] = " ".join(lines[1].split()[:7])
+    _rewrite_with_trailer(path, lines)
+    with pytest.raises(ValueError, match="7 entries"):
+        Repository.load(path)
+
+
+def test_repository_load_rejects_wrong_row_count(repo, tmp_path):
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    _rewrite_with_trailer(path, lines[:-1])
     with pytest.raises(ValueError):
         Repository.load(path)
 

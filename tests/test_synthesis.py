@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from profilerank.core import Params, ProfileVector, RankPermutation, profile_of, rank_of
+from profilerank.encoder import encode_b, random_info_b
 from profilerank.feasibility import FeasibleVector, decide
 from profilerank.synthesis import (
     check_connectivity,
+    eulerian_runs,
     eulerian_string,
     integerize,
     markov_generate,
@@ -115,6 +117,67 @@ def test_eulerian_random_profiles_round_trip():
             if not check_connectivity(p):
                 continue
             assert profile_of(eulerian_string(p), params).counts == p.counts
+
+
+def _reference_eulerian(p):
+    """Symbol-by-symbol Hierholzer walk taking the smallest remaining
+    out-edge: the definition ``eulerian_string`` must reproduce."""
+    q, ell = p.params.q, p.params.ell
+    if ell == 1:
+        return bytes(s for s, c in enumerate(p.counts) for _ in range(c))
+    remaining = list(p.counts)
+    nodes = p.params.node_count
+    start = min(w // q for w, c in enumerate(remaining) if c)
+    ptr = [0] * nodes
+    stack, trail = [start], []
+    while stack:
+        u = stack[-1]
+        while ptr[u] < q and remaining[u * q + ptr[u]] == 0:
+            ptr[u] += 1
+        if ptr[u] < q:
+            remaining[u * q + ptr[u]] -= 1
+            stack.append((u * q + ptr[u]) % nodes)
+        else:
+            trail.append(stack.pop())
+    trail.reverse()
+    return bytes(u // q ** (ell - 2) for u in trail[:-1])
+
+
+def _cycle_sum_profile(rng, params):
+    """Sum of scaled profiles of a few short cycles: balanced, with large
+    multiplicities, so the walk repeats whole laps."""
+    total = [0] * params.word_count
+    for _ in range(rng.randint(1, 5)):
+        x = [rng.randrange(params.q) for _ in range(rng.randint(1, 12))]
+        k = rng.choice((1, 2, 3, 7, 50, 1000, 10**6))
+        total = [a + k * c for a, c in zip(total, profile_of(x, params).counts)]
+    return ProfileVector(params, tuple(total))
+
+
+def test_eulerian_matches_reference_walk():
+    rng = random.Random(3)
+    checked = 0
+    while checked < 400:
+        params = Params(rng.randint(2, 6), rng.randint(1, 3))
+        p = _cycle_sum_profile(rng, params)
+        if p.total() > 10**6 or not check_connectivity(p):
+            continue
+        checked += 1
+        x = eulerian_string(p)
+        assert x == _reference_eulerian(p), (params, p.counts)
+        runs = eulerian_runs(p)
+        assert sum(len(s) * k for s, k in runs) == p.total() + 1
+        assert b"".join(s * k for s, k in runs) == x + x[:1]
+
+
+def test_eulerian_runs_of_encoder_vector_stay_few(repo):
+    info = random_info_b(4, 3, random.Random(4))
+    vec = encode_b(info, repo)
+    p = ProfileVector(Params(4, 3), vec.entries)
+    runs = eulerian_runs(p)
+    assert sum(len(s) * k for s, k in runs) == sum(vec.entries) + 1
+    assert len(runs) <= 300
+    assert max(vec.entries).bit_length() > 30  # far too long to expand here
 
 
 def test_verify_pipeline():
