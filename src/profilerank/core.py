@@ -443,19 +443,19 @@ def rank_of(
 ) -> RankPermutation:
     """The permutation induced by a vector with pairwise distinct entries."""
     vec, p = _entries(values, params)
-    order = sorted(range(len(vec)), key=lambda i: vec[i])
-    groups = []
-    run = [order[0]]
-    for a, b in zip(order, order[1:]):
-        if vec[a] == vec[b]:
-            run.append(b)
-        else:
-            if len(run) > 1:
-                groups.append(run)
-            run = [b]
-    if len(run) > 1:
-        groups.append(run)
-    if groups:
+    order = sorted(range(len(vec)), key=vec.__getitem__)
+    if len(set(vec)) < len(vec):
+        groups = []
+        run = [order[0]]
+        for a, b in zip(order, order[1:]):
+            if vec[a] == vec[b]:
+                run.append(b)
+            else:
+                if len(run) > 1:
+                    groups.append(run)
+                run = [b]
+        if len(run) > 1:
+            groups.append(run)
         raise TieError(
             tuple(
                 tuple(index_to_word(i, p.q, p.ell) for i in g) for g in groups

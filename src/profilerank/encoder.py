@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     all_words,
     homo_image,
     homo_preimages,
+    parse_word,
     rank_of,
     word_index,
     word_text,
@@ -218,13 +220,13 @@ class InfoVecB:
     def check(self) -> None:
         self.base.check()
         q = self.q
+        symbols = list(range(q))
         for offset, layer in enumerate(self.layers):
             i = 3 + offset
-            domain = layer_domain(q, i)
-            if set(layer) != set(domain):
+            if layer.keys() != _window_plan(q, i).interior:
                 raise ValueError(f"layer {i} must cover exactly the interior words")
             for perm in layer.values():
-                if sorted(perm) != list(range(q)):
+                if sorted(perm) != symbols:
                     raise ValueError("layer values must permute 0..q-1")
 
 
@@ -428,40 +430,77 @@ def _digit_position(a: int, b: int, q: int) -> int:
     return a + b * q + 1
 
 
-def _lift_layer(
-    entries: Sequence[int], layer: dict[Word, tuple[int, ...]], q: int, i: int
-) -> list[int]:
-    """One window-growth step on scaled integer entries."""
-    scale = q ** (q * q)
-    out = [0] * (q**i)
+@dataclass(frozen=True)
+class _WindowPlan:
+    """Everything one window-growth step at (q, i) needs that does not depend
+    on the message.
+
+    ``words`` has one entry per word v of length i, in index order: the index
+    of its adjacent-sum image and its correction terms ``(u, selector,
+    weight)``, each adding ``weight * layer[u][selector]``.  ``nodes`` has one
+    entry per word u of length i-1, in index order: the indices of its q
+    preimages in :func:`homo_preimages` order, and u itself if it is interior
+    (None otherwise).  ``interior`` holds the interior words, the keys a
+    layer must have.
+    """
+
+    words: tuple[tuple[int, tuple[tuple[Word, int, int], ...]], ...]
+    nodes: tuple[tuple[tuple[int, ...], Word | None], ...]
+    interior: frozenset[Word]
+
+
+@lru_cache(maxsize=None)
+def _window_plan(q: int, i: int) -> _WindowPlan:
+    # Terms share one key object per interior word: the plan stays cached for
+    # the life of the process, so it should hold few small objects.
+    keys = {u: u for u in layer_domain(q, i)}
+    weight = {
+        (a, b): q ** (q * q - _digit_position(a, b, q))
+        for a in range(1, q)
+        for b in range(1, q)
+    }
+    words = []
     for v in all_words(q, i):
         w = homo_image(v, q)
-        base = scale * 2 * entries[word_index(w, q)]
         head, tail = w[0], w[-1]
         mid = w[1:-1]
         v0 = v[0]
-        delta = 0
         if head != 0 and tail != 0:
-            delta = layer[w][v0] * q ** (q * q - _digit_position(head, tail, q))
+            terms = [(keys[w], v0, weight[head, tail])]
         elif head == 0 and tail != 0:
-            for mu in range(1, q):
-                u = (mu,) + mid + (tail,)
-                delta -= layer[u][(mu + v0) % q] * q ** (
-                    q * q - _digit_position(mu, tail, q)
-                )
+            terms = [
+                (keys[(mu,) + mid + (tail,)], (mu + v0) % q, -weight[mu, tail])
+                for mu in range(1, q)
+            ]
         elif head != 0 and tail == 0:
-            for tau in range(1, q):
-                u = (head,) + mid + (tau,)
-                delta -= layer[u][v0] * q ** (q * q - _digit_position(head, tau, q))
+            terms = [
+                (keys[(head,) + mid + (tau,)], v0, -weight[head, tau])
+                for tau in range(1, q)
+            ]
         else:
-            for mu in range(1, q):
-                for tau in range(1, q):
-                    u = (mu,) + mid + (tau,)
-                    delta += layer[u][(mu + v0) % q] * q ** (
-                        q * q - _digit_position(mu, tau, q)
-                    )
-        out[word_index(v, q)] = base + delta
-    return out
+            terms = [
+                (keys[(mu,) + mid + (tau,)], (mu + v0) % q, weight[mu, tau])
+                for mu in range(1, q)
+                for tau in range(1, q)
+            ]
+        words.append((word_index(w, q), tuple(terms)))
+    nodes = tuple(
+        (tuple(word_index(v, q) for v in homo_preimages(u, q)), keys.get(u))
+        for u in all_words(q, i - 1)
+    )
+    return _WindowPlan(tuple(words), nodes, frozenset(keys))
+
+
+def _lift_layer(
+    entries: Sequence[int], layer: dict[Word, tuple[int, ...]], q: int, i: int
+) -> list[int]:
+    """One window-growth step on scaled integer entries: each word gets its
+    image's entry, doubled and scaled by q^(q^2), plus its corrections."""
+    scale2 = 2 * q ** (q * q)
+    return [
+        scale2 * entries[src] + sum(wt * layer[u][sel] for u, sel, wt in terms)
+        for src, terms in _window_plan(q, i).words
+    ]
 
 
 def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
@@ -478,21 +517,21 @@ def decode_b(vec: ScaledVector, repo: Repository) -> InfoVecB:
     """Inverse of :func:`encode_b`; re-encodes to confirm codeword status."""
     q, ell = vec.params.q, vec.params.ell
     scale = q ** (q * q)
-    entries = list(vec.entries)
+    entries = vec.entries
     layers: list[dict[Word, tuple[int, ...]]] = []
     for i in range(ell, 2, -1):
-        prev = [0] * (q ** (i - 1))
+        prev = []
         layer: dict[Word, tuple[int, ...]] = {}
-        for u in all_words(q, i - 1):
-            vals = [entries[word_index(v, q)] for v in homo_preimages(u, q)]
+        for pre, u in _window_plan(q, i).nodes:
+            vals = [entries[j] for j in pre]
             halves = {(val + scale) // (2 * scale) for val in vals}
             if len(halves) != 1:
                 raise NotACodeword("preimage entries disagree on their base value")
-            prev[word_index(u, q)] = halves.pop()
-            if u[0] != 0 and u[-1] != 0:
+            prev.append(halves.pop())
+            if u is not None:
                 if len(set(vals)) != q:
                     raise NotACodeword("preimage entries must be distinct")
-                order = sorted(range(q), key=lambda k: vals[k])
+                order = sorted(range(q), key=vals.__getitem__)
                 ranks = [0] * q
                 for pos, k in enumerate(order):
                     ranks[k] = pos
@@ -593,41 +632,64 @@ def random_info_b(q: int, ell: int, rng) -> InfoVecB:
     )
 
 
-def info_a_to_text(info: InfoVecA) -> str:
-    lines = [f"q={info.q}", f"base={info.base}"]
+_DIGITS = "[0-9]+"
+_DIGIT_LIST = f"{_DIGITS}(?:,{_DIGITS})*"
+_BASE_LINE = re.compile(f"base=({_DIGITS})")
+_STAGE_LINE = re.compile(f"pi=({_DIGIT_LIST}) t=([01]+)")
+_LAYER_LINE = re.compile(rf"P\(({_DIGITS})\)=({_DIGIT_LIST})")
+
+
+def _message_lines(text: str) -> list[str]:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty message")
+    return lines
+
+
+def _alphabet_lines(info: InfoVecA) -> list[str]:
+    """The base and stage lines, shared by both message formats."""
+    lines = [f"base={info.base}"]
     for stage in info.stages:
         pi = ",".join(str(v) for v in stage.pi)
         t = "".join(str(b) for b in stage.t)
         lines.append(f"pi={pi} t={t}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def info_a_from_text(text: str) -> InfoVecA:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    m = re.fullmatch(r"q=(\d+)", lines[0])
-    if not m:
-        raise ValueError(f"bad message header: {lines[0]!r}")
-    base = int(lines[1].removeprefix("base="))
+def _alphabet_from_lines(q: int, lines: Sequence[str]) -> InfoVecA:
+    """Inverse of :func:`_alphabet_lines`; ``q`` is the declared alphabet."""
+    if not lines:
+        raise ValueError("message has no base line")
+    bm = _BASE_LINE.fullmatch(lines[0])
+    if not bm:
+        raise ValueError(f"bad base line: {lines[0]!r}")
     stages = []
-    for ln in lines[2:]:
-        sm = re.fullmatch(r"pi=([\d,]+) t=([01]+)", ln)
+    for ln in lines[1:]:
+        sm = _STAGE_LINE.fullmatch(ln)
         if not sm:
             raise ValueError(f"bad stage line: {ln!r}")
-        pi = tuple(int(v) for v in sm.group(1).split(","))
-        t = tuple(int(c) for c in sm.group(2))
-        stages.append(StageA(pi, t))
-    info = InfoVecA(base, tuple(stages))
-    if info.q != int(m.group(1)):
+        pi = tuple(map(int, sm.group(1).split(",")))
+        stages.append(StageA(pi, parse_word(sm.group(2))))
+    info = InfoVecA(int(bm.group(1)), tuple(stages))
+    if info.q != q:
         raise ValueError("stage count does not match the declared q")
     return info
 
 
+def info_a_to_text(info: InfoVecA) -> str:
+    return "\n".join([f"q={info.q}"] + _alphabet_lines(info)) + "\n"
+
+
+def info_a_from_text(text: str) -> InfoVecA:
+    lines = _message_lines(text)
+    m = re.fullmatch(f"q=({_DIGITS})", lines[0])
+    if not m:
+        raise ValueError(f"bad message header: {lines[0]!r}")
+    return _alphabet_from_lines(int(m.group(1)), lines[1:])
+
+
 def info_b_to_text(info: InfoVecB) -> str:
-    lines = [f"q={info.q} ell={info.ell}", f"base={info.base.base}"]
-    for stage in info.base.stages:
-        pi = ",".join(str(v) for v in stage.pi)
-        t = "".join(str(b) for b in stage.t)
-        lines.append(f"pi={pi} t={t}")
+    lines = [f"q={info.q} ell={info.ell}"] + _alphabet_lines(info.base)
     for offset, layer in enumerate(info.layers):
         for u in layer_domain(info.q, 3 + offset):
             perm = ",".join(str(v) for v in layer[u])
@@ -636,23 +698,30 @@ def info_b_to_text(info: InfoVecB) -> str:
 
 
 def info_b_from_text(text: str) -> InfoVecB:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    m = re.fullmatch(r"q=(\d+) ell=(\d+)", lines[0])
+    lines = _message_lines(text)
+    m = re.fullmatch(f"q=({_DIGITS}) ell=({_DIGITS})", lines[0])
     if not m:
         raise ValueError(f"bad message header: {lines[0]!r}")
     q, ell = int(m.group(1)), int(m.group(2))
-    base_lines = [lines[1]]
-    layer_lines = []
-    for ln in lines[2:]:
-        (layer_lines if ln.startswith("P(") else base_lines).append(ln)
-    base = info_a_from_text(f"q={q}\n" + "\n".join(base_lines) + "\n")
+    if not 2 <= ell <= len(lines) + 1:
+        # Every layer 3..ell needs at least one line of its own.
+        raise ValueError(f"window length {ell} does not fit a {len(lines)}-line message")
+    base_lines = []
     layers: list[dict[Word, tuple[int, ...]]] = [{} for _ in range(3, ell + 1)]
-    for ln in layer_lines:
-        lm = re.fullmatch(r"P\((\d+)\)=([\d,]+)", ln)
+    for ln in lines[1:]:
+        if not ln.startswith("P("):
+            base_lines.append(ln)
+            continue
+        lm = _LAYER_LINE.fullmatch(ln)
         if not lm:
             raise ValueError(f"bad layer line: {ln!r}")
-        u = tuple(int(c) for c in lm.group(1))
-        layers[len(u) + 1 - 3][u] = tuple(int(v) for v in lm.group(2).split(","))
-    info = InfoVecB(base, tuple(layers))
+        u = parse_word(lm.group(1))
+        if not 3 <= len(u) + 1 <= ell:
+            raise ValueError(f"layer line {ln!r} names no layer 3..{ell}")
+        layer = layers[len(u) - 2]
+        if u in layer:
+            raise ValueError(f"repeated layer line for P({lm.group(1)})")
+        layer[u] = tuple(map(int, lm.group(2).split(",")))
+    info = InfoVecB(_alphabet_from_lines(q, base_lines), tuple(layers))
     info.check()
     return info

@@ -229,3 +229,23 @@ def test_pipe_composability(repo_path, tmp_path, capsys):
     from profilerank.core import rank_of
 
     assert rank_of(reprofiled).to_text() == CHANNEL_ORDER
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("a", "q=3\n"),  # header only
+        ("b", "q=3 ell=2\nbase=7\nP(11)=0,1,2\n"),  # layer line with no layer
+        ("a", "q=3\n5\n"),  # base line without base=
+        ("a", "q=3\nbase=1_0\n"),
+        ("b", "q=3 ell=3\nbase=7\nP(11)=0,1,2\nP(12)=2,1,0\nP(21)=1,0,2\n"
+              "P(22)=0,2,1\nP(22)=1,2,0\n"),  # repeated layer line
+    ],
+)
+def test_encode_rejects_malformed_message(repo_path, tmp_path, capsys, kind, text):
+    ifile = tmp_path / "info.txt"
+    ifile.write_text(text)
+    assert main(["encode", kind, "--info", str(ifile), "--repo", repo_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -4,8 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from profilerank.core import Params, homo_image, homo_preimages, rank_of, all_words
+from profilerank.core import (
+    Params,
+    all_words,
+    homo_image,
+    homo_preimages,
+    rank_of,
+    word_index,
+)
 from profilerank.encoder import (
     BASE_COUNT,
     InfoVecA,
@@ -32,6 +40,7 @@ from profilerank.encoder import (
     random_info_a,
     random_info_b,
     rate_lower_bound,
+    vector_to_matrix,
 )
 from profilerank.feasibility import FeasibleVector
 
@@ -238,6 +247,116 @@ def test_rank_level_injectivity_window(repo):
         seen[key] = order
 
 
+# -- the window recursion against a per-word reference --------------------------
+# The reference recomputes the adjacent-sum structure and every correction
+# weight per word, the way the recursion is stated; the encoder reads the same
+# data from a table built once per (q, i).
+
+def _reference_lift(entries, layer, q, i):
+    scale = q ** (q * q)
+    out = [0] * (q**i)
+    for v in all_words(q, i):
+        w = homo_image(v, q)
+        base = scale * 2 * entries[word_index(w, q)]
+        head, tail = w[0], w[-1]
+        mid = w[1:-1]
+        v0 = v[0]
+        delta = 0
+        if head != 0 and tail != 0:
+            delta = layer[w][v0] * q ** (q * q - (head + tail * q + 1))
+        elif head == 0 and tail != 0:
+            for mu in range(1, q):
+                u = (mu,) + mid + (tail,)
+                delta -= layer[u][(mu + v0) % q] * q ** (q * q - (mu + tail * q + 1))
+        elif head != 0 and tail == 0:
+            for tau in range(1, q):
+                u = (head,) + mid + (tau,)
+                delta -= layer[u][v0] * q ** (q * q - (head + tau * q + 1))
+        else:
+            for mu in range(1, q):
+                for tau in range(1, q):
+                    u = (mu,) + mid + (tau,)
+                    delta += layer[u][(mu + v0) % q] * q ** (
+                        q * q - (mu + tau * q + 1)
+                    )
+        out[word_index(v, q)] = base + delta
+    return out
+
+
+def _reference_encode_b(info, repo):
+    q = info.q
+    entries = matrix_to_vector(encode_a(info.base, repo))
+    for offset, layer in enumerate(info.layers):
+        entries = _reference_lift(entries, layer, q, 3 + offset)
+    return tuple(entries)
+
+
+def _reference_decode_b(entries, q, ell, repo):
+    scale = q ** (q * q)
+    entries = list(entries)
+    layers = []
+    for i in range(ell, 2, -1):
+        prev = [0] * (q ** (i - 1))
+        layer = {}
+        for u in all_words(q, i - 1):
+            vals = [entries[word_index(v, q)] for v in homo_preimages(u, q)]
+            halves = {(val + scale) // (2 * scale) for val in vals}
+            assert len(halves) == 1
+            prev[word_index(u, q)] = halves.pop()
+            if u[0] != 0 and u[-1] != 0:
+                assert len(set(vals)) == q
+                order = sorted(range(q), key=lambda k: vals[k])
+                ranks = [0] * q
+                for pos, k in enumerate(order):
+                    ranks[k] = pos
+                layer[u] = tuple(ranks)
+        layers.append(layer)
+        entries = prev
+    return InfoVecB(decode_a(vector_to_matrix(entries, q), repo), tuple(reversed(layers)))
+
+
+@pytest.mark.parametrize(
+    "q,ell,count",
+    [(3, 3, 4), (3, 4, 4), (4, 3, 4), (4, 4, 3), (5, 3, 3), (5, 4, 2),
+     (6, 3, 3), (6, 4, 1), (3, 5, 2)],
+)
+def test_window_recursion_matches_per_word_reference(repo, q, ell, count):
+    rng = random.Random(1000 * q + ell)
+    for _ in range(count):
+        info = random_info_b(q, ell, rng)
+        sv = encode_b(info, repo)
+        assert sv.entries == _reference_encode_b(info, repo)
+        decoded = decode_b(sv, repo)
+        assert decoded == _reference_decode_b(sv.entries, q, ell, repo) == info
+
+
+def test_decode_b_rejects_every_unit_change_of_one_entry(repo):
+    sv = encode_b(random_info_b(4, 3, random.Random(13)), repo)
+    for idx in range(len(sv.entries)):
+        for step in (-1, 1):
+            entries = list(sv.entries)
+            entries[idx] += step
+            with pytest.raises(NotACodeword):
+                decode_b(ScaledVector(sv.params, tuple(entries)), repo)
+
+
+def test_decode_b_rejections_name_the_failed_check(repo):
+    q = 4
+    sv = encode_b(random_info_b(q, 3, random.Random(15)), repo)
+    scale = q ** (q * q)
+    pre = [word_index(v, q) for v in homo_preimages((1, 2), q)]  # an interior node
+
+    def rejected(change, message):
+        entries = list(sv.entries)
+        change(entries)
+        with pytest.raises(NotACodeword, match=message):
+            decode_b(ScaledVector(sv.params, tuple(entries)), repo)
+
+    rejected(lambda e: e.__setitem__(pre[0], e[pre[0]] + 2 * scale), "base value")
+    rejected(lambda e: e.__setitem__(pre[0], e[pre[1]]), "distinct")
+    rejected(lambda e: e.__setitem__(pre[0], e[pre[0]] + 1), "encoder output")
+
+
 # -- calculators ---------------------------------------------------------------
 
 def test_count_lower_bound_values():
@@ -352,3 +471,79 @@ def test_info_validation_rejects_malformed():
         InfoVecA(1, (StageA((1, 2, 3), (1, 1, 1, 0, 0, 0, 0)),)).check()
     with pytest.raises(ValueError):
         InfoVecB(InfoVecA(1), ({(1, 1): (0, 1, 2)},)).check()
+
+
+@st.composite
+def _messages_b(draw):
+    q = draw(st.integers(3, 5))
+    ell = draw(st.integers(2, 4))
+    stages = []
+    for j in range(4, q + 1):
+        pi = tuple(draw(st.permutations(range(1, j + 1))))
+        ones = draw(st.sets(st.integers(0, j * j - j), min_size=j, max_size=j))
+        stages.append(StageA(pi, tuple(int(k in ones) for k in range(j * j - j + 1))))
+    base = InfoVecA(draw(st.integers(1, BASE_COUNT)), tuple(stages))
+    layers = tuple(
+        {u: tuple(draw(st.permutations(range(q)))) for u in layer_domain(q, i)}
+        for i in range(3, ell + 1)
+    )
+    return InfoVecB(base, layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_messages_b())
+def test_info_b_text_round_trip_property(info):
+    assert info_b_from_text(info_b_to_text(info)) == info
+
+
+_GOOD_B = "q=3 ell=3\nbase=7\nP(11)=0,1,2\nP(12)=2,1,0\nP(21)=1,0,2\nP(22)=0,2,1\n"
+
+
+def test_info_b_reader_accepts_the_reference_message():
+    info = info_b_from_text(_GOOD_B)
+    assert info.base == InfoVecA(7) and info.layers[0][(1, 2)] == (2, 1, 0)
+    assert info_b_to_text(info) == _GOOD_B
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "q=3\n",  # header only
+        "q=3\n5\n",  # base line without base=
+        "q=3\nbase=1_0\n",
+        "q=3\nbase=+5\n",
+        "q=3\nbase=5 \nbase=6\n",
+        "q=\u0663\nbase=5\n",  # a non-ASCII digit
+        "q=4\nbase=5\n",  # stage missing
+        "q=4\nbase=5\npi=1,,2,3,4 t=0011110000000\n",
+        "q=4\nbase=5\npi=1,2,3,4, t=0011110000000\n",
+        "q=4\nbase=5\npi=1,2,3,4 t=0011110000002\n",
+    ],
+)
+def test_info_a_reader_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        info_a_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q=3 ell=3\n",  # header only
+        "q=3 ell=2\nbase=7\nP(11)=0,1,2\n",  # layer line with no layer
+        "q=3 ell=1\nbase=7\n",
+        "q=3 ell=1000000\nbase=7\nP(11)=0,1,2\n",  # more layers than lines
+        "q=3 ell=3\n7\nP(11)=0,1,2\nP(12)=2,1,0\nP(21)=1,0,2\nP(22)=0,2,1\n",
+        _GOOD_B + "P(22)=1,2,0\n",  # repeated line, last would win
+        _GOOD_B.replace("P(22)=0,2,1", "P(22)=0,2,1,"),
+        _GOOD_B.replace("P(22)", "P(2_2)"),
+        _GOOD_B.replace("P(22)", "P(222)"),
+        _GOOD_B.replace("P(22)", "P(2)"),
+        _GOOD_B.replace("P(22)=0,2,1\n", ""),  # missing interior word
+        _GOOD_B.replace("P(22)", "P(23)"),  # symbol out of range
+        _GOOD_B.replace("P(22)=0,2,1", "P(22)=0,2,2"),
+    ],
+)
+def test_info_b_reader_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        info_b_from_text(text)
