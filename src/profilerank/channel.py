@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Sequence, Union
 
-from .core import ProfileVector, RankPermutation, TieError, rank_of
+from .core import ProfileVector, RankPermutation, TieError, fan_out, rank_of, split_range
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,10 @@ class TrialRow:
 
 
 def _trial_block(args) -> tuple[int, int, int]:
-    p, model, seed, mi, lo, hi = args
+    p, model, seed, mi, trials = args
     clean = rank_of(p)
     successes = ties = errors = 0
-    for trial in range(lo, hi):
+    for trial in trials:
         noisy = perturb(p, model, seed=(seed * 1_000_003 + mi) * 1_000_003 + trial)
         got = rank_decode(noisy)
         if isinstance(got, TieFailure):
@@ -131,28 +130,22 @@ def simulate(
     seed: int,
     jobs: int | None = None,
 ) -> list[TrialRow]:
-    """Monte-Carlo recovery sweep.
+    """Monte-Carlo recovery sweep; ``jobs=None`` uses every core.
 
     Trial k of model m draws from a generator seeded by (master seed, m, k),
     so results are reproducible and independent of how trials are split
     across workers.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rank_of(p)  # fail fast on a tied clean profile
-    jobs = jobs or 1
+    pieces = split_range(trials, jobs)
+    tasks = [(p, m, seed, mi, piece) for mi, m in enumerate(models) for piece in pieces]
+    parts = fan_out(_trial_block, tasks, jobs)
     rows = []
     for mi, model in enumerate(models):
-        if jobs <= 1:
-            parts = [_trial_block((p, model, seed, mi, 0, trials))]
-        else:
-            chunk = -(-trials // jobs)
-            args = [
-                (p, model, seed, mi, lo, min(lo + chunk, trials))
-                for lo in range(0, trials, chunk)
-            ]
-            with get_context("fork").Pool(jobs) as pool:
-                parts = pool.map(_trial_block, args)
-        successes = sum(x[0] for x in parts)
-        ties = sum(x[1] for x in parts)
-        errors = sum(x[2] for x in parts)
+        mine = parts[mi * len(pieces) : (mi + 1) * len(pieces)]
+        # the zero row keeps the sums defined when trials == 0 left no pieces
+        successes, ties, errors = (sum(col) for col in zip((0, 0, 0), *mine))
         rows.append(TrialRow(model.label(), trials, successes, ties, errors))
     return rows

@@ -35,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text) if text.isascii() and text.isdigit() else 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return jobs
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -243,14 +250,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="count realizable orders exhaustively")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("repo", help="build or verify the base repository")
     p.add_argument("action", choices=["build", "verify"])
     p.add_argument("--file", required=True)
     p.add_argument("--cap", type=int, default=17)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_repo)
 
     p = sub.add_parser("encode", help="message file to vector/permutation/string")
@@ -287,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", nargs="+", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -14,12 +14,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Sequence, Union
+from multiprocessing import get_context
+from typing import Callable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
 Entry = Union[int, Fraction]
@@ -226,11 +228,7 @@ class ProfileVector:
         return ProfileVector(self.params, tuple(c * k for c in self.counts))
 
     def to_text(self) -> str:
-        p = self.params
-        lines = [f"q={p.q} ell={p.ell}"]
-        for w, c in zip(p.words(), self.counts):
-            lines.append(f"{word_text(w)} {c}")
-        return "\n".join(lines) + "\n"
+        return vector_text(self.params, self.counts)
 
     @classmethod
     def from_text(cls, text: str) -> "ProfileVector":
@@ -239,6 +237,14 @@ class ProfileVector:
             if not re.fullmatch(r"[0-9]+", f):
                 raise ValueError(f"bad profile count: {f!r}")
         return cls(params, tuple(int(f) for f in fields))
+
+
+def vector_text(params: Params, values: Sequence[Entry]) -> str:
+    """Writer of the vector text format that :func:`parse_vector_text` reads:
+    the header, then one ``<word> <value>`` line per word in index order."""
+    lines = [f"q={params.q} ell={params.ell}"]
+    lines.extend(f"{word_text(w)} {v}" for w, v in zip(params.words(), values))
+    return "\n".join(lines) + "\n"
 
 
 def parse_vector_text(text: str) -> tuple[Params, list[str]]:
@@ -400,11 +406,15 @@ class RankPermutation:
 
     @classmethod
     def from_text(cls, text: str, params: Params | None = None) -> "RankPermutation":
+        """Read a comma-separated word list.  Every word must have the length
+        of the first one, or ``params.ell`` when ``params`` is given."""
         words = [parse_word(t.strip()) for t in text.strip().split(",")]
+        ell = len(words[0]) if params is None else params.ell
+        for w in words:
+            if len(w) != ell:
+                raise ValueError(f"word {word_text(w)} does not have length {ell}")
         if params is None:
-            ell = len(words[0])
-            q = max(max(w) for w in words) + 1
-            params = Params(q, ell)
+            params = Params(max(max(w) for w in words) + 1, ell)
         return cls.from_words(params, words)
 
 
@@ -462,3 +472,39 @@ def rank_of(
             )
         )
     return RankPermutation(p, tuple(order))
+
+
+# ---------------------------------------------------------------------------
+# Parallel fan-out
+# ---------------------------------------------------------------------------
+
+PIECES_PER_JOB = 4  # work pieces per worker, so a slow piece does not idle the rest
+
+
+def _job_count(jobs: int | None) -> int:
+    """Worker count for a ``jobs`` argument: None means every core."""
+    if jobs is None:
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
+def split_range(total: int, jobs: int | None) -> list[range]:
+    """Contiguous pieces covering ``range(total)`` in order: one piece when
+    serial, PIECES_PER_JOB per worker otherwise, none when ``total`` is 0."""
+    workers = _job_count(jobs)
+    pieces = 1 if workers == 1 else workers * PIECES_PER_JOB
+    step = max(1, -(-total // pieces))
+    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def fan_out(work: Callable, tasks: Sequence, jobs: int | None) -> list:
+    """``[work(t) for t in tasks]``, in a fork pool of ``min(jobs, len(tasks))``
+    workers when that is more than one.  ``work`` must be a module-level
+    function; results come back in task order."""
+    workers = min(_job_count(jobs), len(tasks))
+    if workers <= 1:
+        return [work(t) for t in tasks]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(work, tasks, chunksize=1)

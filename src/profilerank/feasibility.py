@@ -45,6 +45,7 @@ from .core import (
     out_words,
     parse_vector_text,
     satisfies,
+    vector_text,
     word_index,
     word_text,
 )
@@ -91,11 +92,7 @@ class FeasibleVector:
         return ProfileVector(self.params, tuple(int(e) for e in self.entries))
 
     def to_text(self) -> str:
-        p = self.params
-        lines = [f"q={p.q} ell={p.ell}"]
-        for w, e in zip(p.words(), self.entries):
-            lines.append(f"{word_text(w)} {e}")
-        return "\n".join(lines) + "\n"
+        return vector_text(self.params, self.entries)
 
     @classmethod
     def from_text(cls, text: str) -> "FeasibleVector":

@@ -10,16 +10,14 @@ by count, so results are independent of the worker layout.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
 from math import factorial
-from multiprocessing import get_context
 from typing import Sequence
 
-from .core import Params, RankPermutation
+from .core import Params, RankPermutation, fan_out, split_range
 from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import (
     FeasibleVector,
@@ -61,12 +59,11 @@ class CensusResult:
 
 
 def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int]:
-    q, ell, start, stop, lp_all = args
-    params = Params(q, ell)
+    params, lp_all, piece = args
     tables = constraint_tables(params)
     feasible: list[tuple[int, ...]] = []
     hit_feasible = hit_infeasible = silent_infeasible = 0
-    stream = islice(permutations(range(params.word_count)), start, stop)
+    stream = islice(permutations(range(params.word_count)), piece.start, piece.stop)
     for order in stream:
         hit = order_precheck_witness(order, tables)
         if hit is None:
@@ -90,18 +87,9 @@ def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
             f"census capped at {CENSUS_CAP} words, got {params.word_count}"
         )
     total = factorial(params.word_count)
-    jobs = jobs or os.cpu_count() or 1
     started = time.monotonic()
-    if jobs <= 1:
-        parts = [_sweep_chunk((params.q, params.ell, 0, total, lp_all))]
-    else:
-        chunk = -(-total // (jobs * 8))
-        args = [
-            (params.q, params.ell, lo, min(lo + chunk, total), lp_all)
-            for lo in range(0, total, chunk)
-        ]
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_sweep_chunk, args)
+    tasks = [(params, lp_all, piece) for piece in split_range(total, jobs)]
+    parts = fan_out(_sweep_chunk, tasks, jobs)
     feasible: list[tuple[int, ...]] = []
     hit_f = hit_i = silent_i = 0
     for part in parts:
@@ -154,123 +142,67 @@ def _order_constraints(order: Sequence[int], params: Params):
     return cons
 
 
-def _value_search(
-    order: Sequence[int],
-    params: Params,
-    cap: int,
-    minimize_sum: bool,
-    floor: int = 1,
-) -> list[tuple[int, ...]] | tuple[int, ...] | None:
-    """Distinct increasing values for the rank positions, flow-balanced.
+def _prefix_balanced(cons, values: list[int], k: int, v: int, cap: int, n: int) -> bool:
+    """Whether ``values[:k+1]`` (with ``values[k] == v``) can still balance
+    every constraint once the later positions j > k take increasing values
+    in their reachable ranges [v + j - k, cap - (n-1-j)]."""
+    for plus, minus in cons:
+        acc = 0
+        lo = hi = 0
+        for j in plus:
+            if j <= k:
+                acc += values[j]
+            else:
+                lo += v + j - k
+                hi += cap - (n - 1 - j)
+        for j in minus:
+            if j <= k:
+                acc -= values[j]
+            else:
+                lo -= cap - (n - 1 - j)
+                hi -= v + j - k
+        if not (acc + lo <= 0 <= acc + hi):
+            return False
+    return True
 
-    ``floor`` is the smallest admissible value (1 for strictly positive
-    vectors, 0 to allow an empty lowest count).  With ``minimize_sum``
-    False: iterate the allowed maximum upward and return every solution at
-    the first maximum that admits one.  With it True: branch-and-bound on
-    the total, returning one minimizing assignment.
-    """
-    n = len(order)
-    cons = _order_constraints(order, params)
 
-    def dfs_all(capm: int) -> list[tuple[int, ...]]:
-        sols: list[tuple[int, ...]] = []
-        values = [0] * n
-
-        def feasible_partial(k: int, v: int) -> bool:
-            # Bounds for positions j > k: values[j] in [v + j - k, capm - (n-1-j)].
-            for plus, minus in cons:
-                acc = 0
-                lo = hi = 0
-                for j in plus:
-                    if j <= k:
-                        acc += values[j]
-                    else:
-                        lo += v + j - k
-                        hi += capm - (n - 1 - j)
-                for j in minus:
-                    if j <= k:
-                        acc -= values[j]
-                    else:
-                        lo -= capm - (n - 1 - j)
-                        hi -= v + j - k
-                if not (acc + lo <= 0 <= acc + hi):
-                    return False
-            return True
-
-        def rec(k: int, prev: int) -> None:
-            if k == n:
-                sols.append(tuple(values))
-                return
-            for v in range(prev + 1, capm - (n - 1 - k) + 1):
-                values[k] = v
-                if feasible_partial(k, v):
-                    rec(k + 1, v)
-
-        rec(0, floor - 1)
-        return sols
-
-    if not minimize_sum:
-        for capm in range(n + floor - 1, cap + 1):
-            sols = dfs_all(capm)
-            if sols:
-                return sols
-        return None
-
-    best: list[tuple[int, ...] | None] = [None]
-    best_sum = [cap * n + 1]
-    values = [0] * n
-
-    def rec_sum(k: int, prev: int, total: int) -> None:
-        remaining_min = sum(range(prev + 1, prev + 1 + (n - k)))
-        if total + remaining_min >= best_sum[0]:
-            return
-        if k == n:
-            best[0] = tuple(values)
-            best_sum[0] = total
-            return
-        for v in range(prev + 1, cap - (n - 1 - k) + 1):
-            values[k] = v
-            ok = True
-            for plus, minus in cons:
-                acc = 0
-                lo = hi = 0
-                for j in plus:
-                    if j <= k:
-                        acc += values[j]
-                    else:
-                        lo += v + j - k
-                        hi += cap - (n - 1 - j)
-                for j in minus:
-                    if j <= k:
-                        acc -= values[j]
-                    else:
-                        lo -= cap - (n - 1 - j)
-                        hi -= v + j - k
-                if not (acc + lo <= 0 <= acc + hi):
-                    ok = False
-                    break
-            if ok:
-                rec_sum(k + 1, v, total + v)
-
-    rec_sum(0, 0, 0)
-    return best[0]
+def _in_word_order(order: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+    """Place the value of each rank position on its word index."""
+    vec = [0] * len(order)
+    for k, idx in enumerate(order):
+        vec[idx] = values[k]
+    return tuple(vec)
 
 
 def minimal_max_vector(
     order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
 ) -> tuple[int, ...] | None:
     """The flow-balanced assignment minimizing the maximum entry, ties broken
-    by the lexicographically smallest vector (entries in word order)."""
-    sols = _value_search(order, params, cap, minimize_sum=False, floor=floor)
-    if not sols:
-        return None
-    candidates = []
-    for values in sols:
-        vec = [0] * len(order)
-        for k, idx in enumerate(order):
-            vec[idx] = values[k]
-        candidates.append(tuple(vec))
-    return min(candidates)
+    by the lexicographically smallest vector (entries in word order).
+
+    The allowed maximum is raised one step at a time from its least value,
+    each step a full depth-first search over distinct values >= ``floor``;
+    None if no maximum within ``cap`` admits one.
+    """
+    n = len(order)
+    cons = _order_constraints(order, params)
+    values = [0] * n
+    for top in range(n + floor - 1, cap + 1):
+        sols: list[tuple[int, ...]] = []
+
+        def rec(k: int, prev: int) -> None:
+            if k == n:
+                sols.append(_in_word_order(order, values))
+                return
+            for v in range(prev + 1, top - (n - 1 - k) + 1):
+                values[k] = v
+                if _prefix_balanced(cons, values, k, v, top, n):
+                    rec(k + 1, v)
+
+        rec(0, floor - 1)
+        if sols:
+            return min(sols)
+    return None
 
 
 def minimal_max_value(
@@ -322,15 +254,9 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    jobs = jobs or os.cpu_count() or 1
-    if jobs <= 1:
-        vectors = _repo_chunk((orders, cap))
-    else:
-        chunk = -(-len(orders) // (jobs * 4))
-        args = [(orders[lo : lo + chunk], cap) for lo in range(0, len(orders), chunk)]
-        with get_context("fork").Pool(jobs) as pool:
-            vectors = [vec for part in pool.map(_repo_chunk, args) for vec in part]
-    return Repository(tuple(vectors))
+    tasks = [(orders[r.start : r.stop], cap) for r in split_range(len(orders), jobs)]
+    parts = fan_out(_repo_chunk, tasks, jobs)
+    return Repository(tuple(vec for part in parts for vec in part))
 
 
 def compute_c3(repo: Repository) -> int:
@@ -342,7 +268,8 @@ def compute_c3(repo: Repository) -> int:
 def min_sum_vector(
     perm: RankPermutation, cap: int = 16
 ) -> FeasibleVector:
-    """Strictly positive flow-balanced vector of minimal total for the order.
+    """Strictly positive flow-balanced vector of minimal total for the order,
+    found by branch and bound on the total.
 
     The total equals the shortest witness length over full-support profiles:
     positive support keeps the overlap graph strongly connected, so the
@@ -350,13 +277,28 @@ def min_sum_vector(
     """
     if perm.params != Params(BASE_Q, 2):
         raise ValueError("witness-length search is defined at q=3, window length 2")
-    values = _value_search(perm.order, perm.params, cap, minimize_sum=True)
-    if values is None:
+    n = len(perm.order)
+    cons = _order_constraints(perm.order, perm.params)
+    best: tuple[int, ...] | None = None
+    best_sum = cap * n + 1
+    values = [0] * n
+
+    def rec(k: int, prev: int, total: int) -> None:
+        nonlocal best, best_sum
+        if total + sum(range(prev + 1, prev + 1 + (n - k))) >= best_sum:
+            return
+        if k == n:
+            best, best_sum = tuple(values), total
+            return
+        for v in range(prev + 1, cap - (n - 1 - k) + 1):
+            values[k] = v
+            if _prefix_balanced(cons, values, k, v, cap, n):
+                rec(k + 1, v, total + v)
+
+    rec(0, 0, 0)
+    if best is None:
         raise ValueError(f"no assignment with entries <= {cap}")
-    vec = [0] * len(perm.order)
-    for k, idx in enumerate(perm.order):
-        vec[idx] = values[k]
-    return FeasibleVector(perm.params, tuple(vec))
+    return FeasibleVector(perm.params, _in_word_order(perm.order, best))
 
 
 def min_string_length(perm: RankPermutation, cap: int = 16) -> int:

@@ -7,6 +7,7 @@ from profilerank.channel import (
     AdditiveNoise,
     DropNoise,
     TieFailure,
+    TrialRow,
     perturb,
     rank_decode,
     simulate,
@@ -143,3 +144,30 @@ def test_simulate_reproducible():
     a = simulate(STORAGE, [AdditiveNoise(2)], trials=40, seed=3)
     b = simulate(STORAGE, [AdditiveNoise(2)], trials=40, seed=3)
     assert a == b
+
+
+def test_simulate_split_independent():
+    models = [AdditiveNoise(1), AdditiveNoise(3), DropNoise(0.2)]
+    serial = simulate(STORAGE, models, trials=45, seed=5, jobs=1)
+    parallel = simulate(STORAGE, models, trials=45, seed=5, jobs=2)
+    assert serial == parallel
+    assert [r.noise for r in serial] == ["additive:1", "additive:3", "drop:0.2"]
+    assert sum(r.ties + r.rank_errors for r in serial) > 0  # the noise did bite
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_zero_trials(jobs):
+    models = [AdditiveNoise(1), DropNoise(0.5)]
+    rows = simulate(STORAGE, models, trials=0, seed=1, jobs=jobs)
+    assert rows == [TrialRow(m.label(), 0, 0, 0, 0) for m in models]
+
+
+def test_simulate_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        simulate(STORAGE, [AdditiveNoise(1)], trials=-5, seed=1, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_simulate_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        simulate(STORAGE, [AdditiveNoise(1)], trials=10, seed=1, jobs=jobs)

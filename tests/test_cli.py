@@ -53,6 +53,31 @@ def test_census_command(capsys):
     assert "feasible=0" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
+    pfile = tmp_path / "profile.txt"
+    pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
+    commands = [
+        ["census", "--q", "2", "--ell", "2"],
+        ["repo", "build", "--file", str(tmp_path / "repo.txt")],
+        ["simulate", "--profile", str(pfile), "--noise", "additive", "--params", "1"]
+        + ["--seed", "1"],
+    ]
+    for argv in commands:
+        assert main(argv + ["--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--jobs" in captured.err
+    assert not (tmp_path / "repo.txt").exists()
+
+
+def test_check_rejects_ragged_words(capsys):
+    assert main(["check", "--perm", "00,1,10,11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not have length" in captured.err
+
+
 def test_bounds_command(capsys):
     assert (
         main(["bounds", "--q", "3", "--ell", "3", "--rate", "--lower", "--upper"]) == 0

@@ -9,6 +9,7 @@ from profilerank.core import (
     RankPermutation,
     TieError,
     all_words,
+    fan_out,
     homo_image,
     homo_preimages,
     index_to_word,
@@ -21,6 +22,7 @@ from profilerank.core import (
     rank_of,
     rotate,
     satisfies,
+    split_range,
     word_index,
     word_text,
 )
@@ -279,6 +281,41 @@ def test_profile_text_round_trip():
 def test_perm_text_round_trip():
     perm = RankPermutation.from_text(CHANNEL_ORDER)
     assert RankPermutation.from_text(perm.to_text()).order == perm.order
+
+
+@pytest.mark.parametrize(
+    "text, params",
+    [("00,1,10,11", None), ("00,01,10,111", None), ("0,1", Params(2, 2))],
+)
+def test_perm_text_rejects_ragged_words(text, params):
+    # "00,1,10,11" used to be read as 00,01,10,11
+    with pytest.raises(ValueError, match="does not have length"):
+        RankPermutation.from_text(text, params)
+
+
+@pytest.mark.parametrize("total", [0, 1, 7, 362880])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_split_range_covers_in_order(total, jobs):
+    pieces = split_range(total, jobs)
+    assert [i for piece in pieces for i in piece] == list(range(total))
+    assert all(len(piece) > 0 for piece in pieces)
+    if jobs == 1:
+        assert len(pieces) == min(total, 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fan_out_keeps_task_order(jobs):
+    tasks = [-5, 3, -1, 0, 8, -2, 7]
+    assert fan_out(abs, tasks, jobs) == [5, 3, 1, 0, 8, 2, 7]
+    assert fan_out(abs, [], jobs) == []
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_fan_out_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        fan_out(abs, [1, 2], jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        split_range(10, jobs)
 
 
 def test_word_text_limited_to_ten_symbols():

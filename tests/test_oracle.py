@@ -70,6 +70,16 @@ def test_repository_matches_census_order(repo, census32):
         assert rank_of(vec, P32).order == census32.feasible[i]
 
 
+def test_repository_checksum_pinned(repo, tmp_path):
+    # the trailer Repository.save writes for the full (3,2) build; the value
+    # the benchmark checks
+    path = tmp_path / "repository.txt"
+    repo.save(path)
+    assert path.read_text().splitlines()[-1] == (
+        "sha256=ab436259092f2d125f7237a37d9f71e05b5c393e8d7b0bd6e1a91adfaa52f789"
+    )
+
+
 def test_repository_vectors_revalidate(repo):
     repo.validate()
 
