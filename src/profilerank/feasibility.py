@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -66,18 +66,30 @@ class FeasibleVector:
         return self.entries[word_index(w, self.params.q)]
 
     def check(self, perm: RankPermutation | None = None) -> None:
+        """Raise ValueError unless the invariants hold (and the entries
+        realize ``perm``, when given).
+
+        The checks run on integers: every entry times the common
+        denominator ``scale``, which keeps sums, order and equality.
+        """
         p = self.params
         if len(self.entries) != p.word_count:
             raise ValueError("entry count does not match q^ell")
-        if any(e < 1 for e in self.entries):
+        entries = self.entries
+        if all(map(int.__instancecheck__, entries)):  # isinstance(e, int) for all
+            scale, values = 1, entries
+        else:
+            scale = math.lcm(*{e.denominator for e in entries})
+            values = [e.numerator * (scale // e.denominator) for e in entries]
+        if min(values) < scale:
             raise ValueError("entries must all be >= 1")
-        if len(set(self.entries)) != len(self.entries):
+        if len(set(values)) != len(values):
             raise ValueError("entries must be pairwise distinct")
         if p.ell >= 2:
-            v = first_flow_violation(self.entries, p)
+            v = first_flow_violation(values, p)
             if v is not None:
                 raise ValueError(f"flow violated at node {word_text(v)}")
-        if perm is not None and not satisfies(self.entries, perm, p):
+        if perm is not None and not satisfies(values, perm, p):
             raise ValueError("vector does not realize the stated permutation")
 
     def is_integral(self) -> bool:
@@ -229,12 +241,18 @@ class _OrderLP:
         scores.reverse()
         return scores
 
-    def column(self, k: int) -> list[int]:
+    def columns(self) -> list[list[int]]:
+        """Every column, from the last one back: column k is column k + 1
+        plus rank k's incidence."""
         a = [0] * len(self.rhs)
-        for h, t in zip(islice(self.heads, k, None), islice(self.tails, k, None)):
+        cols = []
+        for h, t in zip(reversed(self.heads), reversed(self.tails)):
+            a = a.copy()
             a[h] += 1
             a[t] -= 1
-        return a
+            cols.append(a)
+        cols.reverse()
+        return cols
 
 
 def order_lp_solution(order: tuple[int, ...], tables: _Tables) -> Phase1:
@@ -245,9 +263,9 @@ def order_lp_solution(order: tuple[int, ...], tables: _Tables) -> Phase1:
     weights that refute the ordering (see :func:`check_farkas`).
     """
     if not tables.lp_rows:
-        return Phase1([0] * len(order), 1, None, 0, 0)
+        return Phase1([0] * len(order), 1, None, 0, 0, 0, 0)
     lp = _OrderLP(order, tables)
-    return phase1(lp.rhs, len(order), lp.column, lp.price)
+    return phase1(lp.rhs, len(order), lp.columns().__getitem__, lp.price)
 
 
 def check_farkas(perm: RankPermutation, y: Sequence[int]) -> None:

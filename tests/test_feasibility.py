@@ -6,8 +6,13 @@ from operator import mul
 
 import pytest
 
-from profilerank import encoder
-from profilerank._simplex import DEGENERATE_STREAK, phase1, solve_nonnegative
+from profilerank import _simplex, encoder
+from profilerank._simplex import (
+    DEGENERATE_STREAK,
+    FIRST_FIELD_BITS,
+    phase1,
+    solve_nonnegative,
+)
 from profilerank.core import Params, ProfileVector, RankPermutation, rank_of
 from profilerank.feasibility import (
     FeasibleVector,
@@ -16,6 +21,8 @@ from profilerank.feasibility import (
     constraint_tables,
     decide,
     matching_precheck,
+    _OrderLP,
+    order_lp_solution,
     upper_bound,
 )
 
@@ -41,6 +48,79 @@ def test_simplex_handles_redundant_rows():
     assert x[0] + 2 * x[1] == 6 and all(v >= 0 for v in x)
 
 
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _reference_phase1(rhs, n, column, price):
+    """The dense-row revised simplex: the same method as ``phase1`` with T
+    stored as m lists of m integers, each updated entry by entry.  Returns
+    ``(x, denom, farkas, pivots, bland_pivots)``."""
+    m = len(rhs)
+    rows = [[0] * m + [abs(b)] for b in rhs]  # T_i, then D * x_B[i]
+    y = [-1 if b < 0 else 1 for b in rhs]
+    for i, s in enumerate(y):
+        rows[i][i] = s
+    basis = list(range(n, n + m))
+    denom = 1
+    pivots = bland = streak = 0
+    while True:
+        scores = price(y)
+        score = max(scores, default=0)
+        if score <= 0:
+            break
+        if streak < DEGENERATE_STREAK:
+            enter = scores.index(score)
+        else:
+            enter = next(j for j, s in enumerate(scores) if s > 0)
+            score = scores[enter]
+            bland += 1
+        col = column(enter)
+        w = [_dot(row, col) for row in rows]
+        leave = -1
+        best_num = best_den = 0
+        for i, a in enumerate(w):
+            if a <= 0:
+                continue
+            num = rows[i][m]
+            if leave < 0 or num * best_den < best_num * a or (
+                num * best_den == best_num * a and basis[i] < basis[leave]
+            ):
+                leave, best_num, best_den = i, num, a
+        assert leave >= 0
+        pivot = w[leave]
+        prow = rows[leave]
+        for i, f in enumerate(w):
+            if i == leave:
+                continue
+            if f:
+                rows[i] = [(a * pivot - f * b) // denom for a, b in zip(rows[i], prow)]
+            elif pivot != denom:
+                rows[i] = [a * pivot // denom for a in rows[i]]
+        y = [(a * pivot - score * b) // denom for a, b in zip(y, prow)]
+        streak = streak + 1 if best_num == 0 else 0
+        basis[leave] = enter
+        denom = pivot
+        pivots += 1
+    if any(rows[i][m] for i, j in enumerate(basis) if j >= n):
+        g = math.gcd(*y)
+        return None, denom, [v // g for v in y], pivots, bland
+    x = [0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rows[i][m]
+    return x, denom, None, pivots, bland
+
+
+def _dense_phase1(rows, rhs):
+    """phase1 on a dense system, checked against the reference solver."""
+    cols = list(zip(*rows))
+    args = (rhs, len(cols), cols.__getitem__, lambda y: [_dot(y, c) for c in cols])
+    result = phase1(*args)
+    assert tuple(result[:5]) == _reference_phase1(*args)
+    return result
+
+
 def test_simplex_random_systems_against_verification():
     rng = random.Random(9)
     for _ in range(300):
@@ -53,15 +133,8 @@ def test_simplex_random_systems_against_verification():
         for row, b in zip(rows, rhs):
             assert sum(r * v for r, v in zip(row, x)) == b
         assert all(v >= 0 for v in x)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
-
-
-def _dense_phase1(rows, rhs):
-    cols = list(zip(*rows))
-    return phase1(rhs, len(cols), cols.__getitem__, lambda y: [_dot(y, c) for c in cols])
+        result = _dense_phase1(rows, rhs)
+        assert [Fraction(v, result.denom) for v in result.x] == x
 
 
 def test_simplex_degenerate_system_falls_back_to_bland():
@@ -102,6 +175,64 @@ def test_simplex_infeasible_systems_carry_farkas_vectors():
         assert all(_dot(y, col) <= 0 for col in zip(*rows))
         assert _dot(y, rhs) > 0
     assert refuted > 50
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_packed_fields_widen_and_stay_exact(feasible):
+    """Entries near 2^40 overflow the first field width at once (w) and
+    again as D grows (the update); both widenings must keep every result
+    equal to the reference."""
+    rng = random.Random(31 + feasible)
+    widenings = []
+    for _ in range(40):
+        m, n = rng.randint(2, 6), rng.randint(2, 8)
+        rows = [[rng.randint(-(2**40), 2**40) for _ in range(n)] for _ in range(m)]
+        if feasible:
+            x_true = [rng.randint(0, 2**40) for _ in range(n)]
+            rhs = [_dot(row, x_true) for row in rows]
+        else:
+            rhs = [rng.randint(-(2**41), 2**41) for _ in range(m)]
+        result = _dense_phase1(rows, rhs)
+        assert (result.x is not None) or not feasible
+        widenings.append(result.widenings)
+    assert sum(w >= 2 for w in widenings) > len(widenings) // 2
+
+
+def _unimodular_columns(m, big, rng):
+    """The columns of a random m x m integer matrix of determinant 1: the
+    identity under 3m random column operations c_j -= f c_i, |f| <= big."""
+    cols = [[int(i == j) for i in range(m)] for j in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        f = rng.randint(-big, big)
+        cols[j] = [a - f * b for a, b in zip(cols[j], cols[i])]
+    return cols
+
+
+def _narrowest_fields(m, need):
+    return _simplex._fields(m, -(-(need.bit_length() + 1) // 8) * 8)
+
+
+def test_width_checks_alone_keep_decoding_exact(monkeypatch):
+    """With no slack in the field width, each check must widen T exactly
+    when it is due.  Unimodular bases with large entries make it due: their
+    inverse, which is T, is far smaller than their (m-2)-minors, so one
+    update can grow T by orders of magnitude past the width that the w
+    check chose."""
+    monkeypatch.setattr(_simplex, "FIRST_FIELD_BITS", 8)
+    monkeypatch.setattr(_simplex, "_holding", _narrowest_fields)
+    rng = random.Random(42)
+    widenings = 0
+    for _ in range(300):
+        m = rng.randint(4, 6)
+        cols = _unimodular_columns(m, 10**5, rng) + [
+            [rng.choice([-1, 1]) * (i == r) for i in range(m)] for r in range(m)
+        ]
+        rng.shuffle(cols)
+        rows = [list(row) for row in zip(*cols)]
+        x = [rng.randint(0, 3) for _ in cols]
+        widenings += _dense_phase1(rows, [_dot(row, x) for row in rows]).widenings
+    assert widenings > 300
 
 
 # -- decide -------------------------------------------------------------------
@@ -233,6 +364,31 @@ def _swapped_encoder_orders(repo, q, ell, count, rng):
             j = rng.randrange(len(order) - 1)
             order[j], order[j + 1] = order[j + 1], order[j]
         yield RankPermutation(params, tuple(order))
+
+
+@pytest.mark.parametrize("q, ell", [(4, 3), (3, 4), (5, 3), (6, 3)])
+def test_order_lps_match_the_reference_solver(repo, q, ell):
+    tables = constraint_tables(Params(q, ell))
+    rng = random.Random(q * 100 + ell)
+    for perm in _swapped_encoder_orders(repo, q, ell, 12, rng):
+        lp = _OrderLP(perm.order, tables)
+        reference = _reference_phase1(
+            lp.rhs, len(perm.order), lp.columns().__getitem__, lp.price
+        )
+        assert tuple(order_lp_solution(perm.order, tables)[:5]) == reference
+
+
+def test_decide_five_letters_window_four(repo):
+    """A (5,4) encoder order: 625 slack columns on 125 node rows.  D
+    outgrows the first field width, so T is packed again on the way."""
+    p54 = Params(5, 4)
+    vec = encoder.encode_b(encoder.random_info_b(5, 4, random.Random(0)), repo)
+    perm = rank_of(vec.entries, p54)
+    verdict = decide(perm)
+    assert verdict.feasible
+    verdict.vector.check(perm)
+    lp = order_lp_solution(perm.order, constraint_tables(p54))
+    assert lp.widenings >= 1 and lp.field_bits > FIRST_FIELD_BITS
 
 
 @pytest.mark.parametrize("q, ell", [(4, 3), (3, 4)])
@@ -397,3 +553,32 @@ def test_feasible_vector_check_rejects_violations():
         FeasibleVector(P32, (1, 1, 3, 4, 5, 6, 7, 8, 9)).check()
     with pytest.raises(ValueError):
         FeasibleVector(P32, (1, 2, 3, 4, 5, 6, 7, 8, 9)).check()  # flow broken
+
+
+def _channel_fraction_vector(alpha, beta):
+    """The channel order's vector under e -> alpha e + beta, which keeps
+    flow balance: every node has q in-words and q out-words."""
+    entries = decide(RankPermutation.from_text(CHANNEL_ORDER)).vector.entries
+    return [alpha * e + beta for e in entries]
+
+
+def test_feasible_vector_check_on_fraction_entries():
+    perm = RankPermutation.from_text(CHANNEL_ORDER)
+    good = _channel_fraction_vector(Fraction(7, 3), Fraction(1, 5))
+    FeasibleVector(P32, tuple(good)).check(perm)
+    low = min(good)
+    below_one = [e - low + Fraction(1, 2) for e in good]
+    flow_broken = good[:]
+    flow_broken[1] += Fraction(1, 7)  # word 01, less than any gap
+    swapped = list(perm.order)
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    cases = [
+        (below_one, perm, "entries must all be >= 1"),
+        ([Fraction(5, 2)] * 9, None, "entries must be pairwise distinct"),
+        (flow_broken, perm, "flow violated at node"),
+        (good, RankPermutation(P32, tuple(swapped)), "does not realize"),
+    ]
+    for entries, order, message in cases:
+        assert not FeasibleVector(P32, tuple(entries)).is_integral()
+        with pytest.raises(ValueError, match=message):
+            FeasibleVector(P32, tuple(entries)).check(order)
