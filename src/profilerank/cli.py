@@ -17,6 +17,7 @@ from .core import (
     RankPermutation,
     parse_word,
     profile_of,
+    rank_of,
     word_text,
 )
 
@@ -57,9 +58,15 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_perm(args) -> RankPermutation:
-    text = args.perm if args.perm else _read(args.perm_file)
-    return RankPermutation.from_text(text.strip())
+def _inline_or_file(args, name: str) -> str:
+    """The text of ``--<name>``, else the stripped contents of ``--<name>-file``."""
+    text = getattr(args, name)
+    if text:
+        return text
+    path = getattr(args, f"{name}_file")
+    if path is None:
+        raise _UsageError(f"need --{name} or --{name}-file")
+    return _read(path).strip()
 
 
 def _string_text(x: bytes) -> str:
@@ -67,7 +74,7 @@ def _string_text(x: bytes) -> str:
 
 
 def cmd_check(args) -> int:
-    perm = _load_perm(args)
+    perm = RankPermutation.from_text(_inline_or_file(args, "perm").strip())
     verdict = feasibility.decide(perm, use_precheck=not args.no_precheck)
     _write(args.out, verdict.to_text())
     return EXIT_OK if verdict.feasible else EXIT_REJECTED
@@ -75,7 +82,7 @@ def cmd_check(args) -> int:
 
 def cmd_profile(args) -> int:
     params = Params(args.q, args.ell)
-    text = args.string if args.string else _read(args.string_file).strip()
+    text = _inline_or_file(args, "string")
     _write(args.out, profile_of(text, params).to_text())
     return EXIT_OK
 
@@ -102,7 +109,7 @@ def cmd_census(args) -> int:
 
 def cmd_repo(args) -> int:
     if args.action == "build":
-        repo = oracle.build_repository(cap=args.cap, jobs=args.jobs)
+        repo = oracle.build_repository(jobs=args.jobs)
         repo.save(args.file)
         print(f"wrote {len(repo.vectors)} vectors, c3={oracle.compute_c3(repo)}")
         return EXIT_OK
@@ -116,7 +123,7 @@ def cmd_encode(args) -> int:
     repo = encoder.Repository.load(args.repo)
     if args.kind == "a":
         info = encoder.info_a_from_text(_read(args.info))
-        vec = encoder.ScaledVector(
+        vec = feasibility.FeasibleVector(
             Params(info.q, 2),
             encoder.matrix_to_vector(encoder.encode_a(info, repo)),
         )
@@ -124,11 +131,11 @@ def cmd_encode(args) -> int:
         info_b = encoder.info_b_from_text(_read(args.info))
         vec = encoder.encode_b(info_b, repo)
     if args.emit == "vector":
-        _write(args.out, vec.to_feasible().to_text())
+        _write(args.out, vec.to_text())
     elif args.emit == "perm":
-        _write(args.out, vec.rank_order().to_text() + "\n")
+        _write(args.out, rank_of(vec.entries, vec.params).to_text() + "\n")
     else:
-        x = synthesis.eulerian_string(vec.to_feasible().to_profile())
+        x = synthesis.eulerian_string(vec.to_profile())
         _write(args.out, _string_text(x) + "\n")
     return EXIT_OK
 
@@ -139,14 +146,13 @@ def cmd_decode(args) -> int:
     try:
         if not fv.is_integral():
             raise encoder.NotACodeword("encoder outputs have integer entries")
-        entries = tuple(int(e) for e in fv.entries)
         if args.kind == "a":
             info = encoder.decode_a(
-                encoder.vector_to_matrix(entries, fv.params.q), repo
+                encoder.vector_to_matrix(fv.entries, fv.params.q), repo
             )
             _write(args.out, encoder.info_a_to_text(info))
         else:
-            info_b = encoder.decode_b(encoder.ScaledVector(fv.params, entries), repo)
+            info_b = encoder.decode_b(fv, repo)
             _write(args.out, encoder.info_b_to_text(info_b))
     except encoder.NotACodeword as err:
         print(f"not-a-codeword: {err}", file=sys.stderr)
@@ -208,6 +214,8 @@ def cmd_distance(args) -> int:
     if args.code is None:
         raise _UsageError("need either --a/--b or --code")
     lines = [ln.strip() for ln in _read(args.code).splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("code file lists no codewords")
     if all(set(ln) <= {"0", "1"} for ln in lines):
         words = tuple(tuple(int(c) for c in ln) for ln in lines)
         code: codes.PermCode | codes.CWBinaryCode = codes.CWBinaryCode(
@@ -256,7 +264,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("repo", help="build or verify the base repository")
     p.add_argument("action", choices=["build", "verify"])
     p.add_argument("--file", required=True)
-    p.add_argument("--cap", type=int, default=17)
     p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_repo)
 

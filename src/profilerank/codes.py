@@ -1,17 +1,17 @@
 """Kendall-tau distance and composition operators for permutation codes.
 
 The distance between two arrangements of the same multiset is the minimum
-number of adjacent transpositions turning one into the other.  Three
-evaluation strategies are used: an inversion count when all symbols are
-distinct, the sorted-positions L1 formula for constant-weight binary words,
-and a breadth-first search over transpositions as the general (and oracle)
-fallback for short repeated-symbol inputs.  Swapping two equal symbols
-never helps, so the metric lives on multiset classes.
+number of adjacent transpositions turning one into the other.  Swapping two
+equal symbols never helps, so equal symbols keep their relative order and the
+distance is an inversion count: the k-th copy of each symbol in one
+arrangement is matched to its k-th copy in the other.  A breadth-first search
+over transpositions, capped at short inputs, is kept as the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,31 +33,27 @@ from .encoder import (
 BFS_CAP = 10
 
 
-def _inversions(seq: Sequence[int]) -> int:
-    count = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                count += 1
-    return count
-
-
 def kendall_tau(a: Sequence, b: Sequence) -> int:
-    """Minimum number of adjacent transpositions linking two arrangements."""
+    """Minimum number of adjacent transpositions linking two arrangements:
+    the inversions of ``a`` once the k-th copy of each symbol in ``a`` is
+    matched to its k-th copy in ``b``."""
     a = tuple(a)
     b = tuple(b)
     if sorted(a) != sorted(b):
         raise ValueError("arguments must arrange the same multiset")
     if a == b:
         return 0
-    if set(a) <= {0, 1}:
-        ones_a = [i for i, bit in enumerate(a) if bit]
-        ones_b = [i for i, bit in enumerate(b) if bit]
-        return sum(abs(x - y) for x, y in zip(ones_a, ones_b))
-    if len(set(a)) == len(a):
-        pos = {sym: i for i, sym in enumerate(b)}
-        return _inversions([pos[sym] for sym in a])
-    return kendall_tau_bfs(a, b)
+    slots: dict = {}
+    for i, sym in enumerate(b):
+        slots.setdefault(sym, []).append(i)
+    targets = {sym: iter(pos) for sym, pos in slots.items()}
+    seen: list[int] = []
+    count = 0
+    for pos in (next(targets[sym]) for sym in a):
+        k = bisect(seen, pos)
+        count += len(seen) - k
+        seen.insert(k, pos)
+    return count
 
 
 def kendall_tau_bfs(a: Sequence, b: Sequence) -> int:

@@ -18,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence, Union
@@ -100,8 +100,17 @@ def word_text(w: Word) -> str:
     return "".join(str(s) for s in w)
 
 
-_DIGIT_STRING = re.compile(r"[0-9]+")
+DIGITS = "[0-9]+"  # the one numeral rule of every text format: ASCII digits only
+_DIGIT_STRING = re.compile(DIGITS)
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def parse_natural(text: str, what: str) -> int:
+    """The value of an ASCII digit string; ValueError naming ``what`` if
+    ``text`` is anything else (a sign, ``_``, non-ASCII digits, ...)."""
+    if not _DIGIT_STRING.fullmatch(text):
+        raise ValueError(f"bad {what}: {text!r}")
+    return int(text)
 
 
 def parse_word(text: str) -> Word:
@@ -152,6 +161,16 @@ def neighborhood(v: Word, q: int) -> tuple[list[Word], list[Word]]:
     if is_constant(v):
         raise ValueError(f"neighborhood undefined for constant word {v}")
     return in_words(v, q), out_words(v, q)
+
+
+@lru_cache(maxsize=None)
+def edge_nodes(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The overlap graph as index arithmetic: per word index, the node the
+    word leaves (its prefix, ``idx // q``) and the node it enters (its
+    suffix, ``idx % q^(ell-1)``)."""
+    q, nodes = params.q, params.node_count
+    words = range(params.word_count)
+    return tuple(idx // q for idx in words), tuple(idx % nodes for idx in words)
 
 
 def is_edge(a: Word, b: Word) -> bool:
@@ -211,13 +230,6 @@ class ProfileVector:
         if any(c < 0 for c in self.counts):
             raise ValueError("profile counts must be nonnegative")
 
-    @classmethod
-    def from_map(cls, params: Params, counts: dict[Word, int]) -> "ProfileVector":
-        vec = [0] * params.word_count
-        for w, c in counts.items():
-            vec[word_index(w, params.q)] = c
-        return cls(params, tuple(vec))
-
     def __getitem__(self, w: Word) -> int:
         return self.counts[word_index(w, self.params.q)]
 
@@ -233,10 +245,7 @@ class ProfileVector:
     @classmethod
     def from_text(cls, text: str) -> "ProfileVector":
         params, fields = parse_vector_text(text)
-        for f in fields:
-            if not re.fullmatch(r"[0-9]+", f):
-                raise ValueError(f"bad profile count: {f!r}")
-        return cls(params, tuple(int(f) for f in fields))
+        return cls(params, tuple(parse_natural(f, "profile count") for f in fields))
 
 
 def vector_text(params: Params, values: Sequence[Entry]) -> str:
@@ -259,7 +268,7 @@ def parse_vector_text(text: str) -> tuple[Params, list[str]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty vector text")
-    m = re.fullmatch(r"q=(\d+) ell=(\d+)", lines[0].strip())
+    m = re.fullmatch(f"q=({DIGITS}) ell=({DIGITS})", lines[0].strip())
     if not m:
         raise ValueError(f"bad vector header: {lines[0]!r}")
     params = Params(int(m.group(1)), int(m.group(2)))

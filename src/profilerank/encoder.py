@@ -27,16 +27,18 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .core import (
+    DIGITS,
     Params,
     RankPermutation,
     Word,
     all_words,
     homo_image,
     homo_preimages,
+    parse_natural,
     parse_word,
     rank_of,
     word_index,
@@ -96,13 +98,9 @@ class Repository:
         except KeyError:
             raise NotACodeword("matrix is not in the repository") from None
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[tuple[int, ...], int]:
-        cache = self.__dict__.get("_lookup_cache")
-        if cache is None:
-            cache = {v: i + 1 for i, v in enumerate(self.vectors)}
-            self.__dict__["_lookup_cache"] = cache
-        return cache
+        return {v: i + 1 for i, v in enumerate(self.vectors)}
 
     def validate(self) -> None:
         perms = set()
@@ -135,7 +133,10 @@ class Repository:
         if lines[-1] != f"sha256={digest}":
             raise ValueError("repository checksum mismatch")
         width = BASE_Q * BASE_Q
-        vectors = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:-1])
+        vectors = tuple(
+            tuple(parse_natural(t, "repository entry") for t in ln.split())
+            for ln in lines[1:-1]
+        )
         for number, vec in enumerate(vectors, start=2):
             if len(vec) != width:
                 raise ValueError(
@@ -401,28 +402,12 @@ def decode_a(matrix: Matrix, repo: Repository) -> InfoVecA:
 # Window recursion (any window length)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaledVector:
+class ScaledVector(FeasibleVector):
     """Integer output of the window recursion (fixed-point scale q^(q^2) per
-    stage folded in).  A valid realizable vector in its own right."""
-
-    params: Params
-    entries: tuple[int, ...]
-
-    def __getitem__(self, w: Word) -> int:
-        return self.entries[word_index(w, self.params.q)]
+    stage folded in): a realizable vector like any other."""
 
     def to_feasible(self) -> FeasibleVector:
-        return FeasibleVector(self.params, self.entries)
-
-    def to_matrix(self) -> Matrix:
-        """Square matrix view for window length 2 only."""
-        if self.params.ell != 2:
-            raise ValueError("matrix view defined only for window length 2")
-        return vector_to_matrix(self.entries, self.params.q)
-
-    def rank_order(self) -> RankPermutation:
-        return rank_of(self.entries, self.params)
+        return self
 
 
 def _digit_position(a: int, b: int, q: int) -> int:
@@ -513,7 +498,7 @@ def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
     return ScaledVector(Params(q, info.ell), tuple(entries))
 
 
-def decode_b(vec: ScaledVector, repo: Repository) -> InfoVecB:
+def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
     """Inverse of :func:`encode_b`; re-encodes to confirm codeword status."""
     q, ell = vec.params.q, vec.params.ell
     scale = q ** (q * q)
@@ -632,11 +617,10 @@ def random_info_b(q: int, ell: int, rng) -> InfoVecB:
     )
 
 
-_DIGITS = "[0-9]+"
-_DIGIT_LIST = f"{_DIGITS}(?:,{_DIGITS})*"
-_BASE_LINE = re.compile(f"base=({_DIGITS})")
+_DIGIT_LIST = f"{DIGITS}(?:,{DIGITS})*"
+_BASE_LINE = re.compile(f"base=({DIGITS})")
 _STAGE_LINE = re.compile(f"pi=({_DIGIT_LIST}) t=([01]+)")
-_LAYER_LINE = re.compile(rf"P\(({_DIGITS})\)=({_DIGIT_LIST})")
+_LAYER_LINE = re.compile(rf"P\(({DIGITS})\)=({_DIGIT_LIST})")
 
 
 def _message_lines(text: str) -> list[str]:
@@ -682,7 +666,7 @@ def info_a_to_text(info: InfoVecA) -> str:
 
 def info_a_from_text(text: str) -> InfoVecA:
     lines = _message_lines(text)
-    m = re.fullmatch(f"q=({_DIGITS})", lines[0])
+    m = re.fullmatch(f"q=({DIGITS})", lines[0])
     if not m:
         raise ValueError(f"bad message header: {lines[0]!r}")
     return _alphabet_from_lines(int(m.group(1)), lines[1:])
@@ -699,7 +683,7 @@ def info_b_to_text(info: InfoVecB) -> str:
 
 def info_b_from_text(text: str) -> InfoVecB:
     lines = _message_lines(text)
-    m = re.fullmatch(f"q=({_DIGITS}) ell=({_DIGITS})", lines[0])
+    m = re.fullmatch(f"q=({DIGITS}) ell=({DIGITS})", lines[0])
     if not m:
         raise ValueError(f"bad message header: {lines[0]!r}")
     q, ell = int(m.group(1)), int(m.group(2))

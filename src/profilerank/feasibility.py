@@ -39,10 +39,9 @@ from .core import (
     ProfileVector,
     RankPermutation,
     Word,
+    edge_nodes,
     first_flow_violation,
-    in_words,
     is_constant,
-    out_words,
     parse_vector_text,
     satisfies,
     vector_text,
@@ -151,38 +150,30 @@ class Verdict:
 
 
 class _Tables:
-    """Per-parameter constant data for the decision procedures."""
+    """Per-parameter constant data for the decision procedures.
+
+    ``lp_rows[v]`` is node v's balance row: +1 on the words leaving v, -1 on
+    those entering it, so a loop word cancels.  ``check_nodes`` lists the
+    nodes the pre-check scans with the nonzero entries of their rows: every
+    node at ell = 2 (a single letter, its self-loop cancelled), the
+    non-constant ones above that.
+    """
 
     def __init__(self, params: Params):
         self.params = params
-        q, ell, n = params.q, params.ell, params.word_count
-        self.lp_rows: list[list[int]] = []  # coefficient per word index
-        # Per word index: the node it leaves (its prefix) and enters (suffix).
-        self.heads = [idx // q for idx in range(n)]
-        self.tails = [idx % q ** (ell - 1) for idx in range(n)]
+        ell, n = params.ell, params.word_count
+        self.heads, self.tails = edge_nodes(params)
+        self.lp_rows: list[list[int]] = []
         self.check_nodes: list[tuple[Word, list[tuple[int, int]]]] = []
         if ell < 2:
             return
-        for v in params.nodes():
-            coef = [0] * n
-            for w in out_words(v, q):
-                coef[word_index(w, q)] += 1
-            for w in in_words(v, q):
-                coef[word_index(w, q)] -= 1
-            self.lp_rows.append(coef)
-            if ell == 2:
-                # Single-letter node: cancel the self-loop, ballot the rest.
-                members = [
-                    (word_index(w, q), -1) for w in in_words(v, q) if not is_constant(w)
-                ] + [
-                    (word_index(w, q), +1) for w in out_words(v, q) if not is_constant(w)
-                ]
-                self.check_nodes.append((v, members))
-            elif not is_constant(v):
-                members = [(word_index(w, q), -1) for w in in_words(v, q)] + [
-                    (word_index(w, q), +1) for w in out_words(v, q)
-                ]
-                self.check_nodes.append((v, members))
+        self.lp_rows = [[0] * n for _ in range(params.node_count)]
+        for idx, (h, t) in enumerate(zip(self.heads, self.tails)):
+            self.lp_rows[h][idx] += 1
+            self.lp_rows[t][idx] -= 1
+        for v, row in zip(params.nodes(), self.lp_rows):
+            if ell == 2 or not is_constant(v):
+                self.check_nodes.append((v, [(i, c) for i, c in enumerate(row) if c]))
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,10 @@ from .feasibility import (
 )
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
+# Largest repository entry.  With zero allowed, every realizable (3,2) order
+# fits with entries <= 16 (verified exhaustively); the strictly positive
+# entries the encoders need cost at most a +1 shift, and 72 orders need it.
+REPOSITORY_CAP = 17
 
 
 @dataclass(frozen=True)
@@ -219,32 +223,26 @@ def minimal_max_value(
     return None if vec is None else max(vec)
 
 
-def _repo_chunk(args) -> list[tuple[int, ...]]:
-    orders, cap = args
+def _repo_chunk(orders: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     params = Params(BASE_Q, 2)
     out = []
     for order in orders:
-        vec = minimal_max_vector(order, params, cap)
+        vec = minimal_max_vector(order, params, REPOSITORY_CAP)
         if vec is None:
             raise AssertionError(
-                f"no assignment with entries <= {cap} for order {order}"
+                f"no assignment with entries <= {REPOSITORY_CAP} for order {order}"
             )
         out.append(vec)
     return out
 
 
 def build_repository(
-    census: CensusResult | None = None,
-    cap: int = 17,
-    jobs: int | None = None,
+    census: CensusResult | None = None, jobs: int | None = None
 ) -> Repository:
     """Construct and sanity-check the full 30240-entry repository.
 
-    Every realizable order must admit an assignment within ``cap``; failure
-    is a build error, not a skip.  The default cap is 17: the nonnegative
-    minimal maximum is at most 16 for every realizable order (verified
-    exhaustively), and the strict positivity the encoders rely on costs at
-    most a +1 shift on top of that.
+    Every realizable order must admit an assignment within
+    :data:`REPOSITORY_CAP`; failure is a build error, not a skip.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -254,7 +252,7 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    tasks = [(orders[r.start : r.stop], cap) for r in split_range(len(orders), jobs)]
+    tasks = [orders[r.start : r.stop] for r in split_range(len(orders), jobs)]
     parts = fan_out(_repo_chunk, tasks, jobs)
     return Repository(tuple(vec for part in parts for vec in part))
 

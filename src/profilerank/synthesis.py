@@ -19,7 +19,7 @@ from .core import (
     ProfileVector,
     RankPermutation,
     Word,
-    all_words,
+    edge_nodes,
     first_flow_violation,
     profile_of,
     satisfies,
@@ -44,22 +44,6 @@ def integerize(chi: FeasibleVector) -> FeasibleVector:
     return FeasibleVector(chi.params, entries)
 
 
-def _active_nodes(p: ProfileVector) -> tuple[set[Word], dict[Word, list[Word]], dict[Word, list[Word]]]:
-    q, ell = p.params.q, p.params.ell
-    fwd: dict[Word, list[Word]] = {}
-    back: dict[Word, list[Word]] = {}
-    active: set[Word] = set()
-    for w in p.params.words():
-        if p[w] == 0:
-            continue
-        a, b = w[:-1], w[1:]
-        fwd.setdefault(a, []).append(b)
-        back.setdefault(b, []).append(a)
-        active.add(a)
-        active.add(b)
-    return active, fwd, back
-
-
 def check_connectivity(p: ProfileVector) -> bool:
     """Strong connectivity of the positive-support overlap graph.
 
@@ -70,7 +54,13 @@ def check_connectivity(p: ProfileVector) -> bool:
         raise ValueError("all-zero profile has no support graph")
     if p.params.ell >= 2 and first_flow_violation(p) is not None:
         raise ValueError("profile must conserve flow")
-    active, fwd, back = _active_nodes(p)
+    fwd: dict[int, list[int]] = {}
+    back: dict[int, list[int]] = {}
+    for a, b, c in zip(*edge_nodes(p.params), p.counts):
+        if c:
+            fwd.setdefault(a, []).append(b)
+            back.setdefault(b, []).append(a)
+    active = fwd.keys() | back.keys()
     start = min(active)
     for adj in (fwd, back):
         seen = {start}
@@ -235,9 +225,8 @@ def markov_matrix(s: Sequence[Fraction], params: Params) -> TransitionMatrix:
                 f"flow violated at node {word_text(v)}: stationarity would fail"
             )
     rows = []
-    for idx, a in enumerate(all_words(q, ell)):
-        tail = a[1:]
-        dests = [word_index(tail + (t,), q) for t in range(q)]
+    for tail in edge_nodes(params)[1]:
+        dests = range(tail * q, tail * q + q)
         denom = sum(vec[d] for d in dests)
         rows.append(tuple((d, vec[d] / denom) for d in dests))
     return TransitionMatrix(params, tuple(rows))

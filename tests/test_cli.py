@@ -229,16 +229,40 @@ def test_distance_command(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["profile", "--q", "3", "--ell", "2"], "--string"),
+        (["check"], "--perm"),
+    ],
+)
+def test_missing_input_is_usage_error(argv, option, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and option in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_distance_rejects_empty_code_file(tmp_path, capsys):
+    cfile = tmp_path / "code.txt"
+    cfile.write_text("\n \n")
+    assert main(["distance", "--code", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_repo_verify_command(repo_path, capsys):
     assert main(["repo", "verify", "--file", repo_path]) == 0
     assert "ok: 30240" in capsys.readouterr().out
 
 
-def test_repo_build_default_cap_fits_positive_floor():
-    from profilerank.cli import build_parser
+def test_repo_build_default_cap_fits_positive_floor(capsys):
+    from profilerank.oracle import REPOSITORY_CAP
 
-    args = build_parser().parse_args(["repo", "build", "--file", "x"])
-    assert args.cap == 17  # 16 is provably short for strictly positive entries
+    assert REPOSITORY_CAP == 17  # 16 is provably short for strictly positive entries
+    # The cap is a constant of the build, not an option.
+    assert main(["repo", "build", "--file", "x", "--cap", "16"]) == 1
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_pipe_composability(repo_path, tmp_path, capsys):

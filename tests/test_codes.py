@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from profilerank.codes import (
+    BFS_CAP,
     CWBinaryCode,
     PermCode,
     PrecodedInfoA,
@@ -68,6 +69,21 @@ def test_repeated_symbols_use_search():
     assert kendall_tau((0, 1, 1, 2), (2, 1, 1, 0)) == kendall_tau_bfs(
         (0, 1, 1, 2), (2, 1, 1, 0)
     )
+
+
+def test_repeated_symbols_match_search_up_to_the_cap():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(2, BFS_CAP)
+        a = tuple(rng.randrange(3) for _ in range(n))
+        b = tuple(rng.sample(a, n))
+        assert kendall_tau(a, b) == kendall_tau_bfs(a, b)
+
+
+def test_repeated_symbols_beyond_the_search_cap():
+    a = (0,) * 4 + (1,) * 4 + (2,) * 4
+    # every one of the 3 pairs of distinct symbols contributes 4 * 4 swaps
+    assert kendall_tau(a, a[::-1]) == 48
 
 
 def test_triangle_inequality_on_multiset_classes():

@@ -9,6 +9,7 @@ from profilerank.core import (
     RankPermutation,
     TieError,
     all_words,
+    edge_nodes,
     fan_out,
     homo_image,
     homo_preimages,
@@ -248,6 +249,14 @@ def test_homo_preserves_edges():
                 b = a[1:] + (s,)
                 assert is_edge(a, b)
                 assert is_edge(homo_image(a, q), homo_image(b, q))
+
+
+@pytest.mark.parametrize("q, ell", [(2, 1), (3, 1), (3, 2), (2, 3), (4, 3), (3, 4)])
+def test_edge_nodes_are_prefix_and_suffix(q, ell):
+    heads, tails = edge_nodes(Params(q, ell))
+    for idx, w in enumerate(all_words(q, ell)):
+        assert heads[idx] == word_index(w[:-1], q)
+        assert tails[idx] == word_index(w[1:], q)
 
 
 def test_neighborhood_disjoint_lists():

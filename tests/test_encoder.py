@@ -180,7 +180,17 @@ def test_encode_b_window_two_delegates(repo):
     info = random_info_b(4, 2, rng)
     sv = encode_b(info, repo)
     assert sv.params == Params(4, 2)
-    assert sv.to_matrix() == encode_a(info.base, repo)
+    assert vector_to_matrix(sv.entries, sv.params.q) == encode_a(info.base, repo)
+
+
+def test_scaled_vector_is_a_feasible_vector(repo):
+    sv = encode_b(random_info_b(3, 3, random.Random(8)), repo)
+    assert isinstance(sv, FeasibleVector)
+    assert sv.to_feasible() is sv
+    plain = FeasibleVector(sv.params, sv.entries)
+    # dataclass equality compares the class too; the entries are what agree
+    assert sv != plain and sv.entries == plain.entries
+    assert decode_b(plain, repo) == decode_b(sv, repo)
 
 
 def test_encode_b_outputs_validate(repo):
@@ -438,6 +448,20 @@ def test_repository_load_rejects_wrong_row_width(repo, tmp_path):
     lines[1] = " ".join(lines[1].split()[:7])
     _rewrite_with_trailer(path, lines)
     with pytest.raises(ValueError, match="7 entries"):
+        Repository.load(path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\uff13", "-4", "5.0"])
+def test_repository_load_takes_ascii_digits_only(repo, tmp_path, token):
+    # int() would read each of these tokens as a number
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    row = lines[1].split()
+    row[2] = token
+    lines[1] = " ".join(row)
+    _rewrite_with_trailer(path, lines)
+    with pytest.raises(ValueError, match="repository entry"):
         Repository.load(path)
 
 

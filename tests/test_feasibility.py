@@ -13,7 +13,17 @@ from profilerank._simplex import (
     phase1,
     solve_nonnegative,
 )
-from profilerank.core import Params, ProfileVector, RankPermutation, rank_of
+from profilerank.core import (
+    Params,
+    ProfileVector,
+    RankPermutation,
+    all_words,
+    in_words,
+    is_constant,
+    out_words,
+    rank_of,
+    word_index,
+)
 from profilerank.feasibility import (
     FeasibleVector,
     alpha_star_lower,
@@ -429,6 +439,29 @@ def test_scaling_closure():
 
 # -- the matching pre-check ---------------------------------------------------
 
+@pytest.mark.parametrize("q, ell", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+def test_constraint_tables_follow_word_overlaps(q, ell):
+    # Node v's row: +1 on the words v + (s,), -1 on the words (s,) + v.
+    tables = constraint_tables(Params(q, ell))
+    nodes = list(all_words(q, ell - 1))
+    rows = []
+    for v in nodes:
+        coef = [0] * q**ell
+        for w in out_words(v, q):
+            coef[word_index(w, q)] += 1
+        for w in in_words(v, q):
+            coef[word_index(w, q)] -= 1
+        rows.append(coef)
+    assert tables.lp_rows == rows
+    # The pre-check scans every letter at ell = 2 and the mixed nodes above.
+    scanned = [v for v in nodes if ell == 2 or not is_constant(v)]
+    assert [v for v, _ in tables.check_nodes] == scanned
+    for v, members in tables.check_nodes:
+        row = rows[word_index(v, q)]
+        assert members == [(i, c) for i, c in enumerate(row) if c]
+        assert {c for _, c in members} == {-1, 1}
+
+
 def test_precheck_fires_on_forced_pattern_window_two():
     # Rank order starting 10,20,01,02: both incoming words of node 0 sit
     # below both outgoing ones, certifying imbalance there.
@@ -528,6 +561,10 @@ BAD_VECTOR_TEXTS = [
     "q=2 ell=1\n0 3\n1 1e3",
     "q=2 ell=1\n0 3\n1 3/0",
     "q=2 ell=1\n0 3\n1 +5",
+    "q=\uff12 ell=1\n0 3\n1 5\n",  # fullwidth digit in the header
+    "q=2 ell=\u0661\n0 3\n1 5\n",  # Arabic-Indic digit in the header
+    "q=2 ell=1\n0 3\n1 \uff15",  # fullwidth digit as a value
+    "q=2 ell=1\n0 3\n1 1_0",  # Python literal digit grouping
 ]
 
 
