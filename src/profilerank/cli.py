@@ -15,6 +15,7 @@ from .core import (
     Params,
     ProfileVector,
     RankPermutation,
+    parse_natural,
     parse_word,
     profile_of,
     rank_of,
@@ -36,11 +37,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text) if text.isascii() and text.isdigit() else 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
-    return jobs
+def _whole(least: int = 0):
+    """The argparse type of a whole-number option: ASCII digits only, under
+    the one numeral rule of the text formats, and at least ``least``."""
+
+    def parse(text: str) -> int:
+        bad = argparse.ArgumentTypeError(f"must be a whole number >= {least}, got {text!r}")
+        try:
+            value = parse_natural(text, "whole number")
+        except ValueError:
+            raise bad from None
+        if value < least:
+            raise bad
+        return value
+
+    return parse
+
+
+_natural = _whole()
+_jobs = _whole(1)
 
 
 def _read(path: str) -> str:
@@ -147,6 +162,8 @@ def cmd_decode(args) -> int:
         if not fv.is_integral():
             raise encoder.NotACodeword("encoder outputs have integer entries")
         if args.kind == "a":
+            if fv.params.ell != 2:
+                raise encoder.NotACodeword("kind a codewords have window length 2")
             info = encoder.decode_a(
                 encoder.vector_to_matrix(fv.entries, fv.params.q), repo
             )
@@ -196,11 +213,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    profile = ProfileVector.from_text(_read(args.profile))
     if args.noise == "additive":
-        models = [channel.AdditiveNoise(int(v)) for v in args.params]
+        try:
+            levels = [parse_natural(v, "additive noise level") for v in args.params]
+        except ValueError as err:
+            raise _UsageError(str(err)) from None
+        models = [channel.AdditiveNoise(v) for v in levels]
     else:
         models = [channel.DropNoise(float(v)) for v in args.params]
+    profile = ProfileVector.from_text(_read(args.profile))
     rows = channel.simulate(profile, models, args.trials, args.seed, jobs=args.jobs)
     header = "noise\ttrials\tsuccesses\tties\trank_errors"
     _write(args.out, "\n".join([header] + [r.to_text() for r in rows]) + "\n")
@@ -240,8 +261,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("profile", help="profile vector of a circular string")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--q", type=_natural, required=True)
+    p.add_argument("--ell", type=_natural, required=True)
     p.add_argument("--string")
     p.add_argument("--string-file")
     p.add_argument("--out")
@@ -250,14 +271,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synthesize", help="produce a witness string for a profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--method", choices=["euler", "markov"], default="euler")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--seed", type=_natural)
+    p.add_argument("--length", type=_natural)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("census", help="count realizable orders exhaustively")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--q", type=_natural, required=True)
+    p.add_argument("--ell", type=_natural, required=True)
     p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_census)
 
@@ -283,15 +304,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bounds", help="counting, rate, and length calculators")
-    p.add_argument("--q", type=int)
-    p.add_argument("--ell", type=int)
+    p.add_argument("--q", type=_natural)
+    p.add_argument("--ell", type=_natural)
     p.add_argument("--upper", action="store_true")
     p.add_argument("--lower", action="store_true")
     p.add_argument("--rate", action="store_true")
     p.add_argument("--length", action="store_true")
     p.add_argument("--alpha", action="store_true")
     p.add_argument("--rate-table", action="store_true")
-    p.add_argument("--c3", type=int, default=17)
+    p.add_argument("--c3", type=_natural, default=17)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -299,8 +320,8 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", required=True)
     p.add_argument("--noise", choices=["additive", "drop"], required=True)
     p.add_argument("--params", nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_natural, default=100)
+    p.add_argument("--seed", type=_natural, required=True)
     p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

@@ -501,6 +501,8 @@ def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
 def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
     """Inverse of :func:`encode_b`; re-encodes to confirm codeword status."""
     q, ell = vec.params.q, vec.params.ell
+    if ell < 2:
+        raise NotACodeword("encoder outputs have window length >= 2")
     scale = q ** (q * q)
     entries = vec.entries
     layers: list[dict[Word, tuple[int, ...]]] = []

@@ -149,61 +149,46 @@ class Verdict:
         return f"status=infeasible witness={self.witness}\n"
 
 
-class _Tables:
-    """Per-parameter constant data for the decision procedures.
-
-    ``lp_rows[v]`` is node v's balance row: +1 on the words leaving v, -1 on
-    those entering it, so a loop word cancels.  ``check_nodes`` lists the
-    nodes the pre-check scans with the nonzero entries of their rows: every
-    node at ell = 2 (a single letter, its self-loop cancelled), the
-    non-constant ones above that.
-    """
-
-    def __init__(self, params: Params):
-        self.params = params
-        ell, n = params.ell, params.word_count
-        self.heads, self.tails = edge_nodes(params)
-        self.lp_rows: list[list[int]] = []
-        self.check_nodes: list[tuple[Word, list[tuple[int, int]]]] = []
-        if ell < 2:
-            return
-        self.lp_rows = [[0] * n for _ in range(params.node_count)]
-        for idx, (h, t) in enumerate(zip(self.heads, self.tails)):
-            self.lp_rows[h][idx] += 1
-            self.lp_rows[t][idx] -= 1
-        for v, row in zip(params.nodes(), self.lp_rows):
-            if ell == 2 or not is_constant(v):
-                self.check_nodes.append((v, [(i, c) for i, c in enumerate(row) if c]))
-
-
 @lru_cache(maxsize=None)
-def constraint_tables(params: Params) -> _Tables:
-    return _Tables(params)
+def _scanned_nodes(params: Params) -> tuple[tuple[int, Word], ...]:
+    """The nodes the pre-check scans, by index and word: every node at
+    ell = 2 (a single letter, its self-loop skipped), the non-constant ones
+    above that, none at ell = 1."""
+    return tuple(
+        (v, word)
+        for v, word in enumerate(params.nodes())
+        if params.ell == 2 or not is_constant(word)
+    )
 
 
 def order_precheck_witness(
-    order: tuple[int, ...], tables: _Tables
+    order: tuple[int, ...], params: Params
 ) -> tuple[Word, str] | None:
-    """Ballot test on a raw rank ordering; returns (node, color) or None."""
-    pos = [0] * len(order)
-    for k, idx in enumerate(order):
-        pos[idx] = k
-    for node, members in tables.check_nodes:
-        ranked = sorted((pos[idx], sign) for idx, sign in members)
-        green = red = True
-        acc = 0
-        for _, sign in ranked:
-            acc += sign
-            if acc > 0:
-                green = False
-            elif acc < 0:
-                red = False
-            if not (green or red):
-                break
-        if green:
-            return node, "green"
-        if red:
-            return node, "red"
+    """Ballot test on a raw rank ordering; returns (node, color) or None.
+
+    One pass up the ranks keeps, per node, the words seen so far that leave
+    it minus those that enter it; a loop word does both at once, so it
+    changes nothing.  A node is green while that count never rises above 0,
+    red while it never drops below 0 (never both: its first non-loop word
+    moves it).
+    """
+    heads, tails = edge_nodes(params)
+    count = [0] * params.node_count
+    rose = [False] * len(count)  # the count went above 0: not green
+    fell = rose.copy()  # the count went below 0: not red
+    for idx in order:
+        h, t = heads[idx], tails[idx]
+        count[h] += 1
+        count[t] -= 1
+        if count[h] > 0:
+            rose[h] = True
+        if count[t] < 0:
+            fell[t] = True
+    for v, word in _scanned_nodes(params):
+        if not rose[v]:
+            return word, "green"
+        if not fell[v]:
+            return word, "red"
     return None
 
 
@@ -217,10 +202,11 @@ class _OrderLP:
     ``rhs[r]`` is minus the sum of that incidence weighted by 1-based rank.
     """
 
-    def __init__(self, order: tuple[int, ...], tables: _Tables):
-        self.heads = [tables.heads[idx] for idx in order]
-        self.tails = [tables.tails[idx] for idx in order]
-        self.rhs = rhs = [0] * len(tables.lp_rows)
+    def __init__(self, order: tuple[int, ...], params: Params):
+        heads, tails = edge_nodes(params)
+        self.heads = [heads[idx] for idx in order]
+        self.tails = [tails[idx] for idx in order]
+        self.rhs = rhs = [0] * params.node_count
         for k, (h, t) in enumerate(zip(self.heads, self.tails), 1):
             rhs[h] -= k
             rhs[t] += k
@@ -246,16 +232,14 @@ class _OrderLP:
         return cols
 
 
-def order_lp_solution(order: tuple[int, ...], tables: _Tables) -> Phase1:
+def order_lp_solution(order: tuple[int, ...], params: Params) -> Phase1:
     """Exact phase-1 solve of the ordering's LP over the slack variables.
 
     When feasible, ``x[k] / denom`` is the slack e_k, so rank k gets the value
     ``k + 1 + (x[0] + ... + x[k]) / denom``.  Otherwise ``farkas`` holds node
     weights that refute the ordering (see :func:`check_farkas`).
     """
-    if not tables.lp_rows:
-        return Phase1([0] * len(order), 1, None, 0, 0, 0, 0)
-    lp = _OrderLP(order, tables)
+    lp = _OrderLP(order, params)
     return phase1(lp.rhs, len(order), lp.columns().__getitem__, lp.price)
 
 
@@ -267,10 +251,9 @@ def check_farkas(perm: RankPermutation, y: Sequence[int]) -> None:
     slacks ``e >= 0`` the weighted sum of the equations would equate
     ``y A e <= 0`` with ``y b > 0``.
     """
-    tables = constraint_tables(perm.params)
-    if not y or len(y) != len(tables.lp_rows):
+    if not y or len(y) != perm.params.node_count:
         raise ValueError("one weight per overlap node expected")
-    lp = _OrderLP(perm.order, tables)
+    lp = _OrderLP(perm.order, perm.params)
     if max(lp.price(y)) > 0 or sum(map(mul, y, lp.rhs)) <= 0:
         raise ValueError("not a Farkas certificate for this order")
 
@@ -282,8 +265,7 @@ def matching_precheck(perm: RankPermutation) -> MatchingWitness | None:
     """
     if perm.params.ell < 2:
         raise ValueError("the matching pre-check needs ell >= 2")
-    tables = constraint_tables(perm.params)
-    hit = order_precheck_witness(perm.order, tables)
+    hit = order_precheck_witness(perm.order, perm.params)
     if hit is None:
         return None
     return MatchingWitness(*hit)
@@ -296,12 +278,11 @@ def decide(perm: RankPermutation, *, use_precheck: bool = True) -> Verdict:
     proof); when it stays silent the LP always runs.
     """
     params = perm.params
-    tables = constraint_tables(params)
     if use_precheck and params.ell >= 2:
         witness = matching_precheck(perm)
         if witness is not None:
             return Verdict(False, witness=witness.describe())
-    lp = order_lp_solution(perm.order, tables)
+    lp = order_lp_solution(perm.order, params)
     if lp.x is None:
         check_farkas(perm, lp.farkas)
         return Verdict(

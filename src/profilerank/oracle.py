@@ -17,14 +17,9 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Sequence
 
-from .core import Params, RankPermutation, fan_out, split_range
+from .core import Params, RankPermutation, edge_nodes, fan_out, split_range
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import (
-    FeasibleVector,
-    constraint_tables,
-    order_lp_solution,
-    order_precheck_witness,
-)
+from .feasibility import FeasibleVector, order_lp_solution, order_precheck_witness
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -64,19 +59,18 @@ class CensusResult:
 
 def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int]:
     params, lp_all, piece = args
-    tables = constraint_tables(params)
     feasible: list[tuple[int, ...]] = []
     hit_feasible = hit_infeasible = silent_infeasible = 0
     stream = islice(permutations(range(params.word_count)), piece.start, piece.stop)
     for order in stream:
-        hit = order_precheck_witness(order, tables)
+        hit = order_precheck_witness(order, params)
         if hit is None:
-            if order_lp_solution(order, tables).x is not None:
+            if order_lp_solution(order, params).x is not None:
                 feasible.append(order)
             else:
                 silent_infeasible += 1
         elif lp_all:
-            if order_lp_solution(order, tables).x is not None:
+            if order_lp_solution(order, params).x is not None:
                 hit_feasible += 1
             else:
                 hit_infeasible += 1
@@ -134,16 +128,15 @@ def _order_constraints(order: Sequence[int], params: Params):
 
     Self-loop words cancel out and never appear.
     """
-    tables = constraint_tables(params)
-    pos = [0] * len(order)
+    heads, tails = edge_nodes(params)
+    plus: list[list[int]] = [[] for _ in range(params.node_count)]
+    minus: list[list[int]] = [[] for _ in range(params.node_count)]
     for k, idx in enumerate(order):
-        pos[idx] = k
-    cons = []
-    for coef in tables.lp_rows:
-        plus = [pos[idx] for idx, c in enumerate(coef) if c > 0]
-        minus = [pos[idx] for idx, c in enumerate(coef) if c < 0]
-        cons.append((tuple(plus), tuple(minus)))
-    return cons
+        h, t = heads[idx], tails[idx]
+        if h != t:
+            plus[h].append(k)
+            minus[t].append(k)
+    return [(tuple(p), tuple(m)) for p, m in zip(plus, minus)]
 
 
 def _prefix_balanced(cons, values: list[int], k: int, v: int, cap: int, n: int) -> bool:

@@ -48,32 +48,27 @@ def check_connectivity(p: ProfileVector) -> bool:
     """Strong connectivity of the positive-support overlap graph.
 
     Zero-count words are removed, then isolated nodes; the remainder must be
-    one strongly connected piece for an Eulerian witness to exist.
+    one strongly connected piece for an Eulerian witness to exist.  The
+    profile balances, so every support edge lies on a cycle, and reaching
+    every active node forward from one of them is strong connectivity.
     """
     if p.total() == 0:
         raise ValueError("all-zero profile has no support graph")
     if p.params.ell >= 2 and first_flow_violation(p) is not None:
         raise ValueError("profile must conserve flow")
     fwd: dict[int, list[int]] = {}
-    back: dict[int, list[int]] = {}
     for a, b, c in zip(*edge_nodes(p.params), p.counts):
         if c:
             fwd.setdefault(a, []).append(b)
-            back.setdefault(b, []).append(a)
-    active = fwd.keys() | back.keys()
-    start = min(active)
-    for adj in (fwd, back):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if seen != active:
-            return False
-    return True
+    start = min(fwd)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in fwd[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen == fwd.keys()
 
 
 def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:

@@ -71,6 +71,34 @@ def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
     assert not (tmp_path / "repo.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["\uff13", "1_0", "+3", "-3", "3.0", ""])
+def test_whole_number_options_take_ascii_digits_only(value, tmp_path, capsys):
+    # int() reads the first three as 3, 10 and 3.
+    profile = tmp_path / "profile.txt"
+    profile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
+    pfile = str(profile)
+    markov = ["synthesize", "--profile", pfile, "--method", "markov"]
+    sweep = ["simulate", "--profile", pfile, "--noise", "additive", "--jobs", "1"]
+    commands = [
+        (["census", "--q", value, "--ell", "1", "--jobs", "1"], "--q"),
+        (["census", "--q", "3", "--ell", value, "--jobs", "1"], "--ell"),
+        (["census", "--q", "2", "--ell", "2", "--jobs", value], "--jobs"),
+        (["profile", "--q", value, "--ell", "2", "--string", "012"], "--q"),
+        (["bounds", "--q", "3", "--ell", value, "--upper"], "--ell"),
+        (["bounds", "--q", "3", "--ell", "3", "--length", "--c3", value], "--c3"),
+        (markov + ["--seed", value, "--length", "10"], "--seed"),
+        (markov + ["--seed", "1", "--length", value], "--length"),
+        (sweep + ["--params", "1", "--seed", value], "--seed"),
+        (sweep + ["--params", "1", "--seed", "1", "--trials", value], "--trials"),
+        (sweep + ["--seed", "1", "--params", "1", value], "additive noise level"),
+    ]
+    for argv, option in commands:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and option in captured.err
+
+
 def test_check_rejects_ragged_words(capsys):
     assert main(["check", "--perm", "00,1,10,11"]) == 2
     captured = capsys.readouterr()
@@ -195,6 +223,21 @@ def test_decode_rejects_non_integral_entry(repo, repo_path, tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["decode", "b", "--vector", str(bad), "--repo", repo_path]) == 2
     assert "not-a-codeword" in capsys.readouterr().err
+
+
+def test_decode_checks_the_window_length(repo, repo_path, tmp_path, capsys):
+    # kind a used to read only the first q^2 entries, and window length 1
+    # crashed in vector_to_matrix.
+    v33 = tmp_path / "v33.txt"
+    entries = repo.vector(1) + tuple(range(100, 118))
+    v33.write_text(ProfileVector(Params(3, 3), entries).to_text())
+    v31 = tmp_path / "v31.txt"
+    v31.write_text(ProfileVector(Params(3, 1), (1, 2, 3)).to_text())
+    for kind, vfile in [("a", v33), ("a", v31), ("b", v31)]:
+        assert main(["decode", kind, "--vector", str(vfile), "--repo", repo_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not-a-codeword: ")
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from profilerank.core import (
     Params,
@@ -290,6 +291,28 @@ def test_profile_text_round_trip():
 def test_perm_text_round_trip():
     perm = RankPermutation.from_text(CHANNEL_ORDER)
     assert RankPermutation.from_text(perm.to_text()).order == perm.order
+
+
+_PARAMS = st.builds(Params, st.integers(2, 5), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_profile_text_round_trip_property(data):
+    params = data.draw(_PARAMS)
+    n = params.word_count
+    counts = data.draw(st.lists(st.integers(0, 2**70), min_size=n, max_size=n))
+    p = ProfileVector(params, tuple(counts))
+    assert ProfileVector.from_text(p.to_text()) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_perm_text_round_trip_property(data):
+    params = data.draw(_PARAMS)
+    order = tuple(data.draw(st.permutations(range(params.word_count))))
+    perm = RankPermutation(params, order)
+    assert RankPermutation.from_text(perm.to_text(), params) == perm
 
 
 @pytest.mark.parametrize(

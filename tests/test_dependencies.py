@@ -1,0 +1,32 @@
+"""The package has no runtime dependencies: importing all of it pulls in
+none of the scientific or test libraries the suite itself may use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import profilerank
+
+FORBIDDEN = ("numpy", "scipy", "hypothesis")
+
+_PROBE = """
+import importlib, json, pkgutil, sys
+import profilerank
+for info in pkgutil.walk_packages(profilerank.__path__, "profilerank."):
+    importlib.import_module(info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_importing_every_module_loads_no_optional_library():
+    src = str(Path(profilerank.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    assert "profilerank.cli" in loaded and "profilerank._simplex" in loaded
+    assert [m for m in loaded if m.split(".")[0] in FORBIDDEN] == []

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from profilerank.core import (
     Params,
@@ -244,6 +244,12 @@ def test_decode_b_rejects_tampering(repo):
         decode_b(ScaledVector(sv.params, tuple(entries)), repo)
 
 
+def test_decode_b_rejects_window_one(repo):
+    # An IndexError in vector_to_matrix before this check.
+    with pytest.raises(NotACodeword, match="window length"):
+        decode_b(FeasibleVector(Params(3, 1), (1, 2, 3)), repo)
+
+
 def test_rank_level_injectivity_window(repo):
     rng = random.Random(10)
     seen = {}
@@ -417,11 +423,23 @@ def test_encoder_outputs_within_length_bounds(repo):
 
 # -- repository and text formats ------------------------------------------------
 
-def test_repository_save_load_round_trip(repo, tmp_path):
-    path = tmp_path / "repo.txt"
-    repo.save(path)
-    again = Repository.load(path)
-    assert again.vectors == repo.vectors
+@settings(max_examples=5, deadline=None)
+@example(changes=[])
+@given(
+    st.lists(
+        st.tuples(st.integers(0, BASE_COUNT - 1), st.integers(0, 8), st.integers(0, 2**70)),
+        max_size=5,
+    )
+)
+def test_repository_save_load_round_trip(repo, tmp_path_factory, changes):
+    # The session repository with a few entries replaced by any natural number.
+    vectors = [list(vec) for vec in repo.vectors]
+    for row, col, value in changes:
+        vectors[row][col] = value
+    edited = Repository(tuple(map(tuple, vectors)))
+    path = tmp_path_factory.mktemp("repo") / "repo.txt"
+    edited.save(path)
+    assert Repository.load(path) == edited
 
 
 def test_repository_load_rejects_corruption(repo, tmp_path):
@@ -498,15 +516,20 @@ def test_info_validation_rejects_malformed():
 
 
 @st.composite
-def _messages_b(draw):
-    q = draw(st.integers(3, 5))
-    ell = draw(st.integers(2, 4))
+def _messages_a(draw, q):
     stages = []
     for j in range(4, q + 1):
         pi = tuple(draw(st.permutations(range(1, j + 1))))
         ones = draw(st.sets(st.integers(0, j * j - j), min_size=j, max_size=j))
         stages.append(StageA(pi, tuple(int(k in ones) for k in range(j * j - j + 1))))
-    base = InfoVecA(draw(st.integers(1, BASE_COUNT)), tuple(stages))
+    return InfoVecA(draw(st.integers(1, BASE_COUNT)), tuple(stages))
+
+
+@st.composite
+def _messages_b(draw):
+    q = draw(st.integers(3, 5))
+    ell = draw(st.integers(2, 4))
+    base = draw(_messages_a(q))
     layers = tuple(
         {u: tuple(draw(st.permutations(range(q)))) for u in layer_domain(q, i)}
         for i in range(3, ell + 1)
@@ -518,6 +541,12 @@ def _messages_b(draw):
 @given(_messages_b())
 def test_info_b_text_round_trip_property(info):
     assert info_b_from_text(info_b_to_text(info)) == info
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6).flatmap(_messages_a))
+def test_info_a_text_round_trip_property(info):
+    assert info_a_from_text(info_a_to_text(info)) == info
 
 
 _GOOD_B = "q=3 ell=3\nbase=7\nP(11)=0,1,2\nP(12)=2,1,0\nP(21)=1,0,2\nP(22)=0,2,1\n"

@@ -5,6 +5,7 @@ from itertools import permutations
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from profilerank import _simplex, encoder
 from profilerank._simplex import (
@@ -17,10 +18,10 @@ from profilerank.core import (
     Params,
     ProfileVector,
     RankPermutation,
-    all_words,
     in_words,
     is_constant,
     out_words,
+    profile_of,
     rank_of,
     word_index,
 )
@@ -28,11 +29,11 @@ from profilerank.feasibility import (
     FeasibleVector,
     alpha_star_lower,
     check_farkas,
-    constraint_tables,
     decide,
     matching_precheck,
     _OrderLP,
     order_lp_solution,
+    order_precheck_witness,
     upper_bound,
 )
 
@@ -60,6 +61,21 @@ def test_simplex_handles_redundant_rows():
 
 def _dot(u, v):
     return sum(map(mul, u, v))
+
+
+def _balance_rows(params):
+    """Node v's balance row, from word tuples: +1 on the words v + (s,), -1
+    on the words (s,) + v, so a loop word cancels."""
+    q = params.q
+    rows = []
+    for v in params.nodes():
+        coef = [0] * params.word_count
+        for w in out_words(v, q):
+            coef[word_index(w, q)] += 1
+        for w in in_words(v, q):
+            coef[word_index(w, q)] -= 1
+        rows.append(coef)
+    return rows
 
 
 def _reference_phase1(rhs, n, column, price):
@@ -318,7 +334,7 @@ def test_perturbed_farkas_vector_fails_the_check():
     check_farkas(perm, y)
     # The slack LP A e = b of the order, from its definition: column k holds
     # each node's coefficient sums over ranks k and up.
-    rows = constraint_tables(P32).lp_rows
+    rows = _balance_rows(P32)
     order = perm.order
     columns = [[sum(row[i] for i in order[k:]) for row in rows] for k in range(9)]
     b = [-sum((k + 1) * row[i] for k, i in enumerate(order)) for row in rows]
@@ -378,14 +394,14 @@ def _swapped_encoder_orders(repo, q, ell, count, rng):
 
 @pytest.mark.parametrize("q, ell", [(4, 3), (3, 4), (5, 3), (6, 3)])
 def test_order_lps_match_the_reference_solver(repo, q, ell):
-    tables = constraint_tables(Params(q, ell))
+    params = Params(q, ell)
     rng = random.Random(q * 100 + ell)
     for perm in _swapped_encoder_orders(repo, q, ell, 12, rng):
-        lp = _OrderLP(perm.order, tables)
+        lp = _OrderLP(perm.order, params)
         reference = _reference_phase1(
             lp.rhs, len(perm.order), lp.columns().__getitem__, lp.price
         )
-        assert tuple(order_lp_solution(perm.order, tables)[:5]) == reference
+        assert tuple(order_lp_solution(perm.order, params)[:5]) == reference
 
 
 def test_decide_five_letters_window_four(repo):
@@ -397,7 +413,7 @@ def test_decide_five_letters_window_four(repo):
     verdict = decide(perm)
     assert verdict.feasible
     verdict.vector.check(perm)
-    lp = order_lp_solution(perm.order, constraint_tables(p54))
+    lp = order_lp_solution(perm.order, p54)
     assert lp.widenings >= 1 and lp.field_bits > FIRST_FIELD_BITS
 
 
@@ -407,7 +423,7 @@ def test_lp_verdicts_agree_with_highs(repo, q, ell):
     >= 1, unit steps along the order, flow balance at every node)."""
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
-    a_eq = np.array(constraint_tables(Params(q, ell)).lp_rows, dtype=float)
+    a_eq = np.array(_balance_rows(Params(q, ell)), dtype=float)
     n = q**ell
     verdicts = []
     for perm in _swapped_encoder_orders(repo, q, ell, 40, random.Random(q * 10 + ell)):
@@ -439,27 +455,68 @@ def test_scaling_closure():
 
 # -- the matching pre-check ---------------------------------------------------
 
-@pytest.mark.parametrize("q, ell", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)])
+OVERLAP_PARAMS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4)]
+
+
+def _near_balanced_orders(params, count, rng):
+    """Random orders, and orders of a random string's profile (ties broken
+    at random) after a few adjacent swaps, which the pre-check often passes."""
+    n = params.word_count
+    for _ in range(count):
+        yield tuple(rng.sample(range(n), n))
+        x = [rng.randrange(params.q) for _ in range(rng.randint(1, 4 * n))]
+        counts = profile_of(x, params).counts
+        order = sorted(range(n), key=lambda i: (counts[i], rng.random()))
+        for _ in range(rng.randint(0, 3)):
+            j = rng.randrange(n - 1)
+            order[j], order[j + 1] = order[j + 1], order[j]
+        yield tuple(order)
+
+
+@pytest.mark.parametrize("q, ell", OVERLAP_PARAMS)
 def test_constraint_tables_follow_word_overlaps(q, ell):
-    # Node v's row: +1 on the words v + (s,), -1 on the words (s,) + v.
-    tables = constraint_tables(Params(q, ell))
-    nodes = list(all_words(q, ell - 1))
-    rows = []
-    for v in nodes:
-        coef = [0] * q**ell
-        for w in out_words(v, q):
-            coef[word_index(w, q)] += 1
-        for w in in_words(v, q):
-            coef[word_index(w, q)] -= 1
-        rows.append(coef)
-    assert tables.lp_rows == rows
-    # The pre-check scans every letter at ell = 2 and the mixed nodes above.
-    scanned = [v for v in nodes if ell == 2 or not is_constant(v)]
-    assert [v for v, _ in tables.check_nodes] == scanned
-    for v, members in tables.check_nodes:
-        row = rows[word_index(v, q)]
-        assert members == [(i, c) for i, c in enumerate(row) if c]
-        assert {c for _, c in members} == {-1, 1}
+    # The order LP, read from core.edge_nodes, against the balance rows
+    # built from word tuples: column k sums each row over ranks k and up,
+    # and rhs is minus each row weighted by 1-based rank.
+    params = Params(q, ell)
+    rows = _balance_rows(params)
+    for order in _near_balanced_orders(params, 10, random.Random(q * 10 + ell)):
+        lp, n = _OrderLP(order, params), len(order)
+        columns = [[sum(row[i] for i in order[k:]) for row in rows] for k in range(n)]
+        rhs = [-sum((k + 1) * row[i] for k, i in enumerate(order)) for row in rows]
+        assert lp.columns() == columns and lp.rhs == rhs
+
+
+def _ballot_reference(order, params):
+    """The per-node ballot: each scanned node's balance row read in rank
+    order; green if the running sum never rises above 0, red if it never
+    drops below 0.  Every letter is scanned at ell = 2, the mixed nodes above."""
+    for v, row in zip(params.nodes(), _balance_rows(params)):
+        if params.ell > 2 and is_constant(v):
+            continue
+        acc, green, red = 0, True, True
+        for idx in order:
+            acc += row[idx]
+            green = green and acc <= 0
+            red = red and acc >= 0
+        if green:
+            return v, "green"
+        if red:
+            return v, "red"
+    return None
+
+
+@pytest.mark.parametrize("q, ell", OVERLAP_PARAMS)
+def test_precheck_matches_the_per_node_ballot(q, ell):
+    params = Params(q, ell)
+    outcomes = set()
+    for order in _near_balanced_orders(params, 150, random.Random(q * 100 + ell)):
+        witness = order_precheck_witness(order, params)
+        assert witness == _ballot_reference(order, params)
+        outcomes.add(None if witness is None else witness[1])
+    assert outcomes >= {"green", "red"}
+    # At (2,2) no order is realizable, and the pre-check refutes them all.
+    assert (None in outcomes) == (params != Params(2, 2))
 
 
 def test_precheck_fires_on_forced_pattern_window_two():
@@ -573,6 +630,23 @@ BAD_VECTOR_TEXTS = [
 def test_vector_parsers_reject_malformed_text(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_feasible_vector_text_round_trip_property(data):
+    params = data.draw(st.builds(Params, st.integers(2, 4), st.integers(1, 3)))
+    entry = st.one_of(st.integers(-(2**70), 2**70), st.fractions())
+    entries = data.draw(
+        st.lists(entry, min_size=params.word_count, max_size=params.word_count)
+    )
+    vec = FeasibleVector(params, tuple(entries))
+    again = FeasibleVector.from_text(vec.to_text())
+    assert again == vec
+    # An integral value reads back as an int, whatever type it was written from.
+    assert [type(e) for e in again.entries] == [
+        int if Fraction(e).denominator == 1 else Fraction for e in entries
+    ]
 
 
 def test_vector_parsers_read_words_in_any_order():

@@ -3,8 +3,15 @@ from itertools import permutations
 
 import pytest
 
-from profilerank.core import Params, RankPermutation, profile_of, rank_of
-from profilerank.feasibility import constraint_tables, order_precheck_witness
+from profilerank.core import (
+    Params,
+    RankPermutation,
+    edge_nodes,
+    profile_of,
+    rank_of,
+    word_index,
+)
+from profilerank.feasibility import order_precheck_witness
 from profilerank.oracle import (
     compute_c3,
     enumerate_feasible,
@@ -174,11 +181,12 @@ def test_ballot_test_agrees_with_bruteforce_matcher():
     # every arrangement of a 3+3 neighborhood
     from profilerank.oracle import _has_monochromatic_matching
 
-    tables = constraint_tables(Params(3, 3))
+    p33 = Params(3, 3)
     node = (0, 1)
-    members = next(m for v, m in tables.check_nodes if v == node)
-    in_idx = sorted(idx for idx, sign in members if sign == -1)
-    out_idx = sorted(idx for idx, sign in members if sign == 1)
+    v = word_index(node, 3)
+    edges = list(enumerate(zip(*edge_nodes(p33))))
+    in_idx = [idx for idx, (h, t) in edges if t == v != h]
+    out_idx = [idx for idx, (h, t) in edges if h == v != t]
     for arrangement in permutations(range(6)):
         # place the six words of the neighborhood in this rank order and pad
         # the remaining words above them
@@ -188,7 +196,7 @@ def test_ballot_test_agrees_with_bruteforce_matcher():
             ranked_words[pos] = word
         rest = [i for i in range(27) if i not in in_idx + out_idx]
         order = tuple(ranked_words + rest)
-        fired = order_precheck_witness(order, tables)
+        fired = order_precheck_witness(order, p33)
         fired_here = fired is not None and fired[0] == node
         sides = [0 if k < 3 else 1 for k in arrangement]
         assert fired_here == _has_monochromatic_matching(sides, 3)

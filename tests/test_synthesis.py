@@ -82,6 +82,46 @@ def test_connectivity_rejects_unbalanced_profile():
         check_connectivity(ProfileVector(P32, (1, 2, 3, 4, 5, 6, 7, 8, 9)))
 
 
+def _reference_connectivity(p):
+    """Strong connectivity by two walks from one active node, forward and
+    backward, over the support edges prefix -> suffix of every counted word."""
+    fwd, back = {}, {}
+    for w, c in zip(p.params.words(), p.counts):
+        if c:
+            fwd.setdefault(w[:-1], []).append(w[1:])
+            back.setdefault(w[1:], []).append(w[:-1])
+    active = fwd.keys() | back.keys()
+    start = min(active)
+    for adj in (fwd, back):
+        seen, stack = {start}, [start]
+        while stack:
+            for v in adj.get(stack.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if seen != active:
+            return False
+    return True
+
+
+def test_connectivity_matches_two_direction_walk():
+    # Sums of one to three circular strings, each over a random subset of
+    # the alphabet, are balanced profiles; disjoint supports disconnect them.
+    rng = random.Random(17)
+    outcomes = []
+    for params in (P32, Params(2, 3), Params(3, 3), Params(4, 2), Params(2, 4)):
+        for _ in range(120):
+            counts = [0] * params.word_count
+            for _ in range(rng.randint(1, 3)):
+                symbols = rng.sample(range(params.q), rng.randint(1, params.q))
+                x = [rng.choice(symbols) for _ in range(rng.randint(1, 12))]
+                counts = [a + b for a, b in zip(counts, profile_of(x, params).counts)]
+            p = ProfileVector(params, tuple(counts))
+            outcomes.append(check_connectivity(p))
+            assert outcomes[-1] == _reference_connectivity(p)
+    assert 0 < outcomes.count(False) < len(outcomes)
+
+
 def test_eulerian_profile_round_trip_exact():
     x = eulerian_string(CHANNEL_PROFILE)
     assert len(x) == 45
