@@ -8,10 +8,12 @@ failure, 3 internal assertion.  Every randomized path takes a mandatory
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import channel, codes, encoder, feasibility, oracle, synthesis
 from .core import (
+    DECIMAL,
     Params,
     ProfileVector,
     RankPermutation,
@@ -137,14 +139,9 @@ def cmd_repo(args) -> int:
 def cmd_encode(args) -> int:
     repo = encoder.Repository.load(args.repo)
     if args.kind == "a":
-        info = encoder.info_a_from_text(_read(args.info))
-        vec = feasibility.FeasibleVector(
-            Params(info.q, 2),
-            encoder.matrix_to_vector(encoder.encode_a(info, repo)),
-        )
+        vec = encoder.encode_a(encoder.info_a_from_text(_read(args.info)), repo)
     else:
-        info_b = encoder.info_b_from_text(_read(args.info))
-        vec = encoder.encode_b(info_b, repo)
+        vec = encoder.encode_b(encoder.info_b_from_text(_read(args.info)), repo)
     if args.emit == "vector":
         _write(args.out, vec.to_text())
     elif args.emit == "perm":
@@ -162,18 +159,13 @@ def cmd_decode(args) -> int:
         if not fv.is_integral():
             raise encoder.NotACodeword("encoder outputs have integer entries")
         if args.kind == "a":
-            if fv.params.ell != 2:
-                raise encoder.NotACodeword("kind a codewords have window length 2")
-            info = encoder.decode_a(
-                encoder.vector_to_matrix(fv.entries, fv.params.q), repo
-            )
-            _write(args.out, encoder.info_a_to_text(info))
+            text = encoder.info_a_to_text(encoder.decode_a(fv, repo))
         else:
-            info_b = encoder.decode_b(fv, repo)
-            _write(args.out, encoder.info_b_to_text(info_b))
+            text = encoder.info_b_to_text(encoder.decode_b(fv, repo))
     except encoder.NotACodeword as err:
         print(f"not-a-codeword: {err}", file=sys.stderr)
         return EXIT_REJECTED
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -212,15 +204,22 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _rate(text: str) -> float:
+    """A drop rate: an ASCII decimal in [0, 1]."""
+    if not re.fullmatch(DECIMAL, text) or float(text) > 1:
+        raise ValueError(f"drop rate must be a decimal in [0, 1], got {text!r}")
+    return float(text)
+
+
 def cmd_simulate(args) -> int:
-    if args.noise == "additive":
-        try:
+    try:
+        if args.noise == "additive":
             levels = [parse_natural(v, "additive noise level") for v in args.params]
-        except ValueError as err:
-            raise _UsageError(str(err)) from None
-        models = [channel.AdditiveNoise(v) for v in levels]
-    else:
-        models = [channel.DropNoise(float(v)) for v in args.params]
+            models = [channel.AdditiveNoise(v) for v in levels]
+        else:
+            models = [channel.DropNoise(_rate(v)) for v in args.params]
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     profile = ProfileVector.from_text(_read(args.profile))
     rows = channel.simulate(profile, models, args.trials, args.seed, jobs=args.jobs)
     header = "noise\ttrials\tsuccesses\tties\trank_errors"

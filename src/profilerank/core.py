@@ -101,6 +101,7 @@ def word_text(w: Word) -> str:
 
 
 DIGITS = "[0-9]+"  # the one numeral rule of every text format: ASCII digits only
+DECIMAL = rf"{DIGITS}(?:\.{DIGITS})?"  # the same rule for a rate: no sign, exponent or _
 _DIGIT_STRING = re.compile(DIGITS)
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 

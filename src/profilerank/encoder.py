@@ -1,11 +1,13 @@
 """Constructive encoders mapping structured messages to realizable vectors.
 
-Two recursions are implemented.  The alphabet recursion (window length 2)
-starts from a repository of all 30240 realizable 3x3 matrices and grows the
-alphabet one symbol at a time: the incoming matrix is stretched by q+1 to
-open integer gaps, q new values are threaded into those gaps according to an
-interleaving pattern, and the new border row/column is balanced with 1/q
-corrections before the whole matrix is rescaled by q back to integers.
+Two recursions are implemented, both on word-indexed entries (word w at
+index ``word_index(w, q)``, so pair (a, b) sits at a*q + b).  The alphabet
+recursion (window length 2) starts from a repository of all 30240 realizable
+3x3 profiles and grows the alphabet one symbol at a time: the incoming entries
+are stretched by q+1 to open integer gaps, q new values are threaded into
+those gaps according to an interleaving pattern, and the new border row and
+column are balanced with 1/q corrections before everything is rescaled by q
+back to integers.
 
 The window recursion lifts a realizable vector one window length up through
 the adjacent-sum homomorphism: the q words collapsing to the same image
@@ -49,20 +51,18 @@ from .feasibility import FeasibleVector
 BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 class NotACodeword(ValueError):
     """The input is not an encoder output (best-effort detection)."""
 
 
 # ---------------------------------------------------------------------------
-# Repository of base-case matrices
+# Repository of base-case vectors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Repository:
-    """The 30240 integer matrices seeding both recursions, 1-indexed.
+    """The 30240 integer vectors at (3, 2) seeding both recursions, 1-indexed.
 
     Entry ``i`` realizes the i-th realizable rank order of 3x3 profile
     matrices (orders enumerated lexicographically by their word sequence);
@@ -85,16 +85,12 @@ class Repository:
             raise ValueError(f"repository index {index} out of range")
         return self.vectors[index - 1]
 
-    def matrix(self, index: int) -> Matrix:
-        return vector_to_matrix(self.vector(index), BASE_Q)
-
     def permutation(self, index: int) -> RankPermutation:
         return rank_of(self.vector(index), self.params)
 
-    def index_of(self, matrix: Matrix) -> int:
-        vec = matrix_to_vector(matrix)
+    def index_of(self, entries: Sequence[int]) -> int:
         try:
-            return self._lookup[vec]
+            return self._lookup[tuple(entries)]
         except KeyError:
             raise NotACodeword("matrix is not in the repository") from None
 
@@ -143,14 +139,6 @@ class Repository:
                     f"repository line {number} has {len(vec)} entries, not {width}"
                 )
         return cls(vectors)
-
-
-def vector_to_matrix(vec: Sequence[int], q: int) -> Matrix:
-    return tuple(tuple(vec[i * q + j] for j in range(q)) for i in range(q))
-
-
-def matrix_to_vector(matrix: Matrix) -> tuple[int, ...]:
-    return tuple(e for row in matrix for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -292,44 +280,55 @@ def choose_y(pi: Sequence[int], t: Sequence[int], sorted_x: Sequence[int]) -> li
     return [y_sorted[pi[idx] - 1] for idx in range(j)]
 
 
-def extend_matrix(chi: Matrix, pi: Sequence[int], t: Sequence[int]) -> Matrix:
-    """One alphabet-growth step applied to an integer matrix.
+def extend_vector(
+    entries: Sequence[int], pi: Sequence[int], t: Sequence[int]
+) -> tuple[int, ...]:
+    """One alphabet-growth step: the (q-1)^2 integer entries at window length
+    2 to the q^2 entries at alphabet size q = ``len(pi)``.
 
-    Returns the new integer matrix (the 1/q border corrections are folded in
-    by the final factor of q, so everything stays integral).
+    The 1/q border corrections are folded in by the final factor of q, so
+    everything stays integral.
     """
-    m = len(chi)
-    q = m + 1
     StageA(tuple(pi), tuple(t)).check()
-    x = [[(q + 1) * chi[i][j] for j in range(m)] for i in range(m)]
-    sorted_x = sorted(e for row in x for e in row)
-    y = choose_y(pi, t, sorted_x)
-    out = [[0] * q for _ in range(q)]
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = q * x[i][j] + (1 if j == 0 and i >= 1 else 0)
-    out[0][q - 1] = q * y[0]
-    for i in range(1, m):
-        out[i][q - 1] = q * y[i] - 1
-    out[q - 1][0] = q * y[0] - (q - 2)
-    for j in range(1, m):
-        out[q - 1][j] = q * y[j]
-    out[q - 1][q - 1] = q * y[q - 1]
-    return tuple(tuple(row) for row in out)
+    q = len(pi)
+    m = q - 1
+    if len(entries) != m * m:
+        raise ValueError(f"an alphabet step to q={q} takes {m * m} entries")
+    y = choose_y(pi, t, sorted((q + 1) * e for e in entries))
+    scale = q * (q + 1)
+    out: list[int] = []
+    for a in range(m):
+        row = entries[a * m : (a + 1) * m]
+        out.extend(scale * e + (b == 0 < a) for b, e in enumerate(row))
+        out.append(q * y[a] - (a > 0))
+    out.extend(q * y[a] for a in range(m))
+    out[m * q] -= q - 2
+    out.append(q * y[m])
+    return tuple(out)
 
 
-def encode_a(info: InfoVecA, repo: Repository) -> Matrix:
-    """Alphabet-recursion encoder: message to integer q x q matrix."""
+class ScaledVector(FeasibleVector):
+    """Integer output of either recursion (the window recursion folds in a
+    fixed-point scale of q^(q^2) per stage): a realizable vector like any
+    other."""
+
+    def to_feasible(self) -> FeasibleVector:
+        return self
+
+
+def encode_a(info: InfoVecA, repo: Repository) -> ScaledVector:
+    """Alphabet-recursion encoder: message to realizable integer vector at
+    window length 2."""
     info.check()
-    chi = repo.matrix(info.base)
+    entries = repo.vector(info.base)
     for stage in info.stages:
-        chi = extend_matrix(chi, stage.pi, stage.t)
-    return chi
+        entries = extend_vector(entries, stage.pi, stage.t)
+    return ScaledVector(Params(info.q, 2), entries)
 
 
-def _shrink_matrix(matrix: Matrix) -> tuple[Matrix, StageA]:
-    """Undo one alphabet-growth step; raises NotACodeword on any misfit."""
-    q = len(matrix)
+def _shrink(entries: Sequence[int], q: int) -> tuple[list[int], StageA]:
+    """Undo one alphabet-growth step at alphabet size q; raises NotACodeword
+    on any misfit."""
     m = q - 1
 
     def exact_div(a: int, b: int) -> int:
@@ -337,63 +336,47 @@ def _shrink_matrix(matrix: Matrix) -> tuple[Matrix, StageA]:
             raise NotACodeword("entry fails the divisibility structure")
         return a // b
 
-    y = [0] * q
-    y[0] = exact_div(matrix[0][q - 1], q)
-    for i in range(1, m):
-        y[i] = exact_div(matrix[i][q - 1] + 1, q)
-    y[q - 1] = exact_div(matrix[q - 1][q - 1], q)
-    if matrix[q - 1][0] != q * y[0] - (q - 2):
+    y = [exact_div(entries[a * q + m] + (0 < a < m), q) for a in range(q)]
+    if entries[m * q] != q * y[0] - (q - 2):
         raise NotACodeword("balancing corner does not match")
-    for j in range(1, m):
-        if matrix[q - 1][j] != q * y[j]:
-            raise NotACodeword("border row does not match")
-
+    if any(entries[m * q + b] != q * y[b] for b in range(1, m)):
+        raise NotACodeword("border row does not match")
     scale = q * (q + 1)
-    chi = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            raw = matrix[i][j] - (1 if j == 0 and i >= 1 else 0)
-            chi[i][j] = exact_div(raw, scale)
-            if chi[i][j] < 1:
-                raise NotACodeword("inner entries must stay positive")
-
+    chi = [
+        exact_div(entries[a * q + b] - (b == 0 < a), scale)
+        for a in range(m)
+        for b in range(m)
+    ]
+    if min(chi) < 1:
+        raise NotACodeword("inner entries must stay positive")
     if len(set(y)) != q:
         raise NotACodeword("new values must be distinct")
-    by_value = sorted(range(q), key=lambda k: y[k])
-    pi = [0] * q
-    for pos, k in enumerate(by_value):
-        pi[k] = pos + 1
-    pi = tuple(pi)
-
-    sx = sorted((q + 1) * chi[i][j] for i in range(m) for j in range(m))
-    sy = sorted(y)
-    if set(sx) & set(sy):
+    sx = [(q + 1) * c for c in chi]
+    if set(sx) & set(y):
         raise NotACodeword("new values collide with old entries")
-    t = []
-    oi = zi = 0
-    while oi < len(sy) or zi < len(sx):
-        take_one = zi >= len(sx) or (oi < len(sy) and sy[oi] < sx[zi])
-        if take_one:
-            t.append(1)
-            oi += 1
-        else:
-            t.append(0)
-            zi += 1
-    return tuple(tuple(row) for row in chi), StageA(pi, tuple(t))
+    sy = sorted(y)
+    pi = tuple(sy.index(v) + 1 for v in y)
+    t = tuple(bit for _, bit in sorted([(v, 0) for v in sx] + [(v, 1) for v in y]))
+    return chi, StageA(pi, t)
 
 
-def decode_a(matrix: Matrix, repo: Repository) -> InfoVecA:
-    """Inverse of :func:`encode_a`; re-encodes to confirm codeword status."""
-    q = len(matrix)
-    if q < BASE_Q or any(len(row) != q for row in matrix):
-        raise NotACodeword("not a square matrix of admissible size")
+def _peel_alphabet(entries: Sequence[int], q: int, repo: Repository) -> InfoVecA:
+    """The alphabet message read off window-length-2 entries at alphabet size
+    q, without the re-encode that confirms it."""
     stages: list[StageA] = []
-    work = matrix
-    while len(work) > BASE_Q:
-        work, stage = _shrink_matrix(work)
+    for size in range(q, BASE_Q, -1):
+        entries, stage = _shrink(entries, size)
         stages.append(stage)
-    info = InfoVecA(repo.index_of(work), tuple(reversed(stages)))
-    if encode_a(info, repo) != matrix:
+    return InfoVecA(repo.index_of(entries), tuple(reversed(stages)))
+
+
+def decode_a(vec: FeasibleVector, repo: Repository) -> InfoVecA:
+    """Inverse of :func:`encode_a`; re-encodes to confirm codeword status."""
+    q = vec.params.q
+    if vec.params.ell != 2 or q < BASE_Q:
+        raise NotACodeword(f"alphabet codewords have window length 2 and q >= {BASE_Q}")
+    info = _peel_alphabet(vec.entries, q, repo)
+    if encode_a(info, repo).entries != vec.entries:
         raise NotACodeword("matrix is not an encoder output")
     return info
 
@@ -401,14 +384,6 @@ def decode_a(matrix: Matrix, repo: Repository) -> InfoVecA:
 # ---------------------------------------------------------------------------
 # Window recursion (any window length)
 # ---------------------------------------------------------------------------
-
-class ScaledVector(FeasibleVector):
-    """Integer output of the window recursion (fixed-point scale q^(q^2) per
-    stage folded in): a realizable vector like any other."""
-
-    def to_feasible(self) -> FeasibleVector:
-        return self
-
 
 def _digit_position(a: int, b: int, q: int) -> int:
     """Fractional digit slot used for the (a, b) boundary pair: a + b*q + 1."""
@@ -492,7 +467,7 @@ def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
     """Window-recursion encoder: message to realizable integer vector."""
     info.check()
     q = info.q
-    entries: Sequence[int] = matrix_to_vector(encode_a(info.base, repo))
+    entries: Sequence[int] = encode_a(info.base, repo).entries
     for offset, layer in enumerate(info.layers):
         entries = _lift_layer(entries, layer, q, 3 + offset)
     return ScaledVector(Params(q, info.ell), tuple(entries))
@@ -525,8 +500,7 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
                 layer[u] = tuple(ranks)
         layers.append(layer)
         entries = prev
-    base = decode_a(vector_to_matrix(entries, q), repo)
-    info = InfoVecB(base, tuple(reversed(layers)))
+    info = InfoVecB(_peel_alphabet(entries, q, repo), tuple(reversed(layers)))
     if encode_b(info, repo).entries != vec.entries:
         raise NotACodeword("vector is not an encoder output")
     return info

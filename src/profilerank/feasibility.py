@@ -74,12 +74,7 @@ class FeasibleVector:
         p = self.params
         if len(self.entries) != p.word_count:
             raise ValueError("entry count does not match q^ell")
-        entries = self.entries
-        if all(map(int.__instancecheck__, entries)):  # isinstance(e, int) for all
-            scale, values = 1, entries
-        else:
-            scale = math.lcm(*{e.denominator for e in entries})
-            values = [e.numerator * (scale // e.denominator) for e in entries]
+        scale, values = self.over_common_denominator()
         if min(values) < scale:
             raise ValueError("entries must all be >= 1")
         if len(set(values)) != len(values):
@@ -90,6 +85,15 @@ class FeasibleVector:
                 raise ValueError(f"flow violated at node {word_text(v)}")
         if perm is not None and not satisfies(values, perm, p):
             raise ValueError("vector does not realize the stated permutation")
+
+    def over_common_denominator(self) -> tuple[int, Sequence[int]]:
+        """``(scale, values)``: the least common denominator of the entries,
+        and every entry times it, as integers."""
+        entries = self.entries
+        if all(map(int.__instancecheck__, entries)):  # isinstance(e, int) for all
+            return 1, entries
+        scale = math.lcm(*{e.denominator for e in entries})
+        return scale, [e.numerator * (scale // e.denominator) for e in entries]
 
     def is_integral(self) -> bool:
         return all(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -36,12 +35,7 @@ def integerize(chi: FeasibleVector) -> FeasibleVector:
     balance are untouched; the price is a longer witness string.
     """
     chi.check()
-    denoms = [
-        e.denominator for e in chi.entries if isinstance(e, Fraction)
-    ]
-    factor = lcm(*denoms) if denoms else 1
-    entries = tuple(int(e * factor) for e in chi.entries)
-    return FeasibleVector(chi.params, entries)
+    return FeasibleVector(chi.params, tuple(chi.over_common_denominator()[1]))
 
 
 def check_connectivity(p: ProfileVector) -> bool:

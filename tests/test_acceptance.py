@@ -33,9 +33,8 @@ from profilerank.core import (
 from profilerank.encoder import (
     decode_b,
     encode_b,
-    extend_matrix,
+    extend_vector,
     length_bounds,
-    matrix_to_vector,
     random_info_b,
     rate_lower_bound,
 )
@@ -72,15 +71,15 @@ def test_criterion_02_degenerate_censuses():
 
 
 def test_criterion_03_worked_recursive_step():
-    chi_prime = ((1, 2, 5), (3, 6, 7), (4, 8, 9))
-    out = extend_matrix(chi_prime, (2, 3, 4, 1), (0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0))
+    chi_prime = (1, 2, 5, 3, 6, 7, 4, 8, 9)  # word order: pair (a, b) at a*q + b
+    out = extend_vector(chi_prime, (2, 3, 4, 1), (0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0))
     assert out == (
-        (20, 40, 100, 48),
-        (61, 120, 140, 51),
-        (81, 160, 180, 83),
-        (46, 52, 84, 44),
+        20, 40, 100, 48,
+        61, 120, 140, 51,
+        81, 160, 180, 83,
+        46, 52, 84, 44,
     )
-    order = rank_of(matrix_to_vector(out), Params(4, 2)).to_text()
+    order = rank_of(out, Params(4, 2)).to_text()
     assert order == "00,01,33,30,03,13,31,10,20,23,32,02,11,12,21,22"
     _report(3, "worked 4x4 recursive step reproduced exactly")
 

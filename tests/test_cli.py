@@ -1,16 +1,20 @@
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from profilerank.cli import main
 from profilerank.core import Params, ProfileVector, profile_of
 from profilerank.encoder import (
+    Repository,
     encode_b,
     info_a_to_text,
     info_b_to_text,
     random_info_a,
     random_info_b,
 )
+from profilerank.feasibility import FeasibleVector
 
 CHANNEL_STRING = "AGGGGGGGGGGCGCGCGCGCGCGCGAGAGAGAGCCCCCCCACACA".translate(
     str.maketrans("ACG", "012")
@@ -226,8 +230,7 @@ def test_decode_rejects_non_integral_entry(repo, repo_path, tmp_path, capsys):
 
 
 def test_decode_checks_the_window_length(repo, repo_path, tmp_path, capsys):
-    # kind a used to read only the first q^2 entries, and window length 1
-    # crashed in vector_to_matrix.
+    # kind a takes window length 2 only, and neither kind takes window length 1
     v33 = tmp_path / "v33.txt"
     entries = repo.vector(1) + tuple(range(100, 118))
     v33.write_text(ProfileVector(Params(3, 3), entries).to_text())
@@ -265,6 +268,82 @@ def test_simulate_command(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("noise")
     assert lines[1].split("\t")[2] == "25"  # zero noise: all successes
+
+
+@st.composite
+def _one_entry_edits(draw):
+    """A codeword, one of its word indices, and a nonzero change to it.
+
+    Whole changes are +-1: at window length 2, two repository vectors can
+    differ in one loop entry alone, by 2 or more, so a larger step may land
+    on another codeword.
+    """
+    q, ell = draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 4)]))
+    info = random_info_b(q, ell, draw(st.randoms(use_true_random=False)))
+    index = draw(st.integers(0, q**ell - 1))
+    delta = draw(
+        st.sampled_from([-1, 1])
+        | st.fractions(-2, 2).filter(lambda f: f.denominator > 1)
+    )
+    return info, index, delta
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_one_entry_edits())
+def test_decode_exit_codes_on_one_changed_entry(repo, tmp_path, capsys, edit):
+    # Reading the repository file takes a quarter second per command; the
+    # repository fixture stands in for it (its file round trip is tested in
+    # test_encoder.py).
+    info, index, delta = edit
+    vec = encode_b(info, repo)
+    entries = list(vec.entries)
+    entries[index] += delta
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(vec.to_text())
+    bad.write_text(FeasibleVector(vec.params, tuple(entries)).to_text())
+    decoded = {"a": info_a_to_text(info.base), "b": info_b_to_text(info)}
+    with patch.object(Repository, "load", return_value=repo):
+        for kind in "ab":
+            argv = ["decode", kind, "--repo", "repository.txt", "--vector"]
+            if kind == "b" or info.ell == 2:
+                assert main(argv + [str(good)]) == 0
+                assert capsys.readouterr().out == decoded[kind]
+            assert main(argv + [str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("not-a-codeword: ")
+
+
+def _drop_argv(profile, *rates):
+    return ["simulate", "--profile", str(profile), "--noise", "drop",
+            "--params", *rates, "--trials", "4", "--seed", "3", "--jobs", "1"]
+
+
+@pytest.mark.parametrize(
+    "rate",
+    ["\uff10.\uff11", "1_0e-1", "1e-1", ".5", "5.", "+0.5", "-0", "1.01", "nan", "inf"],
+)
+def test_drop_rates_take_ascii_decimals_in_unit_interval(rate, tmp_path, capsys):
+    # float() reads every one of these; the profile file does not exist, so
+    # the rate must be rejected before the profile is read
+    assert main(_drop_argv(tmp_path / "missing.txt", "0.5", rate)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and repr(rate) in captured.err
+
+
+def test_drop_rates_at_the_ends_of_the_unit_interval(tmp_path, capsys):
+    pfile = tmp_path / "profile.txt"
+    pfile.write_text(
+        ProfileVector(Params(3, 2), (2, 4, 10, 6, 12, 14, 8, 16, 18)).to_text()
+    )
+    assert main(_drop_argv(pfile, "0", "0.000", "1", "1.0")) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split("\t")[2] for row in rows] == ["4", "4", "0", "0"]
 
 
 def test_distance_command(capsys):

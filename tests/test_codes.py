@@ -19,7 +19,7 @@ from profilerank.codes import (
     substitute_codes,
 )
 from profilerank.core import Params, rank_of
-from profilerank.encoder import encode_a, encode_b, matrix_to_vector
+from profilerank.encoder import encode_a, encode_b
 
 
 # -- the distance itself ------------------------------------------------------
@@ -273,7 +273,7 @@ def test_precoded_alphabet_base_pair_distance(repo):
     d = space.base_distance
     infos = list(space)
     outs = [
-        rank_of(matrix_to_vector(encode_a(i, repo)), Params(4, 2)).order
+        rank_of(encode_a(i, repo).entries, Params(4, 2)).order
         for i in infos
     ]
     assert kendall_tau(outs[0], outs[1]) >= d
@@ -296,7 +296,7 @@ def test_precoded_alphabet_exhaustive_pairs(repo):
     space.check()
     bound = space.distance_bound
     outs = [
-        rank_of(matrix_to_vector(encode_a(i, repo)), Params(4, 2)).order
+        rank_of(encode_a(i, repo).entries, Params(4, 2)).order
         for i in space
     ]
     assert len(outs) == 8

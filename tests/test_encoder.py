@@ -28,7 +28,7 @@ from profilerank.encoder import (
     decode_b,
     encode_a,
     encode_b,
-    extend_matrix,
+    extend_vector,
     info_a_from_text,
     info_a_to_text,
     info_b_from_text,
@@ -36,18 +36,22 @@ from profilerank.encoder import (
     interleave,
     layer_domain,
     length_bounds,
-    matrix_to_vector,
     random_info_a,
     random_info_b,
     rate_lower_bound,
-    vector_to_matrix,
 )
 from profilerank.feasibility import FeasibleVector
 
-EQ3 = ((1, 2, 5), (3, 6, 7), (4, 8, 9))
+# Window-length-2 entries in word order: pair (a, b) at index a*q + b.
+EQ3 = (1, 2, 5, 3, 6, 7, 4, 8, 9)
 PI4 = (2, 3, 4, 1)
 T4 = (0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0)
-EXPECTED4 = ((20, 40, 100, 48), (61, 120, 140, 51), (81, 160, 180, 83), (46, 52, 84, 44))
+EXPECTED4 = (
+    20, 40, 100, 48,
+    61, 120, 140, 51,
+    81, 160, 180, 83,
+    46, 52, 84, 44,
+)
 
 
 # -- interleave / choose_y ----------------------------------------------------
@@ -68,7 +72,7 @@ def test_interleave_rejects_length_mismatch():
 
 
 def test_choose_y_worked_example():
-    sx = sorted(5 * e for row in EQ3 for e in row)
+    sx = sorted(5 * e for e in EQ3)
     assert choose_y(PI4, T4, sx) == [12, 13, 21, 11]
 
 
@@ -90,19 +94,18 @@ def test_choose_y_leading_ones_anchor_at_one():
 # -- the alphabet recursion ---------------------------------------------------
 
 def test_extend_matrix_worked_example():
-    assert extend_matrix(EQ3, PI4, T4) == EXPECTED4
+    assert extend_vector(EQ3, PI4, T4) == EXPECTED4
 
 
 def test_extend_matrix_output_order():
-    vec = matrix_to_vector(EXPECTED4)
-    order = rank_of(vec, Params(4, 2)).to_text()
+    order = rank_of(EXPECTED4, Params(4, 2)).to_text()
     assert order == "00,01,33,30,03,13,31,10,20,23,32,02,11,12,21,22"
 
 
 def test_encode_a_base_case_returns_repository_matrix(repo):
     info = InfoVecA(61)
-    assert encode_a(info, repo) == repo.matrix(61)
-    assert repo.matrix(61) == EQ3  # minimal-entry realization of the worked order
+    assert encode_a(info, repo) == ScaledVector(Params(3, 2), repo.vector(61))
+    assert repo.vector(61) == EQ3  # minimal-entry realization of the worked order
 
 
 def test_encode_a_outputs_validate(repo):
@@ -110,8 +113,9 @@ def test_encode_a_outputs_validate(repo):
     for q in (4, 5):
         for _ in range(40):
             info = random_info_a(q, rng)
-            vec = matrix_to_vector(encode_a(info, repo))
-            FeasibleVector(Params(q, 2), vec).check()
+            vec = encode_a(info, repo)
+            assert vec.params == Params(q, 2)
+            vec.check()
 
 
 def test_encode_a_order_preservation(repo):
@@ -121,12 +125,9 @@ def test_encode_a_order_preservation(repo):
         info = random_info_a(5, rng)
         prev = encode_a(InfoVecA(info.base, info.stages[:-1]), repo)
         cur = encode_a(info, repo)
-        q_prev = len(prev)
-        prev_vals = [prev[i][j] for i in range(q_prev) for j in range(q_prev)]
-        cur_vals = [cur[i][j] for i in range(q_prev) for j in range(q_prev)]
-        assert rank_of(prev_vals, Params(q_prev, 2)).order == rank_of(
-            cur_vals, Params(q_prev, 2)
-        ).order
+        p_prev = prev.params
+        cur_vals = [cur[w] for w in p_prev.words()]
+        assert rank_of(prev.entries, p_prev).order == rank_of(cur_vals, p_prev).order
 
 
 def test_decode_a_round_trip(repo):
@@ -139,16 +140,26 @@ def test_decode_a_round_trip(repo):
 
 def test_decode_a_worked_example(repo):
     info = InfoVecA(61, (StageA(PI4, T4),))
-    assert encode_a(info, repo) == EXPECTED4
-    assert decode_a(EXPECTED4, repo) == info
+    assert encode_a(info, repo).entries == EXPECTED4
+    assert decode_a(FeasibleVector(Params(4, 2), EXPECTED4), repo) == info
 
 
 def test_decode_a_rejects_non_codeword(repo):
     with pytest.raises(NotACodeword):
-        decode_a(((1, 2, 3), (4, 5, 6), (7, 8, 9)), repo)
-    broken = tuple(tuple(row) for row in EXPECTED4[:-1]) + ((46, 52, 84, 45),)
+        decode_a(FeasibleVector(Params(3, 2), (1, 2, 3, 4, 5, 6, 7, 8, 9)), repo)
+    broken = EXPECTED4[:-1] + (45,)
     with pytest.raises(NotACodeword):
-        decode_a(broken, repo)
+        decode_a(FeasibleVector(Params(4, 2), broken), repo)
+
+
+def test_decode_a_rejects_window_length_other_than_two(repo):
+    # the first nine entries are a repository vector, the rest arbitrary
+    v33 = FeasibleVector(Params(3, 3), repo.vector(1) + tuple(range(100, 118)))
+    for vec in (v33, FeasibleVector(Params(3, 1), (1, 2, 3))):
+        with pytest.raises(NotACodeword, match="window length 2"):
+            decode_a(vec, repo)
+    with pytest.raises(NotACodeword, match="q >= 3"):
+        decode_a(FeasibleVector(Params(2, 2), (1, 2, 3, 4)), repo)
 
 
 def test_rank_level_injectivity_alphabet(repo):
@@ -156,7 +167,7 @@ def test_rank_level_injectivity_alphabet(repo):
     seen = {}
     for _ in range(250):
         info = random_info_a(4, rng)
-        order = rank_of(matrix_to_vector(encode_a(info, repo)), Params(4, 2)).order
+        order = rank_of(encode_a(info, repo).entries, Params(4, 2)).order
         if info in seen:
             continue
         for other, other_order in seen.items():
@@ -180,7 +191,7 @@ def test_encode_b_window_two_delegates(repo):
     info = random_info_b(4, 2, rng)
     sv = encode_b(info, repo)
     assert sv.params == Params(4, 2)
-    assert vector_to_matrix(sv.entries, sv.params.q) == encode_a(info.base, repo)
+    assert sv == encode_a(info.base, repo)
 
 
 def test_scaled_vector_is_a_feasible_vector(repo):
@@ -245,7 +256,7 @@ def test_decode_b_rejects_tampering(repo):
 
 
 def test_decode_b_rejects_window_one(repo):
-    # An IndexError in vector_to_matrix before this check.
+    # window length 1 has no alphabet part to read
     with pytest.raises(NotACodeword, match="window length"):
         decode_b(FeasibleVector(Params(3, 1), (1, 2, 3)), repo)
 
@@ -301,7 +312,7 @@ def _reference_lift(entries, layer, q, i):
 
 def _reference_encode_b(info, repo):
     q = info.q
-    entries = matrix_to_vector(encode_a(info.base, repo))
+    entries = encode_a(info.base, repo).entries
     for offset, layer in enumerate(info.layers):
         entries = _reference_lift(entries, layer, q, 3 + offset)
     return tuple(entries)
@@ -328,7 +339,8 @@ def _reference_decode_b(entries, q, ell, repo):
                 layer[u] = tuple(ranks)
         layers.append(layer)
         entries = prev
-    return InfoVecB(decode_a(vector_to_matrix(entries, q), repo), tuple(reversed(layers)))
+    base = decode_a(FeasibleVector(Params(q, 2), tuple(entries)), repo)
+    return InfoVecB(base, tuple(reversed(layers)))
 
 
 @pytest.mark.parametrize(
@@ -344,6 +356,25 @@ def test_window_recursion_matches_per_word_reference(repo, q, ell, count):
         assert sv.entries == _reference_encode_b(info, repo)
         decoded = decode_b(sv, repo)
         assert decoded == _reference_decode_b(sv.entries, q, ell, repo) == info
+
+
+# sha256 over the vector text of encode_b for the seeded messages below: it
+# pins the exact outputs of both recursions, which only the worked 4x4
+# example above pins otherwise.
+ENCODE_B_DIGEST = "c457a26e9cba1ccda4fcb51d9e5b5c910e5ac44efb383eb45deb76c43126bde6"
+PINNED_CLASSES = (
+    (3, 2, 40), (4, 2, 40), (5, 2, 30), (6, 2, 20),
+    (3, 3, 20), (4, 3, 15), (3, 4, 10), (5, 3, 10), (4, 4, 5),
+)
+
+
+def test_encode_b_outputs_match_pinned_digest(repo):
+    digest = hashlib.sha256()
+    for q, ell, count in PINNED_CLASSES:
+        rng = random.Random(100 * q + ell)
+        for _ in range(count):
+            digest.update(encode_b(random_info_b(q, ell, rng), repo).to_text().encode())
+    assert digest.hexdigest() == ENCODE_B_DIGEST
 
 
 def test_decode_b_rejects_every_unit_change_of_one_entry(repo):
@@ -495,7 +526,7 @@ def test_repository_load_rejects_wrong_row_count(repo, tmp_path):
 def test_repository_index_lookup(repo):
     assert repo.index_of(EQ3) == 61
     with pytest.raises(NotACodeword):
-        repo.index_of(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+        repo.index_of((1, 2, 3, 4, 5, 6, 7, 8, 9))
 
 
 def test_info_text_round_trips():
