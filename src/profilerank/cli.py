@@ -57,7 +57,8 @@ def _whole(least: int = 0):
 
 
 _natural = _whole()
-_jobs = _whole(1)
+_positive = _whole(1)  # window lengths, string lengths, c3, worker counts
+_alphabet = _whole(2)  # alphabet sizes
 
 
 def _read(path: str) -> str:
@@ -156,7 +157,7 @@ def cmd_decode(args) -> int:
     repo = encoder.Repository.load(args.repo)
     fv = feasibility.FeasibleVector.from_text(_read(args.vector))
     try:
-        if not fv.is_integral():
+        if fv.denom != 1:
             raise encoder.NotACodeword("encoder outputs have integer entries")
         if args.kind == "a":
             text = encoder.info_a_to_text(encoder.decode_a(fv, repo))
@@ -260,8 +261,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("profile", help="profile vector of a circular string")
-    p.add_argument("--q", type=_natural, required=True)
-    p.add_argument("--ell", type=_natural, required=True)
+    p.add_argument("--q", type=_alphabet, required=True)
+    p.add_argument("--ell", type=_positive, required=True)
     p.add_argument("--string")
     p.add_argument("--string-file")
     p.add_argument("--out")
@@ -271,20 +272,20 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", required=True)
     p.add_argument("--method", choices=["euler", "markov"], default="euler")
     p.add_argument("--seed", type=_natural)
-    p.add_argument("--length", type=_natural)
+    p.add_argument("--length", type=_positive)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("census", help="count realizable orders exhaustively")
-    p.add_argument("--q", type=_natural, required=True)
-    p.add_argument("--ell", type=_natural, required=True)
-    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
+    p.add_argument("--q", type=_alphabet, required=True)
+    p.add_argument("--ell", type=_positive, required=True)
+    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("repo", help="build or verify the base repository")
     p.add_argument("action", choices=["build", "verify"])
     p.add_argument("--file", required=True)
-    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_repo)
 
     p = sub.add_parser("encode", help="message file to vector/permutation/string")
@@ -303,15 +304,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bounds", help="counting, rate, and length calculators")
-    p.add_argument("--q", type=_natural)
-    p.add_argument("--ell", type=_natural)
+    p.add_argument("--q", type=_alphabet)
+    p.add_argument("--ell", type=_positive)
     p.add_argument("--upper", action="store_true")
     p.add_argument("--lower", action="store_true")
     p.add_argument("--rate", action="store_true")
     p.add_argument("--length", action="store_true")
     p.add_argument("--alpha", action="store_true")
     p.add_argument("--rate-table", action="store_true")
-    p.add_argument("--c3", type=_natural, default=17)
+    p.add_argument("--c3", type=_positive, default=17)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -321,7 +322,7 @@ def build_parser() -> _Parser:
     p.add_argument("--params", nargs="+", required=True)
     p.add_argument("--trials", type=_natural, default=100)
     p.add_argument("--seed", type=_natural, required=True)
-    p.add_argument("--jobs", type=_jobs, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -50,6 +50,8 @@ from .feasibility import FeasibleVector
 
 BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
+_WIDTH = BASE_Q * BASE_Q  # entries per repository row
+_REPOSITORY_ROW = re.compile(" ".join([DIGITS] * _WIDTH))  # as Repository.save writes it
 
 
 class NotACodeword(ValueError):
@@ -128,17 +130,17 @@ class Repository:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if lines[-1] != f"sha256={digest}":
             raise ValueError("repository checksum mismatch")
-        width = BASE_Q * BASE_Q
-        vectors = tuple(
-            tuple(parse_natural(t, "repository entry") for t in ln.split())
-            for ln in lines[1:-1]
-        )
-        for number, vec in enumerate(vectors, start=2):
-            if len(vec) != width:
-                raise ValueError(
-                    f"repository line {number} has {len(vec)} entries, not {width}"
-                )
-        return cls(vectors)
+        vectors = []
+        for number, ln in enumerate(lines[1:-1], start=2):
+            if not _REPOSITORY_ROW.fullmatch(ln):
+                # Read the row token by token to say what is wrong with it.
+                vec = tuple(parse_natural(t, "repository entry") for t in ln.split())
+                if len(vec) != _WIDTH:
+                    raise ValueError(
+                        f"repository line {number} has {len(vec)} entries, not {_WIDTH}"
+                    )
+            vectors.append(tuple(map(int, ln.split())))
+        return cls(tuple(vectors))
 
 
 # ---------------------------------------------------------------------------

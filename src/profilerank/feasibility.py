@@ -34,7 +34,6 @@ from typing import Sequence
 
 from ._simplex import Phase1, phase1
 from .core import (
-    Entry,
     Params,
     ProfileVector,
     RankPermutation,
@@ -45,37 +44,41 @@ from .core import (
     parse_vector_text,
     satisfies,
     vector_text,
-    word_index,
     word_text,
 )
 
 
 @dataclass(frozen=True)
 class FeasibleVector:
-    """Exact-rational vector realizing a permutation.
+    """Exact vector realizing a permutation: word ``i`` has the value
+    ``entries[i] / denom``.
 
-    Invariants (enforced by :meth:`check`): every entry >= 1, entries pairwise
-    distinct, and in/out sums balance at every node.
+    The entries are integers and ``denom >= 1`` shares no factor with all of
+    them, so each vector has one form and ``==`` compares values.  Further
+    invariants (enforced by :meth:`check`): every value >= 1, values
+    pairwise distinct, and in/out sums balance at every node.
     """
 
     params: Params
-    entries: tuple[Entry, ...]
+    entries: tuple[int, ...]
+    denom: int = 1
 
-    def __getitem__(self, w: Word) -> Entry:
-        return self.entries[word_index(w, self.params.q)]
+    def __post_init__(self) -> None:
+        # math.gcd also raises TypeError on an entry that is not an integer.
+        if self.denom < 1 or math.gcd(self.denom, *self.entries) != 1:
+            raise ValueError("denominator must be >= 1 and in lowest terms")
 
     def check(self, perm: RankPermutation | None = None) -> None:
         """Raise ValueError unless the invariants hold (and the entries
         realize ``perm``, when given).
 
-        The checks run on integers: every entry times the common
-        denominator ``scale``, which keeps sums, order and equality.
+        The checks run on the integer entries: the common denominator keeps
+        sums, order and equality.
         """
-        p = self.params
-        if len(self.entries) != p.word_count:
+        p, values = self.params, self.entries
+        if len(values) != p.word_count:
             raise ValueError("entry count does not match q^ell")
-        scale, values = self.over_common_denominator()
-        if min(values) < scale:
+        if min(values) < self.denom:
             raise ValueError("entries must all be >= 1")
         if len(set(values)) != len(values):
             raise ValueError("entries must be pairwise distinct")
@@ -86,39 +89,26 @@ class FeasibleVector:
         if perm is not None and not satisfies(values, perm, p):
             raise ValueError("vector does not realize the stated permutation")
 
-    def over_common_denominator(self) -> tuple[int, Sequence[int]]:
-        """``(scale, values)``: the least common denominator of the entries,
-        and every entry times it, as integers."""
-        entries = self.entries
-        if all(map(int.__instancecheck__, entries)):  # isinstance(e, int) for all
-            return 1, entries
-        scale = math.lcm(*{e.denominator for e in entries})
-        return scale, [e.numerator * (scale // e.denominator) for e in entries]
-
-    def is_integral(self) -> bool:
-        return all(
-            isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)
-            for e in self.entries
-        )
-
     def to_profile(self) -> ProfileVector:
-        if not self.is_integral():
-            raise ValueError("only integer vectors convert to profiles")
-        return ProfileVector(self.params, tuple(int(e) for e in self.entries))
+        """The entries as a profile: the vector times its denominator, the
+        least integer multiple of it."""
+        return ProfileVector(self.params, self.entries)
 
     def to_text(self) -> str:
-        return vector_text(self.params, self.entries)
+        return vector_text(self.params, [Fraction(e, self.denom) for e in self.entries])
 
     @classmethod
     def from_text(cls, text: str) -> "FeasibleVector":
         params, fields = parse_vector_text(text)
-        entries: list[Entry] = []
+        values = []
         for f in fields:
             if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", f):
                 raise ValueError(f"bad vector entry: {f!r}")
-            val = Fraction(f)
-            entries.append(int(val) if val.denominator == 1 else val)
-        return cls(params, tuple(entries))
+            values.append(Fraction(f))
+        # Over the lcm of the reduced denominators the entries are in lowest
+        # terms: each prime of it divides one denominator fully.
+        d = math.lcm(*(v.denominator for v in values))
+        return cls(params, tuple(v.numerator * (d // v.denominator) for v in values), d)
 
 
 @dataclass(frozen=True)
@@ -294,12 +284,12 @@ def decide(perm: RankPermutation, *, use_precheck: bool = True) -> Verdict:
             witness="no nonnegative flow-conserving assignment exists",
             farkas=tuple(lp.farkas),
         )
-    entries: list[Entry] = [0] * params.word_count
+    entries = [0] * params.word_count
     d = lp.denom
-    for k, (idx, acc) in enumerate(zip(perm.order, accumulate(lp.x))):
-        v = Fraction((k + 1) * d + acc, d)
-        entries[idx] = int(v) if v.denominator == 1 else v
-    vector = FeasibleVector(params, tuple(entries))
+    for k, (idx, acc) in enumerate(zip(perm.order, accumulate(lp.x)), 1):
+        entries[idx] = k * d + acc
+    g = math.gcd(d, *entries)
+    vector = FeasibleVector(params, tuple(e // g for e in entries), d // g)
     vector.check(perm)
     return Verdict(True, vector=vector)
 

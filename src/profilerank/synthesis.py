@@ -25,17 +25,6 @@ from .core import (
     word_index,
     word_text,
 )
-from .feasibility import FeasibleVector
-
-
-def integerize(chi: FeasibleVector) -> FeasibleVector:
-    """Scale a rational vector by the LCM of its denominators.
-
-    The scaling is positive, so the realized permutation and the flow
-    balance are untouched; the price is a longer witness string.
-    """
-    chi.check()
-    return FeasibleVector(chi.params, tuple(chi.over_common_denominator()[1]))
 
 
 def check_connectivity(p: ProfileVector) -> bool:

@@ -112,7 +112,6 @@ def test_gap_based_recovery_over_random_realizable_profiles():
     # quantified version: any realizable integer profile, scaled so every
     # pairwise gap exceeds twice the noise magnitude, always decodes cleanly
     from profilerank.feasibility import decide
-    from profilerank.synthesis import integerize
 
     rng = random.Random(13)
     magnitude = 3
@@ -124,7 +123,7 @@ def test_gap_based_recovery_over_random_realizable_profiles():
         if not verdict.feasible:
             continue
         found += 1
-        base = integerize(verdict.vector).to_profile()
+        base = verdict.vector.to_profile()
         spread = base.scaled(2 * magnitude + 1)
         for seed in range(5):
             noisy = perturb(spread, AdditiveNoise(magnitude), seed=seed)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -73,6 +74,27 @@ def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
         assert captured.out == ""
         assert "--jobs" in captured.err
     assert not (tmp_path / "repo.txt").exists()
+
+
+def test_whole_numbers_below_their_least_are_usage_errors(tmp_path, capsys):
+    pfile = tmp_path / "profile.txt"
+    pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
+    markov = ["synthesize", "--profile", str(pfile), "--method", "markov", "--seed", "1"]
+    commands = [
+        (["census", "--q", "3", "--ell", "0", "--jobs", "1"], "--ell"),
+        (["census", "--q", "1", "--ell", "2", "--jobs", "1"], "--q"),
+        (["profile", "--q", "1", "--ell", "2", "--string", "000"], "--q"),
+        (["profile", "--q", "3", "--ell", "0", "--string", "012"], "--ell"),
+        (markov + ["--length", "0"], "--length"),
+        (["bounds", "--q", "3", "--ell", "3", "--length", "--c3", "0"], "--c3"),
+        (["bounds", "--q", "1", "--ell", "3", "--lower"], "--q"),
+        (["bounds", "--q", "3", "--ell", "0", "--lower"], "--ell"),
+    ]
+    for argv, option in commands:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
 
 
 @pytest.mark.parametrize("value", ["\uff13", "1_0", "+3", "-3", "3.0", ""])
@@ -300,11 +322,12 @@ def test_decode_exit_codes_on_one_changed_entry(repo, tmp_path, capsys, edit):
     # test_encoder.py).
     info, index, delta = edit
     vec = encode_b(info, repo)
-    entries = list(vec.entries)
-    entries[index] += delta
+    d = Fraction(delta).denominator  # the changed vector's denominator
+    entries = [e * d for e in vec.entries]
+    entries[index] += int(delta * d)
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
     good.write_text(vec.to_text())
-    bad.write_text(FeasibleVector(vec.params, tuple(entries)).to_text())
+    bad.write_text(FeasibleVector(vec.params, tuple(entries), d).to_text())
     decoded = {"a": info_a_to_text(info.base), "b": info_b_to_text(info)}
     with patch.object(Repository, "load", return_value=repo):
         for kind in "ab":

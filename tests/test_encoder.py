@@ -126,7 +126,7 @@ def test_encode_a_order_preservation(repo):
         prev = encode_a(InfoVecA(info.base, info.stages[:-1]), repo)
         cur = encode_a(info, repo)
         p_prev = prev.params
-        cur_vals = [cur[w] for w in p_prev.words()]
+        cur_vals = [cur.entries[word_index(w, 5)] for w in p_prev.words()]
         assert rank_of(prev.entries, p_prev).order == rank_of(cur_vals, p_prev).order
 
 
@@ -218,7 +218,7 @@ def test_encode_b_interior_preimages_follow_layer(repo):
         info = random_info_b(3, 3, rng)
         sv = encode_b(info, repo)
         for w in layer_domain(3, 3):
-            vals = [sv[v] for v in homo_preimages(w, 3)]
+            vals = [sv.entries[word_index(v, 3)] for v in homo_preimages(w, 3)]
             ranks = [sorted(vals).index(v) for v in vals]
             assert tuple(ranks) == info.layers[0][w]
 
@@ -232,10 +232,11 @@ def test_encode_b_order_preservation_through_homomorphism(repo):
         q = 3
         for a in all_words(q, 3):
             for b in all_words(q, 3):
-                ia, ib = homo_image(a, q), homo_image(b, q)
+                ia, ib = word_index(homo_image(a, q), q), word_index(homo_image(b, q), q)
                 if ia == ib:
                     continue
-                assert (cur[a] < cur[b]) == (prev[ia] < prev[ib])
+                ca, cb = cur.entries[word_index(a, q)], cur.entries[word_index(b, q)]
+                assert (ca < cb) == (prev.entries[ia] < prev.entries[ib])
 
 
 def test_decode_b_round_trip(repo):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -404,6 +405,32 @@ def test_order_lps_match_the_reference_solver(repo, q, ell):
         assert tuple(order_lp_solution(perm.order, params)[:5]) == reference
 
 
+# sha256 over the text and Farkas vector of every verdict on the seeded
+# encoder orders below, with random adjacent swaps: it pins decide's exact
+# outputs, fractional and integral vectors, pre-check witnesses and LP
+# refutations alike.
+DECIDE_DIGEST = "e443ca1ca1d2c36b36e5965613d25993f1b4aa3903631c2a216e353341a36f71"
+DECIDE_PINNED_CLASSES = ((3, 3, 30), (4, 3, 20), (3, 4, 20))
+
+
+def test_decide_outputs_match_pinned_digest(repo):
+    digest = hashlib.sha256()
+    kinds = set()
+    for q, ell, count in DECIDE_PINNED_CLASSES:
+        rng = random.Random(1000 * q + ell)
+        for perm in _swapped_encoder_orders(repo, q, ell, count, rng):
+            verdict = decide(perm)
+            text = verdict.to_text()
+            digest.update(text.encode())
+            digest.update(repr(verdict.farkas).encode())
+            if verdict.feasible:
+                kinds.add("fractional" if "/" in text else "integral")
+            else:
+                kinds.add("farkas" if verdict.farkas else "precheck")
+    assert kinds == {"fractional", "integral", "farkas", "precheck"}
+    assert digest.hexdigest() == DECIDE_DIGEST
+
+
 def test_decide_five_letters_window_four(repo):
     """A (5,4) encoder order: 625 slack columns on 125 node rows.  D
     outgrows the first field width, so T is packed again on the way."""
@@ -447,8 +474,8 @@ def test_scaling_closure():
     verdict = decide(RankPermutation.from_text(CHANNEL_ORDER))
     chi = verdict.vector
     alpha, beta = Fraction(7, 3), Fraction(2)
-    scaled = FeasibleVector(
-        chi.params, tuple(alpha * e + beta for e in chi.entries)
+    scaled = _rational_vector(
+        chi.params, [alpha * Fraction(e, chi.denom) + beta for e in chi.entries]
     )
     scaled.check(RankPermutation.from_text(CHANNEL_ORDER))
 
@@ -640,18 +667,18 @@ def test_feasible_vector_text_round_trip_property(data):
     entries = data.draw(
         st.lists(entry, min_size=params.word_count, max_size=params.word_count)
     )
-    vec = FeasibleVector(params, tuple(entries))
-    again = FeasibleVector.from_text(vec.to_text())
+    vec = _rational_vector(params, entries)
+    text = vec.to_text()
+    again = FeasibleVector.from_text(text)
     assert again == vec
-    # An integral value reads back as an int, whatever type it was written from.
-    assert [type(e) for e in again.entries] == [
-        int if Fraction(e).denominator == 1 else Fraction for e in entries
-    ]
+    # An integral value is written as an integer, a fraction in lowest terms.
+    fields = [ln.split()[1] for ln in text.splitlines()[1:]]
+    assert fields == [str(Fraction(e)) for e in entries]
 
 
 def test_vector_parsers_read_words_in_any_order():
     text = "q=2 ell=1\n\n1 5/2\n0 3\n"
-    assert FeasibleVector.from_text(text).entries == (3, Fraction(5, 2))
+    assert FeasibleVector.from_text(text) == FeasibleVector(Params(2, 1), (6, 5), 2)
     with pytest.raises(ValueError):
         ProfileVector.from_text(text)  # counts are integers
     assert ProfileVector.from_text("q=2 ell=1\n1 5\n0 3").counts == (3, 5)
@@ -666,17 +693,24 @@ def test_feasible_vector_check_rejects_violations():
         FeasibleVector(P32, (1, 2, 3, 4, 5, 6, 7, 8, 9)).check()  # flow broken
 
 
+def _rational_vector(params, values):
+    """The FeasibleVector of rational ``values``: integer entries over the
+    lcm of their denominators."""
+    d = math.lcm(*(Fraction(v).denominator for v in values))
+    return FeasibleVector(params, tuple(int(v * d) for v in values), d)
+
+
 def _channel_fraction_vector(alpha, beta):
     """The channel order's vector under e -> alpha e + beta, which keeps
     flow balance: every node has q in-words and q out-words."""
-    entries = decide(RankPermutation.from_text(CHANNEL_ORDER)).vector.entries
-    return [alpha * e + beta for e in entries]
+    vec = decide(RankPermutation.from_text(CHANNEL_ORDER)).vector
+    return [alpha * Fraction(e, vec.denom) + beta for e in vec.entries]
 
 
 def test_feasible_vector_check_on_fraction_entries():
     perm = RankPermutation.from_text(CHANNEL_ORDER)
     good = _channel_fraction_vector(Fraction(7, 3), Fraction(1, 5))
-    FeasibleVector(P32, tuple(good)).check(perm)
+    _rational_vector(P32, good).check(perm)
     low = min(good)
     below_one = [e - low + Fraction(1, 2) for e in good]
     flow_broken = good[:]
@@ -690,6 +724,36 @@ def test_feasible_vector_check_on_fraction_entries():
         (good, RankPermutation(P32, tuple(swapped)), "does not realize"),
     ]
     for entries, order, message in cases:
-        assert not FeasibleVector(P32, tuple(entries)).is_integral()
+        vec = _rational_vector(P32, entries)
+        assert vec.denom != 1
         with pytest.raises(ValueError, match=message):
-            FeasibleVector(P32, tuple(entries)).check(order)
+            vec.check(order)
+
+
+def test_feasible_vector_holds_integers_in_lowest_terms():
+    assert FeasibleVector(P32, tuple(range(1, 10))).denom == 1
+    with pytest.raises(TypeError):
+        FeasibleVector(Params(3, 1), (Fraction(3, 2), Fraction(7, 3), Fraction(23, 6)))
+    for denom in (0, -6):
+        with pytest.raises(ValueError, match="lowest terms"):
+            FeasibleVector(Params(3, 1), (9, 14, 23), denom)
+    with pytest.raises(ValueError, match="lowest terms"):
+        FeasibleVector(Params(3, 1), (18, 28, 46), 12)  # (9, 14, 23) / 6, doubled
+    assert FeasibleVector(Params(3, 1), (9, 14, 23), 6) == _rational_vector(
+        Params(3, 1), [Fraction(3, 2), Fraction(7, 3), Fraction(23, 6)]
+    )
+
+
+def test_fractional_vector_to_profile_scales_by_its_denominator(repo):
+    rng = random.Random(33)
+    fractional = 0
+    for perm in _swapped_encoder_orders(repo, 4, 3, 20, rng):
+        vec = decide(perm).vector
+        if vec is None or vec.denom == 1:
+            continue
+        fractional += 1
+        profile = vec.to_profile()
+        values = [Fraction(ln.split()[1]) for ln in vec.to_text().splitlines()[1:]]
+        assert list(profile.counts) == [vec.denom * v for v in values]
+        assert rank_of(profile).order == perm.order
+    assert fractional > 0

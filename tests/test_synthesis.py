@@ -10,7 +10,6 @@ from profilerank.synthesis import (
     check_connectivity,
     eulerian_runs,
     eulerian_string,
-    integerize,
     markov_generate,
     markov_matrix,
     normalized,
@@ -27,19 +26,17 @@ def _random_profile(rng, params, length):
     return profile_of(x, params)
 
 
-# -- integerize ---------------------------------------------------------------
+# -- integerization: FeasibleVector.to_profile -------------------------------
 
 def test_integerize_scales_by_lcm():
-    chi = FeasibleVector(
-        Params(3, 1), (Fraction(3, 2), Fraction(7, 3), Fraction(23, 6))
-    )
-    out = integerize(chi)
-    assert out.entries == (9, 14, 23)
+    chi = FeasibleVector.from_text("q=3 ell=1\n0 3/2\n1 7/3\n2 23/6\n")
+    assert chi == FeasibleVector(Params(3, 1), (9, 14, 23), 6)
+    assert chi.to_profile().counts == (9, 14, 23)
 
 
 def test_integerize_leaves_integers_alone():
     chi = FeasibleVector(P32, CHANNEL_PROFILE.counts)
-    assert integerize(chi).entries == chi.entries
+    assert chi.to_profile() == CHANNEL_PROFILE
 
 
 def test_integerize_preserves_rank_order():
@@ -51,9 +48,9 @@ def test_integerize_preserves_rank_order():
         if not verdict.feasible:
             continue
         found += 1
-        out = integerize(verdict.vector)
-        assert rank_of(out.entries, P32).order == order
-        out.check()
+        out = verdict.vector.to_profile()
+        assert rank_of(out).order == order
+        FeasibleVector(P32, out.counts).check()
 
 
 # -- connectivity and the Eulerian walk ---------------------------------------
@@ -236,7 +233,7 @@ def test_full_pipeline_decide_integerize_synthesize():
         if not verdict.feasible:
             continue
         found += 1
-        x = eulerian_string(integerize(verdict.vector).to_profile())
+        x = eulerian_string(verdict.vector.to_profile())
         assert verify(x, perm)
 
 
