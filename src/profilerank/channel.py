@@ -23,10 +23,27 @@ class AdditiveNoise:
     magnitude: int
 
     def apply(self, counts: Sequence[int], rng: random.Random) -> list[int]:
+        """Each count plus ``rng.randint(-m, m)``, clamped at zero.
+
+        The shift is drawn inline the way ``randint`` draws it: k-bit
+        samples, k the bit length of the 2m+1 outcomes, until one falls
+        below 2m+1.  So the draws, and the generator's state after them,
+        are those of ``randint``.
+        """
         m = self.magnitude
         if m < 0:
             raise ValueError("magnitude must be nonnegative")
-        return [max(0, c + rng.randint(-m, m)) for c in counts]
+        width = 2 * m + 1
+        bits = width.bit_length()
+        getrandbits = rng.getrandbits
+        out = []
+        for c in counts:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            c += r - m
+            out.append(c if c > 0 else 0)
+        return out
 
     def label(self) -> str:
         return f"additive:{self.magnitude}"

@@ -184,21 +184,24 @@ def cmd_bounds(args) -> int:
         raise _UsageError("--q and --ell are required unless --rate-table is given")
     params = Params(args.q, args.ell)
     lines = []
-    if args.upper:
-        bound = feasibility.upper_bound(params)
-        lines.append(f"upper={bound} ({float(bound):.6g})")
-    if args.lower:
-        lines.append(f"lower={encoder.count_lower_bound(params)}")
-    if args.rate:
-        lines.append(f"rate={encoder.rate_lower_bound(params):.4f}")
-    if args.length:
-        b = encoder.length_bounds(params, args.c3)
-        lines.append(
-            f"max_entry_pairs={b.max_entry_pairs} length_pairs={b.length_pairs} "
-            f"max_entry={b.max_entry} length={b.length}"
-        )
-    if args.alpha:
-        lines.append(f"alpha_star_lower={feasibility.alpha_star_lower(params)}")
+    try:
+        if args.upper:
+            bound = feasibility.upper_bound(params)
+            lines.append(f"upper={bound} ({float(bound):.6g})")
+        if args.lower:
+            lines.append(f"lower={encoder.count_lower_bound(params)}")
+        if args.rate:
+            lines.append(f"rate={encoder.rate_lower_bound(params):.4f}")
+        if args.length:
+            b = encoder.length_bounds(params, args.c3)
+            lines.append(
+                f"max_entry_pairs={b.max_entry_pairs} length_pairs={b.length_pairs} "
+                f"max_entry={b.max_entry} length={b.length}"
+            )
+        if args.alpha:
+            lines.append(f"alpha_star_lower={feasibility.alpha_star_lower(params)}")
+    except ValueError as err:  # --q/--ell outside the calculator's domain
+        raise _UsageError(str(err)) from None
     if not lines:
         raise _UsageError("pick at least one of --upper/--lower/--rate/--length/--alpha")
     _write(args.out, "\n".join(lines) + "\n")

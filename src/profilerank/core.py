@@ -364,6 +364,12 @@ def is_flow_conserving(p: ProfileVector) -> bool:
 # Rank permutations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _index_set(n: int) -> frozenset[int]:
+    """The word indices 0..n-1, which every rank order lists once."""
+    return frozenset(range(n))
+
+
 @dataclass(frozen=True)
 class RankPermutation:
     """A total order on all words of length ``ell``.
@@ -377,7 +383,7 @@ class RankPermutation:
 
     def __post_init__(self) -> None:
         n = self.params.word_count
-        if len(self.order) != n or set(self.order) != set(range(n)):
+        if len(self.order) != n or _index_set(n) != set(self.order):
             raise ValueError("order must list every word index exactly once")
 
     @classmethod

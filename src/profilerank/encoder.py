@@ -17,6 +17,18 @@ are multiples of q^(-q^2), so a fixed-point scale of q^(q^2) per stage keeps
 everything in exact integers; entries grow accordingly and need arbitrary
 precision.
 
+Each window step runs from a plan built once per (q, i).  A message's layer
+is turned into one flat list of weighted layer values, W(u) * layer[u][s] for
+every interior word u and symbol s: every correction term of a word is
++-W(u) times one layer value of its own key u, so the list is exact and each
+term is an index into it.  The plan groups the output words by the shape of
+their corrections (one added term where both ends of the image are nonzero,
+q-1 subtracted terms where one end is 0, (q-1)^2 added terms where both
+are), gathers each group's image entries and terms with ``itemgetter``, and
+puts the groups back into word order with one more ``itemgetter``.  The
+decoder's peel reads each node's q preimage entries through the same plan and
+range-checks them against the base value of the first one.
+
 Both decoders invert by reading rank information back off the output and
 re-encode as a final consistency check; inputs that fail any structural step
 raise :class:`NotACodeword`.
@@ -30,7 +42,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from itertools import chain
+from operator import add, itemgetter, mul, sub
+from typing import NamedTuple, Sequence
 
 from .core import (
     DIGITS,
@@ -392,77 +406,119 @@ def _digit_position(a: int, b: int, q: int) -> int:
     return a + b * q + 1
 
 
+class _Group(NamedTuple):
+    """Output words whose corrections share one shape: a getter of their
+    images' indices and a getter of their terms' flat indices, word after
+    word."""
+
+    images: itemgetter
+    terms: itemgetter
+
+
 @dataclass(frozen=True)
 class _WindowPlan:
     """Everything one window-growth step at (q, i) needs that does not depend
     on the message.
 
-    ``words`` has one entry per word v of length i, in index order: the index
-    of its adjacent-sum image and its correction terms ``(u, selector,
-    weight)``, each adding ``weight * layer[u][selector]``.  ``nodes`` has one
-    entry per word u of length i-1, in index order: the indices of its q
-    preimages in :func:`homo_preimages` order, and u itself if it is interior
-    (None otherwise).  ``interior`` holds the interior words, the keys a
-    layer must have.
+    A layer's corrections are read from one flat list of weighted layer
+    values, q per interior word in the order of ``keys``: entry ``k*q + s``
+    is ``weights[k*q + s] * layer[keys[k]][s]``, where ``weights`` repeats
+    the word's correction weight W(u) = q^(q^2 - (u[0] + u[-1]*q + 1)) q
+    times.  The words v of length i fall into three groups by the ends of
+    their image w: ``single`` (both ends nonzero: one term, added),
+    ``minus`` (one end zero: q-1 terms, subtracted) and ``plus`` (both ends
+    zero: (q-1)^2 terms, added).  ``order`` puts the three groups' words,
+    concatenated, back into index order.  ``nodes`` has one entry per word
+    u of length i-1, in index order: a getter of its q preimages' entries
+    in :func:`homo_preimages` order, and u itself if it is interior (None
+    otherwise).  ``interior`` holds the interior words, the keys a layer
+    must have.  Every getter takes at least two indices (q >= 2), so each
+    returns a tuple.
     """
 
-    words: tuple[tuple[int, tuple[tuple[Word, int, int], ...]], ...]
-    nodes: tuple[tuple[tuple[int, ...], Word | None], ...]
+    keys: tuple[Word, ...]
+    weights: tuple[int, ...]
+    single: _Group
+    minus: _Group
+    plus: _Group
+    order: itemgetter
+    nodes: tuple[tuple[itemgetter, Word | None], ...]
     interior: frozenset[Word]
 
 
 @lru_cache(maxsize=None)
 def _window_plan(q: int, i: int) -> _WindowPlan:
-    # Terms share one key object per interior word: the plan stays cached for
-    # the life of the process, so it should hold few small objects.
-    keys = {u: u for u in layer_domain(q, i)}
-    weight = {
-        (a, b): q ** (q * q - _digit_position(a, b, q))
-        for a in range(1, q)
-        for b in range(1, q)
-    }
-    words = []
-    for v in all_words(q, i):
+    keys = layer_domain(q, i)
+    row = {u: k * q for k, u in enumerate(keys)}
+    weights = tuple(
+        q ** (q * q - _digit_position(u[0], u[-1], q)) for u in keys for _ in range(q)
+    )
+    words: tuple[list[int], ...] = ([], [], [])
+    images: tuple[list[int], ...] = ([], [], [])
+    terms: tuple[list[int], ...] = ([], [], [])
+    for index, v in enumerate(all_words(q, i)):
         w = homo_image(v, q)
         head, tail = w[0], w[-1]
         mid = w[1:-1]
         v0 = v[0]
         if head != 0 and tail != 0:
-            terms = [(keys[w], v0, weight[head, tail])]
+            group = 0
+            indices = [row[w] + v0]
         elif head == 0 and tail != 0:
-            terms = [
-                (keys[(mu,) + mid + (tail,)], (mu + v0) % q, -weight[mu, tail])
-                for mu in range(1, q)
-            ]
+            group = 1
+            indices = [row[(mu,) + mid + (tail,)] + (mu + v0) % q for mu in range(1, q)]
         elif head != 0 and tail == 0:
-            terms = [
-                (keys[(head,) + mid + (tau,)], v0, -weight[head, tau])
-                for tau in range(1, q)
-            ]
+            group = 1
+            indices = [row[(head,) + mid + (tau,)] + v0 for tau in range(1, q)]
         else:
-            terms = [
-                (keys[(mu,) + mid + (tau,)], (mu + v0) % q, weight[mu, tau])
+            group = 2
+            indices = [
+                row[(mu,) + mid + (tau,)] + (mu + v0) % q
                 for mu in range(1, q)
                 for tau in range(1, q)
             ]
-        words.append((word_index(w, q), tuple(terms)))
+        words[group].append(index)
+        images[group].append(word_index(w, q))
+        terms[group].extend(indices)
+    place = [0] * q**i
+    for position, index in enumerate(words[0] + words[1] + words[2]):
+        place[index] = position
+    single, minus, plus = (
+        _Group(itemgetter(*images[g]), itemgetter(*terms[g])) for g in range(3)
+    )
     nodes = tuple(
-        (tuple(word_index(v, q) for v in homo_preimages(u, q)), keys.get(u))
+        (
+            itemgetter(*(word_index(v, q) for v in homo_preimages(u, q))),
+            u if u[0] != 0 and u[-1] != 0 else None,
+        )
         for u in all_words(q, i - 1)
     )
-    return _WindowPlan(tuple(words), nodes, frozenset(keys))
+    return _WindowPlan(
+        tuple(keys), weights, single, minus, plus, itemgetter(*place), nodes,
+        frozenset(keys),
+    )
+
+
+def _sums(values: Sequence[int], width: int):
+    """Sums of consecutive runs of ``width`` values."""
+    return map(sum, zip(*[iter(values)] * width))
 
 
 def _lift_layer(
     entries: Sequence[int], layer: dict[Word, tuple[int, ...]], q: int, i: int
-) -> list[int]:
+) -> tuple[int, ...]:
     """One window-growth step on scaled integer entries: each word gets its
     image's entry, doubled and scaled by q^(q^2), plus its corrections."""
+    plan = _window_plan(q, i)
     scale2 = 2 * q ** (q * q)
-    return [
-        scale2 * entries[src] + sum(wt * layer[u][sel] for u, sel, wt in terms)
-        for src, terms in _window_plan(q, i).words
-    ]
+    values = chain.from_iterable(map(layer.__getitem__, plan.keys))
+    flat = list(map(mul, plan.weights, values))
+    base = [scale2 * e for e in entries]
+    single, minus, plus = plan.single, plan.minus, plan.plus
+    out = list(map(add, single.images(base), single.terms(flat)))
+    out += map(sub, minus.images(base), _sums(minus.terms(flat), q - 1))
+    out += map(add, plus.images(base), _sums(plus.terms(flat), (q - 1) ** 2))
+    return plan.order(out)
 
 
 def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
@@ -481,25 +537,27 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
     if ell < 2:
         raise NotACodeword("encoder outputs have window length >= 2")
     scale = q ** (q * q)
+    span = 2 * scale
     entries = vec.entries
     layers: list[dict[Word, tuple[int, ...]]] = []
     for i in range(ell, 2, -1):
         prev = []
         layer: dict[Word, tuple[int, ...]] = {}
-        for pre, u in _window_plan(q, i).nodes:
-            vals = [entries[j] for j in pre]
-            halves = {(val + scale) // (2 * scale) for val in vals}
-            if len(halves) != 1:
+        for preimages, u in _window_plan(q, i).nodes:
+            vals = preimages(entries)
+            # The base value h of the first preimage: every preimage entry
+            # must round to it, that is lie in [2sh - s, 2sh + s).  An
+            # interior node's sorted entries give the ends and the ranks.
+            half = (vals[0] + scale) // span
+            low = half * span - scale
+            ranked = sorted(vals) if u is not None else (min(vals), max(vals))
+            if ranked[0] < low or ranked[-1] >= low + span:
                 raise NotACodeword("preimage entries disagree on their base value")
-            prev.append(halves.pop())
+            prev.append(half)
             if u is not None:
                 if len(set(vals)) != q:
                     raise NotACodeword("preimage entries must be distinct")
-                order = sorted(range(q), key=vals.__getitem__)
-                ranks = [0] * q
-                for pos, k in enumerate(order):
-                    ranks[k] = pos
-                layer[u] = tuple(ranks)
+                layer[u] = tuple(map(ranked.index, vals))
         layers.append(layer)
         entries = prev
     info = InfoVecB(_peel_alphabet(entries, q, repo), tuple(reversed(layers)))

@@ -37,6 +37,17 @@ def test_perturb_clamps_at_zero():
     assert all(c >= 0 for c in noisy.counts)
 
 
+@pytest.mark.parametrize("m", [0, 1, 7, 2**70])
+def test_additive_noise_draws_what_randint_draws(m):
+    for seed in range(5):
+        rng = random.Random(seed)
+        counts = [rng.randrange(3 * m + 3) for _ in range(40)] + [0, m, m + 1]
+        got, want = random.Random(100 + seed), random.Random(100 + seed)
+        shifted = AdditiveNoise(m).apply(counts, got)
+        assert shifted == [max(0, c + want.randint(-m, m)) for c in counts]
+        assert got.getstate() == want.getstate()
+
+
 def test_drop_noise_never_increases():
     noisy = perturb(STORAGE, DropNoise(0.3), seed=5)
     assert all(n <= c for n, c in zip(noisy.counts, STORAGE.counts))

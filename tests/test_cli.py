@@ -52,6 +52,21 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "2", "--ell", "2", "--upper"],
+        ["--q", "3", "--ell", "1", "--lower"],
+        ["--q", "2", "--ell", "3", "--length"],
+    ],
+)
+def test_bounds_outside_the_calculator_domain_is_usage_error(argv, capsys):
+    assert main(["bounds"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "q >= 3" in captured.err
+
+
 def test_census_command(capsys):
     assert main(["census", "--q", "2", "--ell", "2", "--jobs", "1"]) == 0
     out = capsys.readouterr().out

@@ -293,6 +293,20 @@ def test_perm_text_round_trip():
     assert RankPermutation.from_text(perm.to_text()).order == perm.order
 
 
+@pytest.mark.parametrize("params", [P32, Params(2, 2), Params(2, 3)])
+def test_rank_permutation_must_list_every_index_once(params):
+    n = params.word_count
+    assert RankPermutation(params, tuple(reversed(range(n)))).order[0] == n - 1
+    for order in (
+        (0,) + tuple(range(1, n - 1)) + (0,),  # one index twice, one missing
+        tuple(range(1, n + 1)),  # out of range
+        tuple(range(n - 1)),  # too short
+        tuple(range(n)) + (0,),  # too long
+    ):
+        with pytest.raises(ValueError, match="exactly once"):
+            RankPermutation(params, order)
+
+
 _PARAMS = st.builds(Params, st.integers(2, 5), st.integers(1, 3))
 
 

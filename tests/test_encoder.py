@@ -22,6 +22,8 @@ from profilerank.encoder import (
     Repository,
     ScaledVector,
     StageA,
+    _lift_layer,
+    _window_plan,
     choose_y,
     count_lower_bound,
     decode_a,
@@ -357,6 +359,82 @@ def test_window_recursion_matches_per_word_reference(repo, q, ell, count):
         assert sv.entries == _reference_encode_b(info, repo)
         decoded = decode_b(sv, repo)
         assert decoded == _reference_decode_b(sv.entries, q, ell, repo) == info
+
+
+# -- the grouped lift against a term-by-term lift -------------------------------
+# The term-by-term lift gives every word of length i its image's index and one
+# (interior word, selector, weight) tuple per correction term, and sums them
+# word by word.  The encoder's plan groups the same terms by their shape and
+# reads them from one flat list of weighted layer values.
+
+def _term_plan(q, i):
+    weight = {
+        (a, b): q ** (q * q - (a + b * q + 1)) for a in range(1, q) for b in range(1, q)
+    }
+    words = []
+    for v in all_words(q, i):
+        w = homo_image(v, q)
+        head, tail = w[0], w[-1]
+        mid = w[1:-1]
+        v0 = v[0]
+        if head != 0 and tail != 0:
+            terms = [(w, v0, weight[head, tail])]
+        elif head == 0 and tail != 0:
+            terms = [
+                ((mu,) + mid + (tail,), (mu + v0) % q, -weight[mu, tail])
+                for mu in range(1, q)
+            ]
+        elif head != 0 and tail == 0:
+            terms = [
+                ((head,) + mid + (tau,), v0, -weight[head, tau]) for tau in range(1, q)
+            ]
+        else:
+            terms = [
+                ((mu,) + mid + (tau,), (mu + v0) % q, weight[mu, tau])
+                for mu in range(1, q)
+                for tau in range(1, q)
+            ]
+        words.append((word_index(w, q), terms))
+    return words
+
+
+def _term_lift(entries, layer, q, i):
+    scale2 = 2 * q ** (q * q)
+    return tuple(
+        scale2 * entries[src] + sum(wt * layer[u][sel] for u, sel, wt in terms)
+        for src, terms in _term_plan(q, i)
+    )
+
+
+LIFT_CLASSES = ((3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3))
+
+
+@pytest.mark.parametrize("q,ell", LIFT_CLASSES)
+def test_grouped_lift_matches_term_by_term_lift(repo, q, ell):
+    rng = random.Random(50 * q + ell)
+    for _ in range(4):
+        info = random_info_b(q, ell, rng)
+        entries = encode_a(info.base, repo).entries
+        for offset, layer in enumerate(info.layers):
+            i = 3 + offset
+            lifted = _lift_layer(entries, layer, q, i)
+            assert lifted == _term_lift(entries, layer, q, i)
+            # the lift is linear: any entries, signs and sizes will do
+            noise = [rng.randrange(-(2**80), 2**80) for _ in entries]
+            assert _lift_layer(noise, layer, q, i) == _term_lift(noise, layer, q, i)
+            entries = lifted
+        assert encode_b(info, repo).entries == entries
+
+
+def test_each_window_plan_is_built_once(repo):
+    _window_plan.cache_clear()
+    rng = random.Random(17)
+    for q, ell in LIFT_CLASSES * 3:
+        info = random_info_b(q, ell, rng)
+        assert decode_b(encode_b(info, repo), repo) == info
+    built = {(q, i) for q, ell in LIFT_CLASSES for i in range(3, ell + 1)}
+    info = _window_plan.cache_info()
+    assert info.misses == info.currsize == len(built) == 6
 
 
 # sha256 over the vector text of encode_b for the seeded messages below: it
