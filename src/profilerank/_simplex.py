@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -249,16 +248,3 @@ def phase1(
             x[j] = xb[i]
     return Phase1(x, denom, None, pivots, bland, fields.k, widenings)
 
-
-def solve_nonnegative(
-    rows: list[list[int]], rhs: list[int]
-) -> list[Fraction] | None:
-    """Return some x >= 0 with ``rows @ x == rhs``, or None if there is none."""
-    n = len(rows[0]) if rows else 0
-    cols = list(zip(*rows))
-    result = phase1(
-        rhs, n, cols.__getitem__, lambda y: [sum(map(mul, y, c)) for c in cols]
-    )
-    if result.x is None:
-        return None
-    return [Fraction(v, result.denom) for v in result.x]

@@ -4,6 +4,16 @@ The storage channel returns a possibly perturbed count histogram; rank
 readout survives any noise that never lets two counts cross.  The two noise
 models here are deliberately simple knobs (uniform additive shifts and
 per-read drops), each fully determined by an explicit seed.
+
+Drop noise keeps each read of a count independently, so the kept reads of a
+count c are one exact binomial draw.  The sampler draws the rarer outcome:
+Devroye's geometric method while c*p < 10 (L. Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. X), Hormann's transformed rejection with
+squeeze (BTRS; W. Hormann, "The generation of binomial random variates",
+*J. Stat. Comput. Simul.* 46, 1993) above it, the method CPython 3.12+
+ships as ``random.binomialvariate``.  Counts above ``BINOMIAL_CHUNK`` reads
+are drawn as a sum of draws of at most that many reads, so a count costs
+O(1 + c / BINOMIAL_CHUNK) uniform draws at any rate.
 """
 
 from __future__ import annotations
@@ -49,6 +59,54 @@ class AdditiveNoise:
         return f"additive:{self.magnitude}"
 
 
+# The most reads one binomial draw takes.  The BTRS acceptance test compares
+# lgamma terms near c*log(c); up to 2^31 reads their float error stays near
+# 1e-5, while beyond it the test would lose the precision it needs.
+BINOMIAL_CHUNK = 1 << 31
+
+
+def _binomial(n: int, p: float, random) -> int:
+    """One Binomial(n, p) draw, for 0 < p <= 1/2 and n <= BINOMIAL_CHUNK,
+    from the uniform draws of ``random``."""
+    if n * p < 10.0:
+        # Geometric method: successes are separated by geometric runs of
+        # trials, O(n p + 1) draws.  1 - random() lies in (0, 1].
+        log_q = math.log2(1.0 - p)
+        hits = trials = 0
+        while True:
+            trials += math.floor(math.log2(1.0 - random()) / log_q) + 1
+            if trials > n:
+                return hits
+            hits += 1
+    # BTRS: a uniform u is transformed into a candidate k, accepted at once
+    # inside the squeeze and otherwise by the exact log-pmf ratio test.
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    h = None
+    while True:
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2 maps to k = -infinity: rejected
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - random()
+        if us >= 0.07 and v <= vr:
+            return k
+        if h is None:
+            alpha = (2.83 + 5.1 / b) * spq
+            lpq = math.log(p / (1.0 - p))
+            m = math.floor((n + 1) * p)  # the mode
+            h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 @dataclass(frozen=True)
 class DropNoise:
     """Each counted read is independently lost with the given rate."""
@@ -58,9 +116,11 @@ class DropNoise:
     def apply(self, counts: Sequence[int], rng: random.Random) -> list[int]:
         """Kept reads per count, each a Binomial(c, 1 - rate) draw.
 
-        Only the rarer outcome (drop if rate <= 1/2, else keep) is sampled,
-        by skipping geometric runs of the other one, so a count costs
-        O(c * min(rate, 1 - rate) + 1) draws.  Rates 0 and 1 draw nothing.
+        Each count takes one exact Binomial(c, min(rate, 1 - rate)) draw of
+        the rarer outcome (drop if rate <= 1/2, else keep), split into
+        draws of at most ``BINOMIAL_CHUNK`` reads, so it costs
+        O(1 + c / BINOMIAL_CHUNK) uniform draws.  Rates 0 and 1 draw
+        nothing.
         """
         rate = self.rate
         if not 0.0 <= rate <= 1.0:
@@ -68,17 +128,14 @@ class DropNoise:
         rare = min(rate, 1.0 - rate)
         if rare == 0.0:
             return [c if rate == 0.0 else 0 for c in counts]
-        log_common = math.log1p(-rare)
+        chunk = BINOMIAL_CHUNK
+        uniform = rng.random
         out = []
         for c in counts:
-            hits, left = 0, c
-            while True:
-                # reads of the common outcome before the next rare one
-                gap = math.log(1.0 - rng.random()) / log_common
-                if gap >= left:
-                    break
-                left -= int(gap) + 1
-                hits += 1
+            full, rest = divmod(c, chunk)
+            hits = _binomial(rest, rare, uniform)
+            for _ in range(full):
+                hits += _binomial(chunk, rare, uniform)
             out.append(c - hits if rare == rate else hits)
         return out
 

@@ -521,14 +521,22 @@ def _lift_layer(
     return plan.order(out)
 
 
+def _lift_layers(
+    base: InfoVecA, layers: Sequence[dict[Word, tuple[int, ...]]], repo: Repository
+) -> tuple[int, ...]:
+    """The window recursion's entries for checked layers 3, 4, ... on top of
+    the alphabet message ``base``."""
+    q = base.q
+    entries: Sequence[int] = encode_a(base, repo).entries
+    for offset, layer in enumerate(layers):
+        entries = _lift_layer(entries, layer, q, 3 + offset)
+    return tuple(entries)
+
+
 def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
     """Window-recursion encoder: message to realizable integer vector."""
     info.check()
-    q = info.q
-    entries: Sequence[int] = encode_a(info.base, repo).entries
-    for offset, layer in enumerate(info.layers):
-        entries = _lift_layer(entries, layer, q, 3 + offset)
-    return ScaledVector(Params(q, info.ell), tuple(entries))
+    return ScaledVector(Params(info.q, info.ell), _lift_layers(info.base, info.layers, repo))
 
 
 def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
@@ -560,10 +568,14 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
                 layer[u] = tuple(map(ranked.index, vals))
         layers.append(layer)
         entries = prev
-    info = InfoVecB(_peel_alphabet(entries, q, repo), tuple(reversed(layers)))
-    if encode_b(info, repo).entries != vec.entries:
+    # The peel keyed each layer by exactly the interior words and gave each
+    # the ranks of q distinct entries, so the layers pass InfoVecB.check
+    # and the re-encode need not sort them again.
+    base = _peel_alphabet(entries, q, repo)
+    layers.reverse()
+    if _lift_layers(base, layers, repo) != vec.entries:
         raise NotACodeword("vector is not an encoder output")
-    return info
+    return InfoVecB(base, tuple(layers))
 
 
 # ---------------------------------------------------------------------------

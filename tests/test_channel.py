@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from profilerank import channel
 from profilerank.channel import (
     AdditiveNoise,
     DropNoise,
@@ -68,6 +69,69 @@ def test_drop_noise_is_binomial(rate, c):
     excess_kurtosis = (1 - 6 * p * (1 - p)) / true_var
     assert abs(mean - true_mean) < 5 * math.sqrt(true_var / samples)
     assert abs(var - true_var) < 5 * true_var * math.sqrt((2 + excess_kurtosis) / samples)
+
+
+def _chi_square(samples, n, p):
+    """Pearson's statistic of ``samples`` against the exact Binomial(n, p)
+    pmf, over bins of expected count >= 5 (tails merged into their
+    neighbours), with its degrees of freedom."""
+    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    seen = [0] * (n + 1)
+    for k in samples:
+        seen[k] += 1
+    bins, expected, observed = [], 0.0, 0
+    for k in range(n + 1):
+        expected += len(samples) * pmf[k]
+        observed += seen[k]
+        if expected >= 5:
+            bins.append([expected, observed])
+            expected, observed = 0.0, 0
+    bins[-1][0] += expected
+    bins[-1][1] += observed
+    stat = sum((o - e) ** 2 / e for e, o in bins)
+    return stat, len(bins) - 1
+
+
+@pytest.mark.parametrize(
+    "c, rate, chunk",
+    [
+        (20, 0.3, None),  # geometric method: c * 0.3 = 6 < 10
+        (20, 0.7, None),
+        (200, 0.3, None),  # BTRS: c * 0.3 = 60
+        (200, 0.7, None),
+        (500, 0.03, None),  # BTRS near its threshold: 15
+        (200, 0.3, 64),  # three BTRS chunks of 64 and a geometric one of 8
+        (200, 0.7, 64),
+    ],
+)
+def test_drop_noise_matches_the_exact_binomial_pmf(c, rate, chunk, monkeypatch):
+    # kept reads ~ Binomial(c, 1 - rate); the chi-square statistic must stay
+    # below its mean plus seven standard deviations, a tail of about 1e-6
+    if chunk is not None:
+        monkeypatch.setattr(channel, "BINOMIAL_CHUNK", chunk)
+    kept = DropNoise(rate).apply([c] * 20000, random.Random(c + int(100 * rate)))
+    stat, df = _chi_square(kept, c, 1 - rate)
+    assert stat < df + 7 * math.sqrt(2 * df)
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts its uniform draws."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5, 0.7])
+def test_drop_noise_draws_a_bounded_number_of_uniforms(rate):
+    # one BTRS draw per count: about 2.4 uniforms, where skipping geometric
+    # runs of the common outcome took c * min(rate, 1 - rate) of them
+    rng = _CountingRandom(4)
+    kept = DropNoise(rate).apply([10**6] * 100, rng)
+    assert rng.calls <= 400
+    assert abs(sum(kept) / 100 - 10**6 * (1 - rate)) < 500
 
 
 def test_drop_noise_extreme_rates_are_exact():

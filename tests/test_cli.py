@@ -384,6 +384,23 @@ def test_drop_rates_at_the_ends_of_the_unit_interval(tmp_path, capsys):
     assert [row.split("\t")[2] for row in rows] == ["4", "4", "0", "0"]
 
 
+def test_drop_simulate_on_encoder_scale_counts(repo, tmp_path, capsys):
+    # a (4,3) encoder output has entries of up to 41 bits, 7.8*10^13 reads
+    # in all: skipping geometric runs would take 2.3*10^13 uniform draws a
+    # trial at rate 0.3, one binomial draw per 2^31 reads about 36000 draws
+    vec = encode_b(random_info_b(4, 3, random.Random(6)), repo)
+    assert max(vec.entries).bit_length() == 41
+    pfile = tmp_path / "profile.txt"
+    pfile.write_text(ProfileVector(Params(4, 3), vec.entries).to_text())
+    argv = _drop_argv(pfile, "0.3")
+    argv[argv.index("--trials") + 1] = "2"
+    assert main(argv) == 0
+    (row,) = capsys.readouterr().out.strip().splitlines()[1:]
+    noise, trials, *outcomes = row.split("\t")
+    assert (noise, trials) == ("drop:0.3", "2")
+    assert sum(map(int, outcomes)) == 2
+
+
 def test_distance_command(capsys):
     assert main(["distance", "--a", "10010", "--b", "00110"]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from profilerank.core import (
+    _count_plan,
     Params,
     ProfileVector,
     RankPermutation,
@@ -122,6 +123,27 @@ def test_profile_of_matches_reference_on_all_input_forms(params):
         assert profile_of(bytearray(x), params).counts == want
         if params.q <= 10:
             assert profile_of("".join(map(str, x)), params).counts == want
+
+
+def test_count_plan_matches_reference_on_every_byte_sized_word_set():
+    # every (q, ell) with q^ell <= 256 takes the counting plan: the counted
+    # words, the peeled words and word 0 split the word set, q^(ell-1) words
+    # are not counted, and the profile equals the per-window count
+    rng = random.Random(12)
+    for ell in range(1, 9):
+        for q in range(2, int(256 ** (1 / ell) + 1e-9) + 1):
+            params = Params(q, ell)
+            plan = _count_plan(params)
+            peeled = [w for w, _, _ in plan.peel]
+            assert sorted([0, *plan.counted, *peeled]) == list(range(q**ell))
+            assert len(plan.counted) == q**ell - q ** (ell - 1)
+            lengths = [*range(1, ell + 3), *(rng.randint(1, 400) for _ in range(3))]
+            for n in lengths:
+                x = [rng.randrange(q) for _ in range(n)]
+                assert profile_of(bytes(x), params).counts == _reference_profile(x, params)
+            if q < 256:  # a symbol of 256 or more is no byte
+                with pytest.raises(ValueError, match=f"^symbol {q} out of range for q={q}$"):
+                    profile_of([0, q, 1], params)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from profilerank._simplex import (
     DEGENERATE_STREAK,
     FIRST_FIELD_BITS,
     phase1,
-    solve_nonnegative,
 )
 from profilerank.core import (
     Params,
@@ -44,19 +43,25 @@ CHANNEL_ORDER = "00,01,10,20,02,11,12,21,22"
 
 # -- the phase-1 core ---------------------------------------------------------
 
+def _values(result):
+    """The solution of a phase-1 result, entry by entry."""
+    return [Fraction(v, result.denom) for v in result.x]
+
+
 def test_simplex_solves_simple_system():
-    x = solve_nonnegative([[1, 1], [1, -1]], [4, 2])
+    x = _values(_dense_phase1([[1, 1], [1, -1]], [4, 2]))
     assert x == [Fraction(3), Fraction(1)]
 
 
 def test_simplex_reports_infeasible():
-    assert solve_nonnegative([[1, 1]], [-1]) is None
-    assert solve_nonnegative([[0, 0]], [5]) is None
+    assert _dense_phase1([[1, 1]], [-1]).x is None
+    assert _dense_phase1([[0, 0]], [5]).x is None
 
 
 def test_simplex_handles_redundant_rows():
-    x = solve_nonnegative([[1, 2], [2, 4], [0, 0]], [6, 12, 0])
-    assert x is not None
+    result = _dense_phase1([[1, 2], [2, 4], [0, 0]], [6, 12, 0])
+    assert result.x is not None
+    x = _values(result)
     assert x[0] + 2 * x[1] == 6 and all(v >= 0 for v in x)
 
 
@@ -155,13 +160,12 @@ def test_simplex_random_systems_against_verification():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         x_true = [rng.randint(0, 5) for _ in range(n)]
         rhs = [sum(r * v for r, v in zip(row, x_true)) for row in rows]
-        x = solve_nonnegative(rows, rhs)
-        assert x is not None  # constructed feasibly
+        result = _dense_phase1(rows, rhs)
+        assert result.x is not None  # constructed feasibly
+        x = _values(result)
         for row, b in zip(rows, rhs):
             assert sum(r * v for r, v in zip(row, x)) == b
         assert all(v >= 0 for v in x)
-        result = _dense_phase1(rows, rhs)
-        assert [Fraction(v, result.denom) for v in result.x] == x
 
 
 def test_simplex_degenerate_system_falls_back_to_bland():
