@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import Iterable, Iterator
 
 from . import channel, codes, encoder, feasibility, oracle, synthesis
 from .core import (
@@ -21,7 +22,6 @@ from .core import (
     parse_word,
     profile_of,
     rank_of,
-    word_text,
 )
 
 EXIT_OK = 0
@@ -68,12 +68,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, or an iterable of text pieces one by one, to ``path``
+    or, for None and ``-``, to stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _inline_or_file(args, name: str) -> str:
@@ -87,8 +90,36 @@ def _inline_or_file(args, name: str) -> str:
     return _read(path).strip()
 
 
-def _string_text(x: bytes) -> str:
-    return word_text(tuple(x))
+PIECE_CHARS = 1 << 16  # the most characters a repeated run is written in at once
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _write_string(path: str | None, runs: list[tuple[bytes, int]]) -> None:
+    """Write the string that ``(symbols, repeats)`` runs expand to, in digits
+    and then a newline, in pieces of at most PIECE_CHARS characters or one
+    run's symbols: a witness too long to hold in memory streams out."""
+    if any(max(s) > 9 for s, _ in runs if s):
+        raise ValueError("digit rendering is only defined for q <= 10")
+    texts = [(s.translate(_DIGIT_TEXT).decode("ascii"), k) for s, k in runs if s]
+
+    def pieces() -> Iterator[str]:
+        for text, k in texts:
+            per = max(1, PIECE_CHARS // len(text))  # repeats of the run per piece
+            block = text * per
+            full, rest = divmod(k, per)
+            for _ in range(full):  # full may pass the C size limit of repeat()
+                yield block
+            yield text * rest
+        yield "\n"
+
+    _write(path, pieces())
+
+
+def _witness_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
+    """The runs of the Eulerian witness of ``p``, less the closing symbol
+    that :func:`synthesis.eulerian_runs` ends with."""
+    *runs, (s, k) = synthesis.eulerian_runs(p)
+    return [*runs, (s, k - 1), (s[:-1], 1)]
 
 
 def cmd_check(args) -> int:
@@ -108,13 +139,14 @@ def cmd_profile(args) -> int:
 def cmd_synthesize(args) -> int:
     profile = ProfileVector.from_text(_read(args.profile))
     if args.method == "euler":
-        x = synthesis.eulerian_string(profile)
+        runs = _witness_runs(profile)
     else:
         if args.seed is None or args.length is None:
             raise _UsageError("markov synthesis needs --seed and --length")
         s = synthesis.normalized(profile)
         x = synthesis.markov_generate(s, profile.params, args.length, args.seed)
-    _write(args.out, _string_text(x) + "\n")
+        runs = [(x, 1)]
+    _write_string(args.out, runs)
     return EXIT_OK
 
 
@@ -148,8 +180,7 @@ def cmd_encode(args) -> int:
     elif args.emit == "perm":
         _write(args.out, rank_of(vec.entries, vec.params).to_text() + "\n")
     else:
-        x = synthesis.eulerian_string(vec.to_profile())
-        _write(args.out, _string_text(x) + "\n")
+        _write_string(args.out, _witness_runs(vec.to_profile()))
     return EXIT_OK
 
 

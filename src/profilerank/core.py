@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from multiprocessing import get_context
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
 Entry = Union[int, Fraction]
@@ -292,66 +292,31 @@ def parse_vector_text(text: str) -> tuple[Params, list[str]]:
     return params, fields
 
 
-class _CountPlan(NamedTuple):
-    """Which words :func:`profile_of` counts and which it derives.
-
-    In a circular string every node (an (ell-1)-window) is left by as many
-    windows as enter it, and the counts sum to the string length.  So only
-    the words off a spanning tree of the overlap graph, less the loop word
-    0^ell, need a counting pass: ``counted`` lists them, q^ell - q^(ell-1)
-    words.  The tree's words follow from flow conservation by peeling
-    leaves.  Each step ``(w, plus, minus)`` takes a node that w is the last
-    unknown word at: ``plus`` are the words on the node's other side (those
-    entering it if w leaves it, and the other way round), ``minus`` the
-    rest of w's side, and w's count is the sum over ``plus`` less the sum
-    over ``minus``.  A loop at the node is on both sides and left out.
-    Word 0 is what the string length leaves.
-    """
-
-    counted: tuple[int, ...]
-    peel: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-
-
 @lru_cache(maxsize=None)
-def _count_plan(params: Params) -> _CountPlan:
+def _count_plan(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The words :func:`profile_of` counts, and those it then derives, in
+    the order it derives them.
+
+    In a circular string each node (an (ell-1)-window) is entered by as many
+    windows as leave it.  The edges v -> v[1:]0 form a spanning in-tree of
+    the overlap graph rooted at 0^(ell-1) (the "prefer-zero" tree of the
+    BEST-theorem count of de Bruijn sequences), so only the q^ell -
+    q^(ell-1) words whose last symbol is not 0 are counted.  The tree word
+    v0 of each node v but the root is v's in-sum less its other out-words,
+    which end in a nonzero symbol.  Each in-word of v ends in v's last
+    symbol: it was counted, or that symbol is 0 and it is the tree word of
+    a node with one fewer trailing zero, so the nodes are taken by their
+    trailing zeros.  Word 0^ell is what the string length leaves.
+    """
     q, nodes = params.q, params.node_count
-    ends = list(zip(*edge_nodes(params)))
-    root = list(range(nodes))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    counted = []
-    at: list[set[int]] = [set() for _ in range(nodes)]  # unpeeled tree words
-    for w in range(1, params.word_count):
-        a, b = map(find, ends[w])
-        if a == b:
-            counted.append(w)
-        else:
-            root[a] = b
-            for v in ends[w]:
-                at[v].add(w)
-    peel = []
-    stack = [v for v in range(nodes) if len(at[v]) == 1]
-    while stack:
-        v = stack.pop()
-        if len(at[v]) != 1:
-            continue
-        (w,) = at[v]
-        out = set(range(v * q, v * q + q))
-        into = set(range(v, params.word_count, nodes))
-        loop = out & into
-        own, opposite = (out, into) if ends[w][0] == v else (into, out)
-        peel.append(
-            (w, tuple(sorted(opposite - loop)), tuple(sorted(own - loop - {w})))
-        )
-        for u in ends[w]:
-            at[u].discard(w)
-            if len(at[u]) == 1:
-                stack.append(u)
-    return _CountPlan(tuple(counted), tuple(peel))
+    counted = tuple(w for w in range(params.word_count) if w % q)
+    derived = tuple(
+        v * q
+        for t in range(params.ell - 1)  # nodes with exactly t trailing zeros
+        for v in range(q**t, nodes, q**t)
+        if v // q**t % q
+    )
+    return counted, derived
 
 
 def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
@@ -360,12 +325,11 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     When q^ell <= 256 every window index fits in one byte, so the string is
     turned into bytes and the indices of all windows are formed at once as
     one base-256 integer (Horner's rule over the ell shifted copies of the
-    string; no digit carries, since each stays <= q^ell - 1).  Each word off
-    a spanning tree of the overlap graph, other than 0^ell, is counted with
-    ``bytes.count``; flow conservation and the length give the rest exactly
-    (:class:`_CountPlan`).  That is q^ell - q^(ell-1) counting passes
-    instead of q^ell: 20 instead of 25 at (5,2).  Larger word sets take a
-    symbol loop.
+    string; no digit carries, since each stays <= q^ell - 1).  Each word
+    whose last symbol is not 0 is counted with ``bytes.count``; flow
+    conservation and the length give the rest exactly (:func:`_count_plan`).
+    That is q^ell - q^(ell-1) counting passes instead of q^ell: 20 instead
+    of 25 at (5,2).  Larger word sets take a symbol loop.
     """
     q, ell = params.q, params.ell
     if params.word_count <= 256:
@@ -385,12 +349,13 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
         for j in range(ell):
             acc = acc * q + int.from_bytes(wrapped[j : j + n], "big")
         windows = acc.to_bytes(n, "big")
-        plan = _count_plan(params)
+        counted, derived = _count_plan(params)
+        nodes = params.node_count
         counts = [0] * params.word_count
-        for w in plan.counted:
+        for w in counted:
             counts[w] = windows.count(w)
-        for w, plus, minus in plan.peel:
-            counts[w] = sum([counts[o] for o in plus]) - sum([counts[o] for o in minus])
+        for w in derived:
+            counts[w] = sum(counts[w // q :: nodes]) - sum(counts[w + 1 : w + q])
         counts[0] = n - sum(counts)
         return ProfileVector(params, tuple(counts))
     symbols = parse_symbols(x, q)
@@ -569,12 +534,12 @@ PIECES_PER_JOB = 4  # work pieces per worker, so a slow piece does not idle the 
 
 
 def _job_count(jobs: int | None) -> int:
-    """Worker count for a ``jobs`` argument: None means every core."""
-    if jobs is None:
-        return os.cpu_count() or 1
-    if jobs < 1:
+    """Worker count for a ``jobs`` argument, capped at the core count: None
+    means every core."""
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return jobs
+    cores = os.cpu_count() or 1
+    return cores if jobs is None else min(jobs, cores)
 
 
 def split_range(total: int, jobs: int | None) -> list[range]:
@@ -587,9 +552,9 @@ def split_range(total: int, jobs: int | None) -> list[range]:
 
 
 def fan_out(work: Callable, tasks: Sequence, jobs: int | None) -> list:
-    """``[work(t) for t in tasks]``, in a fork pool of ``min(jobs, len(tasks))``
-    workers when that is more than one.  ``work`` must be a module-level
-    function; results come back in task order."""
+    """``[work(t) for t in tasks]``, in a fork pool of ``min(jobs, cores,
+    len(tasks))`` workers when that is more than one.  ``work`` must be a
+    module-level function; results come back in task order."""
     workers = min(_job_count(jobs), len(tasks))
     if workers <= 1:
         return [work(t) for t in tasks]

@@ -1,12 +1,14 @@
+import io
 import random
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from profilerank.cli import main
-from profilerank.core import Params, ProfileVector, profile_of
+from profilerank.cli import PIECE_CHARS, main
+from profilerank.core import Params, ProfileVector, profile_of, word_text
 from profilerank.encoder import (
     Repository,
     encode_b,
@@ -16,6 +18,7 @@ from profilerank.encoder import (
     random_info_b,
 )
 from profilerank.feasibility import FeasibleVector
+from profilerank.synthesis import eulerian_runs
 
 CHANNEL_STRING = "AGGGGGGGGGGCGCGCGCGCGCGCGAGAGAGAGCCCCCCCACACA".translate(
     str.maketrans("ACG", "012")
@@ -188,6 +191,73 @@ def test_synthesize_markov_requires_seed(tmp_path, capsys):
         == 0
     )
     assert len(capsys.readouterr().out.strip()) == 300
+
+
+class _ClosingPipe(io.TextIOBase):
+    """A stdout whose reader goes away after ``limit`` characters."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.parts: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        if self.size + len(text) > self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.parts.append(text)
+        self.size += len(text)
+        return len(text)
+
+
+def _expand(runs, n: int) -> str:
+    """The first ``n`` symbols of the string the runs expand to, as digits."""
+    parts, size = [], 0
+    for s, k in runs:
+        take = min(k, (n - size) // len(s) + 1)
+        parts.append(word_text(s) * take)
+        size += take * len(s)
+        if size >= n:
+            break
+    return "".join(parts)[:n]
+
+
+@pytest.mark.parametrize("kind", ["synthesize", "encode"])
+def test_witness_too_long_to_hold_streams_until_the_pipe_closes(
+    kind, repo, repo_path, tmp_path, monkeypatch, capsys
+):
+    # 45 * 2^61 symbols, or a (4,3) encode_b witness of about 2^47: joining
+    # either into one string ran out of memory
+    if kind == "synthesize":
+        p = ProfileVector(Params(3, 2), (1, 2, 5, 3, 6, 7, 4, 8, 9)).scaled(2**61)
+        pfile = tmp_path / "profile.txt"
+        pfile.write_text(p.to_text())
+        argv = ["synthesize", "--profile", str(pfile), "--method", "euler"]
+    else:
+        info = random_info_b(4, 3, random.Random(6))
+        ifile = tmp_path / "info_b.txt"
+        ifile.write_text(info_b_to_text(info))
+        argv = ["encode", "b", "--info", str(ifile), "--repo", repo_path]
+        argv += ["--emit", "string"]
+        p = ProfileVector(Params(4, 3), encode_b(info, repo).entries)
+    assert p.total() > 2**46
+    sink = _ClosingPipe(10**6)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 2
+    assert "Broken pipe" in capsys.readouterr().err
+    assert 10**6 - PIECE_CHARS < sink.size <= 10**6
+    assert "".join(sink.parts) == _expand(eulerian_runs(p), sink.size)
+
+
+def test_witness_with_symbols_above_nine_is_rejected_before_output(
+    repo_path, tmp_path, capsys
+):
+    ifile = tmp_path / "info_b.txt"
+    ifile.write_text(info_b_to_text(random_info_b(11, 2, random.Random(3))))
+    argv = ["encode", "b", "--info", str(ifile), "--repo", repo_path, "--emit", "string"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: digit rendering is only defined for q <= 10\n"
 
 
 def test_encode_decode_round_trip_cli(repo_path, tmp_path, capsys):

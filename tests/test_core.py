@@ -1,11 +1,15 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from profilerank import core
 from profilerank.core import (
+    PIECES_PER_JOB,
     _count_plan,
+    _job_count,
     Params,
     ProfileVector,
     RankPermutation,
@@ -127,16 +131,23 @@ def test_profile_of_matches_reference_on_all_input_forms(params):
 
 def test_count_plan_matches_reference_on_every_byte_sized_word_set():
     # every (q, ell) with q^ell <= 256 takes the counting plan: the counted
-    # words, the peeled words and word 0 split the word set, q^(ell-1) words
-    # are not counted, and the profile equals the per-window count
+    # words, the derived words and word 0 split the word set, the counted
+    # ones are the q^ell - q^(ell-1) words not ending in 0, each derived
+    # word's node has its in-words counted or derived before it, and the
+    # profile equals the per-window count
     rng = random.Random(12)
     for ell in range(1, 9):
         for q in range(2, int(256 ** (1 / ell) + 1e-9) + 1):
             params = Params(q, ell)
-            plan = _count_plan(params)
-            peeled = [w for w, _, _ in plan.peel]
-            assert sorted([0, *plan.counted, *peeled]) == list(range(q**ell))
-            assert len(plan.counted) == q**ell - q ** (ell - 1)
+            nodes = params.node_count
+            counted, derived = _count_plan(params)
+            assert sorted([0, *counted, *derived]) == list(range(q**ell))
+            assert len(counted) == q**ell - q ** (ell - 1)
+            assert counted == tuple(w for w in range(q**ell) if w % q != 0)
+            known = set(counted)
+            for w in derived:
+                assert set(range(w // q, q**ell, nodes)) <= known
+                known.add(w)
             lengths = [*range(1, ell + 3), *(rng.randint(1, 400) for _ in range(3))]
             for n in lengths:
                 x = [rng.randrange(q) for _ in range(n)]
@@ -376,6 +387,29 @@ def test_fan_out_keeps_task_order(jobs):
     tasks = [-5, 3, -1, 0, 8, -2, 7]
     assert fan_out(abs, tasks, jobs) == [5, 3, 1, 0, 8, 2, 7]
     assert fan_out(abs, [], jobs) == []
+
+
+def test_jobs_are_capped_at_the_core_count(monkeypatch):
+    cores = os.cpu_count() or 1
+    assert _job_count(10**6) == cores
+    pieces = split_range(362880, 10**6)
+    assert len(pieces) == (1 if cores == 1 else cores * PIECES_PER_JOB)
+
+    sizes = []
+
+    class Context:
+        def Pool(self, workers):
+            sizes.append(workers)
+            raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(core, "get_context", lambda method: Context())
+    tasks = list(range(3 * cores))
+    if cores == 1:
+        assert fan_out(abs, tasks, 10**6) == tasks
+    else:
+        with pytest.raises(RuntimeError, match="no pool"):
+            fan_out(abs, tasks, 10**6)
+    assert sizes == ([] if cores == 1 else [cores])
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
