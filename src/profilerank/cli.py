@@ -131,6 +131,8 @@ def cmd_check(args) -> int:
 
 def cmd_profile(args) -> int:
     params = Params(args.q, args.ell)
+    if params.q > 10:  # the profile text names words in digits
+        raise ValueError("digit rendering is only defined for q <= 10")
     text = _inline_or_file(args, "string")
     _write(args.out, profile_of(text, params).to_text())
     return EXIT_OK

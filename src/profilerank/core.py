@@ -319,17 +319,45 @@ def _count_plan(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return counted, derived
 
 
+# digit values 0..31 to the characters int(text, 2**k) reads them from
+_BASE32_TEXT = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
+
+
+@lru_cache(maxsize=None)
+def _plane_tables(q: int) -> tuple[int, tuple[bytes, ...]]:
+    """The block width k of :func:`profile_of` for alphabet ``q``, the
+    largest k <= 5 with q^k <= 256, and per symbol a a 256-entry
+    ``bytes.translate`` table.  It sends a block (k symbols as one base-q
+    byte, the first most significant) to the base-2^k digit whose bit
+    k-1-j is set iff symbol j of the block is a; bytes above q^k - 1 never
+    occur.  k stops at 5 because ``int`` reads bases up to 36 only."""
+    k = max(k for k in range(1, 6) if q**k <= 256)
+    digits = [bytearray(256) for _ in range(q)]
+    for block in range(q**k):
+        for j, s in enumerate(index_to_word(block, q, k)):
+            digits[s][block] |= 1 << (k - 1 - j)
+    return k, tuple(bytes(d).translate(_BASE32_TEXT) for d in digits)
+
+
 def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     """Profile vector of a circular string: windows wrap around the end.
 
-    When q^ell <= 256 every window index fits in one byte, so the string is
-    turned into bytes and the indices of all windows are formed at once as
-    one base-256 integer (Horner's rule over the ell shifted copies of the
-    string; no digit carries, since each stays <= q^ell - 1).  Each word
-    whose last symbol is not 0 is counted with ``bytes.count``; flow
+    When q^ell <= 256 the string is turned into bytes and counted on bit
+    planes.  The string with its ell-1 wrapped symbols, zero-padded to L
+    positions, is packed k symbols to a byte (Horner's rule over the k
+    strided slices; :func:`_plane_tables` gives k).  One ``translate`` of
+    those bytes and one ``int(..., 2**k)`` give the plane of each nonzero
+    symbol a, an L-bit integer whose bit L-1-i is set iff position i holds
+    a; plane 0 is the complement of the others.  The positions where the
+    occurrences of a word end are P(a) = plane[a] and P(w·a) = (P(w) >> 1)
+    & plane[a], and a count is ``P(w).bit_count()``: one AND and one
+    popcount per counted word, whatever its density.  The prefixes that
+    occur are walked depth first, so at most q + ell + 1 such integers are
+    alive at once.  Only the words whose last symbol is not 0 are counted; flow
     conservation and the length give the rest exactly (:func:`_count_plan`).
-    That is q^ell - q^(ell-1) counting passes instead of q^ell: 20 instead
-    of 25 at (5,2).  Larger word sets take a symbol loop.
+    So no window that starts past the string's n symbols is counted: it
+    ends on a padding 0 or runs off the end.  Larger word sets take a
+    symbol loop.
     """
     q, ell = params.q, params.ell
     if params.word_count <= 256:
@@ -344,17 +372,37 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
         n = len(data)
         if n < 1:
             raise ValueError("profile of the empty string is undefined")
-        wrapped = data + (data * (ell // n + 1))[: ell - 1]
+        k, tables = _plane_tables(q)
+        tail = (data * (ell // n + 1))[: ell - 1]
+        ext = b"".join((data, tail, bytes(-(n + ell - 1) % k)))
+        size = len(ext)
         acc = 0
-        for j in range(ell):
-            acc = acc * q + int.from_bytes(wrapped[j : j + n], "big")
-        windows = acc.to_bytes(n, "big")
-        counted, derived = _count_plan(params)
-        nodes = params.node_count
+        for j in range(k):  # no carries: each block stays <= q^k - 1 <= 255
+            acc = acc * q + int.from_bytes(ext[j::k], "big")
+        del ext  # what is freed as it goes keeps the peak near 2-3 bytes a symbol
+        blocks = acc.to_bytes(size // k, "big")
+        del acc
+        planes = [(1 << size) - 1] + [0] * (q - 1)
+        for a in range(1, q):
+            planes[a] = int(blocks.translate(tables[a]), 1 << k)
+            planes[0] ^= planes[a]  # the planes are disjoint
         counts = [0] * params.word_count
-        for w in counted:
-            counts[w] = windows.count(w)
-        for w in derived:
+        last = ell - 1
+        nonzero = planes[1:]
+
+        def walk(ends: int, w: int, depth: int) -> None:
+            # ends: the positions right after the occurrences of the
+            # depth-long word w; a word that does not occur has no counts
+            if depth == last:
+                w *= q
+                counts[w + 1 : w + q] = [(ends & p).bit_count() for p in nonzero]
+            elif ends:
+                for a in range(q):
+                    walk((ends & planes[a]) >> 1, w * q + a, depth + 1)
+
+        walk(-1, 0, 0)  # every position starts the empty word
+        nodes = params.node_count
+        for w in _count_plan(params)[1]:
             counts[w] = sum(counts[w // q :: nodes]) - sum(counts[w + 1 : w + q])
         counts[0] = n - sum(counts)
         return ProfileVector(params, tuple(counts))

@@ -41,6 +41,15 @@ def test_profile_command(capsys):
     assert "22 9" in out
 
 
+def test_profile_with_symbols_above_nine_is_rejected_before_reading(tmp_path, capsys):
+    # the missing file is never opened: the alphabet is refused first
+    for source in (["--string", "0123"], ["--string-file", str(tmp_path / "missing.txt")]):
+        assert main(["profile", "--q", "11", "--ell", "1", *source]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: digit rendering is only defined for q <= 10\n"
+
+
 def test_check_feasible_and_infeasible(capsys):
     assert main(["check", "--perm", CHANNEL_ORDER]) == 0
     out = capsys.readouterr().out
@@ -287,7 +296,7 @@ def test_encode_decode_round_trip_cli(repo_path, tmp_path, capsys):
     assert capsys.readouterr().out == info_a_to_text(info)
 
 
-def test_encode_b_perm_and_string(repo_path, tmp_path, capsys):
+def test_encode_b_perm_and_string(repo, repo_path, tmp_path, capsys):
     rng = random.Random(1)
     info = random_info_b(3, 3, rng)
     ifile = tmp_path / "info_b.txt"
@@ -309,6 +318,12 @@ def test_encode_b_perm_and_string(repo_path, tmp_path, capsys):
     )
     out = capsys.readouterr().out.strip()
     assert len(out.split(",")) == 27
+    sfile = tmp_path / "witness.txt"
+    argv = ["encode", "b", "--info", str(ifile), "--repo", repo_path, "--emit", "string"]
+    assert main([*argv, "--out", str(sfile)]) == 0
+    text = sfile.read_text()
+    assert text.endswith("\n") and len(text) > 7 * 10**6
+    assert profile_of(text[:-1], Params(3, 3)).counts == encode_b(info, repo).entries
 
 
 def test_decode_rejects_non_codeword(repo_path, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,59 @@ def test_count_plan_matches_reference_on_every_byte_sized_word_set():
             if q < 256:  # a symbol of 256 or more is no byte
                 with pytest.raises(ValueError, match=f"^symbol {q} out of range for q={q}$"):
                     profile_of([0, q, 1], params)
+
+
+# (q, ell) classes of each block width k of the plane path, at ell >= 2 where q allows
+PLANE_CLASSES = {5: [(2, 2), (2, 8), (3, 2), (3, 5)], 4: [(4, 2), (4, 4)],
+                 3: [(5, 2), (6, 2), (6, 3)], 2: [(7, 2), (16, 2)],
+                 1: [(q, 1) for q in range(17, 257)]}
+
+
+def _random_symbols(q, n, rng, zeros=0.0):
+    """n symbols below q, each 0 with probability ``zeros`` and uniform
+    otherwise."""
+    return bytes(0 if rng.random() < zeros else rng.randrange(q) for _ in range(n))
+
+
+def test_plane_path_matches_reference_at_every_block_width():
+    # lengths of every residue mod k and below ell, constant strings of each
+    # symbol (of the first and last symbol only between q = 18 and 255, to
+    # keep the test short), zero-heavy strings and one string of 10^5
+    # symbols per k; the translation tables are built once per alphabet
+    core._plane_tables.cache_clear()
+    rng = random.Random(14)
+    for k, classes in PLANE_CLASSES.items():
+        for q, ell in classes:
+            params = Params(q, ell)
+            assert core._plane_tables(q)[0] == k
+            lengths = {*range(1, ell), *(3 * k + r for r in range(k)), 50 + rng.randrange(k)}
+            strings = [_random_symbols(q, n, rng, zeros) for n in lengths for zeros in (0, 0.9)]
+            constant = range(q) if q <= 17 or q == 256 else (0, q - 1)
+            strings += [bytes([a]) * n for a in constant for n in (1, ell + k)]
+            for x in strings:
+                assert profile_of(x, params).counts == _reference_profile(x, params)
+        q, ell = classes[0]
+        x = _random_symbols(q, 10**5 + 1, rng, zeros=0.5)
+        assert profile_of(x, Params(q, ell)).counts == _reference_profile(x, Params(q, ell))
+    info = core._plane_tables.cache_info()
+    alphabets = {q for classes in PLANE_CLASSES.values() for q, _ in classes}
+    assert info.misses == info.currsize == len(alphabets)
+
+
+@pytest.mark.parametrize("params", [Params(2, 8), Params(4, 4), Params(5, 2), Params(16, 2)])
+def test_profile_of_peak_memory_stays_below_four_bytes_a_symbol(params):
+    # the prefix walk is depth first: at most q + ell + 1 plane-sized
+    # integers are alive at once
+    n = 2 * 10**6
+    x = random.Random(params.q).randbytes(n).translate(bytes(b % params.q for b in range(256)))
+    profile_of(x[:100], params)  # build the cached tables and plan first
+    tracemalloc.start()
+    try:
+        profile_of(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n
 
 
 @pytest.mark.parametrize(
