@@ -35,7 +35,7 @@ class TieError(ValueError):
 
     def __init__(self, groups: tuple[tuple[Word, ...], ...]):
         self.groups = groups
-        shown = ", ".join("{" + ",".join(word_text(w) for w in g) + "}" for g in groups)
+        shown = ", ".join("{" + ",".join(map(word_label, g)) + "}" for g in groups)
         super().__init__(f"tied entries: {shown}")
 
 
@@ -60,6 +60,12 @@ class Params:
     def node_count(self) -> int:
         """Number of nodes of the graph one order below (windows overlap there)."""
         return self.q ** (self.ell - 1)
+
+    def index(self, w: Word) -> int:
+        """Lexicographic index of ``w``, which must be a word of length ``ell``."""
+        if len(w) != self.ell:
+            raise ValueError(f"word {word_label(w)} does not have length {self.ell}")
+        return word_index(w, self.q)
 
     def words(self) -> Iterator[Word]:
         return all_words(self.q, self.ell)
@@ -98,6 +104,14 @@ def word_text(w: Word) -> str:
     if any(s > 9 for s in w):
         raise ValueError("digit rendering is only defined for q <= 10")
     return "".join(str(s) for s in w)
+
+
+def word_label(w: Word) -> str:
+    """Render a word for a message: its digit string when every symbol is
+    below 10, else its symbols in parentheses, such as ``(10,0)``."""
+    if all(s <= 9 for s in w):
+        return word_text(w)
+    return "(" + ",".join(map(str, w)) + ")"
 
 
 DIGITS = "[0-9]+"  # the one numeral rule of every text format: ASCII digits only
@@ -232,7 +246,7 @@ class ProfileVector:
             raise ValueError("profile counts must be nonnegative")
 
     def __getitem__(self, w: Word) -> int:
-        return self.counts[word_index(w, self.params.q)]
+        return self.counts[self.params.index(w)]
 
     def total(self) -> int:
         return sum(self.counts)
@@ -292,33 +306,6 @@ def parse_vector_text(text: str) -> tuple[Params, list[str]]:
     return params, fields
 
 
-@lru_cache(maxsize=None)
-def _count_plan(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The words :func:`profile_of` counts, and those it then derives, in
-    the order it derives them.
-
-    In a circular string each node (an (ell-1)-window) is entered by as many
-    windows as leave it.  The edges v -> v[1:]0 form a spanning in-tree of
-    the overlap graph rooted at 0^(ell-1) (the "prefer-zero" tree of the
-    BEST-theorem count of de Bruijn sequences), so only the q^ell -
-    q^(ell-1) words whose last symbol is not 0 are counted.  The tree word
-    v0 of each node v but the root is v's in-sum less its other out-words,
-    which end in a nonzero symbol.  Each in-word of v ends in v's last
-    symbol: it was counted, or that symbol is 0 and it is the tree word of
-    a node with one fewer trailing zero, so the nodes are taken by their
-    trailing zeros.  Word 0^ell is what the string length leaves.
-    """
-    q, nodes = params.q, params.node_count
-    counted = tuple(w for w in range(params.word_count) if w % q)
-    derived = tuple(
-        v * q
-        for t in range(params.ell - 1)  # nodes with exactly t trailing zeros
-        for v in range(q**t, nodes, q**t)
-        if v // q**t % q
-    )
-    return counted, derived
-
-
 # digit values 0..31 to the characters int(text, 2**k) reads them from
 _BASE32_TEXT = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
 
@@ -348,16 +335,15 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     strided slices; :func:`_plane_tables` gives k).  One ``translate`` of
     those bytes and one ``int(..., 2**k)`` give the plane of each nonzero
     symbol a, an L-bit integer whose bit L-1-i is set iff position i holds
-    a; plane 0 is the complement of the others.  The positions where the
+    a; plane 0 is the complement of the others within the n+ell-1 real
+    positions, so no padding position holds a 0.  The positions where the
     occurrences of a word end are P(a) = plane[a] and P(w·a) = (P(w) >> 1)
     & plane[a], and a count is ``P(w).bit_count()``: one AND and one
-    popcount per counted word, whatever its density.  The prefixes that
-    occur are walked depth first, so at most q + ell + 1 such integers are
-    alive at once.  Only the words whose last symbol is not 0 are counted; flow
-    conservation and the length give the rest exactly (:func:`_count_plan`).
-    So no window that starts past the string's n symbols is counted: it
-    ends on a padding 0 or runs off the end.  Larger word sets take a
-    symbol loop.
+    popcount per word, whatever its density.  The prefixes that occur are
+    walked depth first, so at most q + ell + 1 such integers are alive at
+    once.  A window that starts past the string's n symbols ends on a
+    padding position or runs off the end, so it is never counted.  Larger
+    word sets take a symbol loop.
     """
     q, ell = params.q, params.ell
     if params.word_count <= 256:
@@ -374,7 +360,8 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
             raise ValueError("profile of the empty string is undefined")
         k, tables = _plane_tables(q)
         tail = (data * (ell // n + 1))[: ell - 1]
-        ext = b"".join((data, tail, bytes(-(n + ell - 1) % k)))
+        pad = -(n + ell - 1) % k
+        ext = b"".join((data, tail, bytes(pad)))
         size = len(ext)
         acc = 0
         for j in range(k):  # no carries: each block stays <= q^k - 1 <= 255
@@ -382,29 +369,24 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
         del ext  # what is freed as it goes keeps the peak near 2-3 bytes a symbol
         blocks = acc.to_bytes(size // k, "big")
         del acc
-        planes = [(1 << size) - 1] + [0] * (q - 1)
+        planes = [(1 << size) - (1 << pad)] + [0] * (q - 1)
         for a in range(1, q):
             planes[a] = int(blocks.translate(tables[a]), 1 << k)
             planes[0] ^= planes[a]  # the planes are disjoint
         counts = [0] * params.word_count
         last = ell - 1
-        nonzero = planes[1:]
 
         def walk(ends: int, w: int, depth: int) -> None:
             # ends: the positions right after the occurrences of the
             # depth-long word w; a word that does not occur has no counts
             if depth == last:
                 w *= q
-                counts[w + 1 : w + q] = [(ends & p).bit_count() for p in nonzero]
+                counts[w : w + q] = [(ends & p).bit_count() for p in planes]
             elif ends:
                 for a in range(q):
                     walk((ends & planes[a]) >> 1, w * q + a, depth + 1)
 
         walk(-1, 0, 0)  # every position starts the empty word
-        nodes = params.node_count
-        for w in _count_plan(params)[1]:
-            counts[w] = sum(counts[w // q :: nodes]) - sum(counts[w + 1 : w + q])
-        counts[0] = n - sum(counts)
         return ProfileVector(params, tuple(counts))
     symbols = parse_symbols(x, q)
     n = len(symbols)
@@ -472,7 +454,7 @@ class RankPermutation:
 
     @classmethod
     def from_words(cls, params: Params, words: Sequence[Word]) -> "RankPermutation":
-        return cls(params, tuple(word_index(w, params.q) for w in words))
+        return cls(params, tuple(map(params.index, words)))
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -483,7 +465,7 @@ class RankPermutation:
         return tuple(ranks)
 
     def rank(self, w: Word) -> int:
-        return self.ranks[word_index(w, self.params.q)]
+        return self.ranks[self.params.index(w)]
 
     def word_at_rank(self, r: int) -> Word:
         return index_to_word(self.order[r - 1], self.params.q, self.params.ell)

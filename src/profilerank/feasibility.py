@@ -44,7 +44,7 @@ from .core import (
     parse_vector_text,
     satisfies,
     vector_text,
-    word_text,
+    word_label,
 )
 
 
@@ -85,7 +85,7 @@ class FeasibleVector:
         if p.ell >= 2:
             v = first_flow_violation(values, p)
             if v is not None:
-                raise ValueError(f"flow violated at node {word_text(v)}")
+                raise ValueError(f"flow violated at node {word_label(v)}")
         if perm is not None and not satisfies(values, perm, p):
             raise ValueError("vector does not realize the stated permutation")
 
@@ -119,7 +119,7 @@ class MatchingWitness:
     color: str  # "green": all in-words below out-partners; "red": reversed
 
     def describe(self) -> str:
-        return f"monochromatic {self.color} matching at node {word_text(self.node)}"
+        return f"monochromatic {self.color} matching at node {word_label(self.node)}"
 
 
 @dataclass(frozen=True)

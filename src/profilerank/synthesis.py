@@ -22,9 +22,14 @@ from .core import (
     first_flow_violation,
     profile_of,
     satisfies,
-    word_index,
-    word_text,
+    word_label,
 )
+
+
+def _check_byte_alphabet(q: int) -> None:
+    """Refuse an alphabet whose symbols do not all fit in a byte."""
+    if q > 256:
+        raise ValueError(f"byte-string synthesis supports q <= 256, got q={q}")
 
 
 def check_connectivity(p: ProfileVector) -> bool:
@@ -69,12 +74,11 @@ def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
     are popped whole once all of their nodes are exhausted, or split at the
     last node of their final lap that still has edges left.
     """
-    if not check_connectivity(p):
-        raise ValueError("support graph is not strongly connected")
     params = p.params
     q, ell = params.q, params.ell
-    if q > 255:
-        raise ValueError("byte-string synthesis supports q <= 255")
+    _check_byte_alphabet(q)
+    if not check_connectivity(p):
+        raise ValueError("support graph is not strongly connected")
     if ell == 1:
         runs = [(bytes((s,)), c) for s, c in enumerate(p.counts) if c]
         return runs + [(runs[0][0], 1)]
@@ -163,7 +167,7 @@ class TransitionMatrix:
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # word idx -> ((dest, prob), ...)
 
     def row(self, w: Word) -> tuple[tuple[int, Fraction], ...]:
-        return self.rows[word_index(w, self.params.q)]
+        return self.rows[self.params.index(w)]
 
     def is_stationary(self, s: Sequence[Fraction]) -> bool:
         """Exact check that ``s @ M == s``."""
@@ -200,7 +204,7 @@ def markov_matrix(s: Sequence[Fraction], params: Params) -> TransitionMatrix:
         v = first_flow_violation(vec, params)
         if v is not None:
             raise ValueError(
-                f"flow violated at node {word_text(v)}: stationarity would fail"
+                f"flow violated at node {word_label(v)}: stationarity would fail"
             )
     rows = []
     for tail in edge_nodes(params)[1]:
@@ -221,6 +225,7 @@ def markov_generate(
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_byte_alphabet(params.q)
     matrix = markov_matrix(s, params)
     q, ell = params.q, params.ell
     rng = random.Random(seed)

@@ -166,6 +166,16 @@ def test_rank_decode_reports_ties():
     assert ((0, 0), (0, 1)) in out.groups
 
 
+def test_ties_above_ten_symbols_are_counted():
+    # a tie at q = 11 is a TieFailure, not a crash in the tie message
+    p = ProfileVector(Params(11, 1), tuple(range(1, 12)))
+    out = rank_decode(ProfileVector(p.params, (1, 1, *range(3, 12))))
+    assert isinstance(out, TieFailure) and out.groups == (((0,), (1,)),)
+    (row,) = simulate(p, [AdditiveNoise(3)], 5, seed=1, jobs=1)
+    assert row.ties > 0
+    assert row.successes + row.ties + row.rank_errors == 5
+
+
 def test_small_noise_always_recovers():
     # every pairwise gap in the storage profile is >= 2, so +-0-noise of
     # magnitude 0 and any perturbation below half the gap keeps the order

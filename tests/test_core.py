@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from profilerank import core
 from profilerank.core import (
     PIECES_PER_JOB,
-    _count_plan,
     _job_count,
     Params,
     ProfileVector,
@@ -130,25 +129,13 @@ def test_profile_of_matches_reference_on_all_input_forms(params):
             assert profile_of("".join(map(str, x)), params).counts == want
 
 
-def test_count_plan_matches_reference_on_every_byte_sized_word_set():
-    # every (q, ell) with q^ell <= 256 takes the counting plan: the counted
-    # words, the derived words and word 0 split the word set, the counted
-    # ones are the q^ell - q^(ell-1) words not ending in 0, each derived
-    # word's node has its in-words counted or derived before it, and the
+def test_profile_of_matches_reference_on_every_byte_sized_word_set():
+    # every (q, ell) with q^ell <= 256 counts on the bit planes, and the
     # profile equals the per-window count
     rng = random.Random(12)
     for ell in range(1, 9):
         for q in range(2, int(256 ** (1 / ell) + 1e-9) + 1):
             params = Params(q, ell)
-            nodes = params.node_count
-            counted, derived = _count_plan(params)
-            assert sorted([0, *counted, *derived]) == list(range(q**ell))
-            assert len(counted) == q**ell - q ** (ell - 1)
-            assert counted == tuple(w for w in range(q**ell) if w % q != 0)
-            known = set(counted)
-            for w in derived:
-                assert set(range(w // q, q**ell, nodes)) <= known
-                known.add(w)
             lengths = [*range(1, ell + 3), *(rng.randint(1, 400) for _ in range(3))]
             for n in lengths:
                 x = [rng.randrange(q) for _ in range(n)]
@@ -298,6 +285,28 @@ def test_rank_of_raises_on_tie_with_words():
     with pytest.raises(TieError) as err:
         rank_of((1, 2, 2, 3, 4, 5, 6, 7, 8), P32)
     assert ((0, 1), (0, 2)) in err.value.groups
+    assert str(err.value) == "tied entries: {01,02}"
+
+
+def test_rank_of_raises_tie_error_above_ten_symbols():
+    # the message renders symbols above 9 without the digit-string writer
+    with pytest.raises(TieError) as err:
+        rank_of((5, 1, 2, 3, 4, 6, 7, 8, 9, 11, 5), Params(11, 1))
+    assert err.value.groups == (((0,), (10,)),)
+    assert str(err.value) == "tied entries: {0,(10)}"
+
+
+def test_lookups_reject_a_word_of_the_wrong_length():
+    p = profile_of("0120", P32)
+    perm = rank_of(ProfileVector(P32, CHANNEL_PROFILE))
+    for w in ((1,), (0, 0, 1), ()):
+        with pytest.raises(ValueError, match="does not have length 2"):
+            p[w]
+        with pytest.raises(ValueError, match="does not have length 2"):
+            perm.rank(w)
+        with pytest.raises(ValueError, match="does not have length 2"):
+            RankPermutation.from_words(P32, [w, *perm.words_in_order()[1:]])
+    assert p[(0, 1)] == 1 and perm.rank((0, 2)) == 5
 
 
 def test_homo_image_examples():

@@ -269,6 +269,36 @@ def test_markov_matrix_rejects_zero_entry():
         markov_matrix(tuple(s), P32)
 
 
+def test_markov_matrix_row_rejects_a_word_of_the_wrong_length():
+    m = markov_matrix(normalized(CHANNEL_PROFILE), P32)
+    assert m.row((0, 2)) == m.rows[2]
+    for w in ((2,), (0, 0, 2)):
+        with pytest.raises(ValueError, match="does not have length 2"):
+            m.row(w)
+
+
+def test_markov_matrix_names_a_node_above_ten_symbols():
+    # uniform at (11, 3), then eps moved from word (0,10,10) to (0,10,0):
+    # node (0,10) still balances, (10,0) and (10,10) do not
+    params = Params(11, 3)
+    s = [Fraction(1, params.word_count)] * params.word_count
+    eps = Fraction(1, 2 * params.word_count)
+    s[params.index((0, 10, 0))] += eps
+    s[params.index((0, 10, 10))] -= eps
+    with pytest.raises(ValueError, match=r"^flow violated at node \(10,0\): "):
+        markov_matrix(s, params)
+
+
+def test_synthesis_takes_every_byte_alphabet():
+    p = ProfileVector(Params(256, 1), tuple(range(1, 257)))
+    assert profile_of(eulerian_string(p), p.params) == p
+    big = Params(257, 1)
+    with pytest.raises(ValueError, match="^byte-string synthesis supports q <= 256, got q=257$"):
+        eulerian_runs(ProfileVector(big, tuple(range(1, 258))))
+    with pytest.raises(ValueError, match="^byte-string synthesis supports q <= 256, got q=257$"):
+        markov_generate([Fraction(1, 257)] * 257, big, 10**6, seed=0)
+
+
 def test_markov_generate_reproducible():
     s = normalized(CHANNEL_PROFILE)
     a = markov_generate(s, P32, 500, seed=42)
