@@ -4,15 +4,13 @@ The distance between two arrangements of the same multiset is the minimum
 number of adjacent transpositions turning one into the other.  Swapping two
 equal symbols never helps, so equal symbols keep their relative order and the
 distance is an inversion count: the k-th copy of each symbol in one
-arrangement is matched to its k-th copy in the other.  A breadth-first search
-over transpositions, capped at short inputs, is kept as the test oracle.
+arrangement is matched to its k-th copy in the other.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -29,8 +27,6 @@ from .encoder import (
     random_info_a,
     random_layer,
 )
-
-BFS_CAP = 10
 
 
 def kendall_tau(a: Sequence, b: Sequence) -> int:
@@ -54,33 +50,6 @@ def kendall_tau(a: Sequence, b: Sequence) -> int:
         count += len(seen) - k
         seen.insert(k, pos)
     return count
-
-
-def kendall_tau_bfs(a: Sequence, b: Sequence) -> int:
-    """Exhaustive distance by searching the transposition graph."""
-    a = tuple(a)
-    b = tuple(b)
-    if sorted(a) != sorted(b):
-        raise ValueError("arguments must arrange the same multiset")
-    if len(a) > BFS_CAP:
-        raise ValueError(f"search fallback capped at length {BFS_CAP}")
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for i in range(len(cur) - 1):
-            if cur[i] == cur[i + 1]:
-                continue
-            nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2 :]
-            if nxt == b:
-                return d
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
-    raise AssertionError("transposition graph is connected on a multiset class")
 
 
 def _min_pairwise(words: Sequence[Sequence]) -> float:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import permutations, product
 from multiprocessing import get_context
 from typing import Callable, Iterator, Sequence, Union
 
@@ -143,11 +143,6 @@ def parse_symbols(x: Union[str, Sequence[int]], q: int) -> Word:
     return symbols
 
 
-def rotate(w: Word, k: int) -> Word:
-    k %= len(w)
-    return w[k:] + w[:k]
-
-
 # ---------------------------------------------------------------------------
 # De Bruijn graph structure
 # ---------------------------------------------------------------------------
@@ -188,11 +183,30 @@ def edge_nodes(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(idx // q for idx in words), tuple(idx % nodes for idx in words)
 
 
-def is_edge(a: Word, b: Word) -> bool:
-    """Edge test: the tail of ``a`` overlaps the head of ``b`` by len-1."""
-    if len(a) != len(b) or len(a) < 1:
-        return False
-    return a[1:] == b[:-1]
+def word_symmetries(params: Params) -> Iterator[tuple[int, ...]]:
+    """The symmetry group G of the window code as maps on word indices: map
+    g sends index i to the index of the image of word i.  G is the symbol
+    relabelings sigma (in lexicographic order of sigma), each followed at
+    ell >= 2 by sigma composed with word reversal.  Both keep realizability
+    (relabel a witness string, or read it backwards), so G permutes the
+    rank orders and keeps every verdict.  Its q! (ell = 1, where reversal
+    fixes every word) or 2 q! maps are distinct; the first is the identity.
+    """
+    flip = tuple(word_index(w[::-1], params.q) for w in params.words())
+    for sigma in permutations(range(params.q)):
+        image = relabeling(params, sigma)
+        yield image
+        if params.ell > 1:
+            yield tuple(map(image.__getitem__, flip))
+
+
+def relabeling(params: Params, sigma: Sequence[int]) -> tuple[int, ...]:
+    """The map on word indices of the symbol relabeling ``sigma``: entry i
+    is the index of word i with each symbol s replaced by ``sigma[s]``."""
+    image = tuple(sigma)  # on the words of length 1, then one symbol longer
+    for _ in range(params.ell - 1):
+        image = tuple(b * params.q + s for b in image for s in sigma)
+    return image
 
 
 def homo_image(v: Word, q: int) -> Word:
@@ -422,10 +436,6 @@ def first_flow_violation(
     return None
 
 
-def is_flow_conserving(p: ProfileVector) -> bool:
-    return first_flow_violation(p) is None
-
-
 # ---------------------------------------------------------------------------
 # Rank permutations
 # ---------------------------------------------------------------------------
@@ -468,6 +478,8 @@ class RankPermutation:
         return self.ranks[self.params.index(w)]
 
     def word_at_rank(self, r: int) -> Word:
+        if not 1 <= r <= len(self.order):
+            raise ValueError(f"rank {r} out of range 1..{len(self.order)}")
         return index_to_word(self.order[r - 1], self.params.q, self.params.ell)
 
     def words_in_order(self) -> list[Word]:
@@ -476,12 +488,8 @@ class RankPermutation:
 
     def relabel(self, sigma: Sequence[int]) -> "RankPermutation":
         """Apply an alphabet relabeling symbol-wise, keeping the rank order."""
-        q, ell = self.params.q, self.params.ell
-        new_order = []
-        for idx in self.order:
-            w = index_to_word(idx, q, ell)
-            new_order.append(word_index(tuple(sigma[s] for s in w), q))
-        return RankPermutation(self.params, tuple(new_order))
+        image = relabeling(self.params, sigma)
+        return RankPermutation(self.params, tuple(map(image.__getitem__, self.order)))
 
     def to_text(self) -> str:
         return ",".join(word_text(w) for w in self.words_in_order())

@@ -3,21 +3,33 @@
 Everything here enumerates: the full census of rank orders (capped at 9
 words, i.e. 9! cases), the repository of minimal realizable matrices, the
 smallest witness lengths, and the monochromatic-matching count that the
-counting bound rests on.  The census is embarrassingly parallel; work is
-split into index ranges of the lexicographic permutation stream and merged
-by count, so results are independent of the worker layout.
+counting bound rests on.  The census and the repository visit one rank order
+per orbit of the symmetry group G of :func:`core.word_symmetries`, which
+keeps every verdict and every least-maximum assignment, and expand the
+results through G.  The representatives are split into contiguous pieces
+and fanned out with ``core.fan_out``, so results are independent of the
+worker layout.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from math import factorial
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from .core import Params, RankPermutation, edge_nodes, fan_out, split_range
+from .core import (
+    Params,
+    RankPermutation,
+    edge_nodes,
+    fan_out,
+    split_range,
+    word_symmetries,
+)
 from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import FeasibleVector, order_lp_solution, order_precheck_witness
 
@@ -57,12 +69,82 @@ class CensusResult:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int]:
+def orbit_size(params: Params) -> int:
+    """Orders in every orbit of G: G acts freely on the rank orders (a map
+    that fixes an order fixes every word), so each orbit has one order per
+    distinct map, q! at ell = 1 and 2 q! above."""
+    return factorial(params.q) * min(params.ell, 2)
+
+
+def representatives(params: Params) -> Iterator[tuple[int, ...]]:
+    """The lexicographically least order of every orbit of G, in
+    lexicographic order.
+
+    An order is least in its orbit iff each of its words is the least image
+    of that word under the maps of G that fix every word before it: a map
+    that fixes the first k words and sends word k lower sends the whole
+    order lower, and the first position where a lower image differs gives
+    such a map.  Those maps are, per reversal flag, the relabelings that
+    agree with one permutation of the symbols used so far and permute the
+    unused symbols freely.  So the least image of a word needs no scan of
+    the group: its used symbols go through the permutation, and its unused
+    ones are renamed, in order of first appearance, to the least unused
+    symbols.  Once the identity is the only map left, every arrangement of
+    the remaining words is least in its orbit.
+    """
+    q = params.q
+    words = list(params.words())
+    flips = (False, True) if params.ell > 1 else (False,)
+
+    def least_image(word, used, branches):
+        unused = [s for s in range(q) if s not in used]
+        best = word
+        for flip, sigma in branches:
+            source = word[::-1] if flip else word
+            fresh = dict(zip(dict.fromkeys(s for s in source if s not in used), unused))
+            best = min(best, tuple(sigma[s] if s in used else fresh[s] for s in source))
+        return best
+
+    def fixing(word, branches):
+        # the branches whose maps can also fix ``word``, permutations extended
+        kept = []
+        for flip, sigma in branches:
+            sigma = dict(sigma)
+            for s, t in zip(word[::-1] if flip else word, word):
+                if sigma.get(s, t) != t or (s not in sigma and t in sigma.values()):
+                    break
+                sigma[s] = t
+            else:
+                kept.append((flip, sigma))
+        return kept
+
+    def extend(prefix, rest, used, branches):
+        # the identity's branch always survives; it is the only map left
+        # once no other branch does and at most one symbol is unused
+        if len(branches) == 1 and len(used) >= q - 1:
+            for tail in permutations(rest):
+                yield prefix + tail
+            return
+        for idx in rest:
+            word = words[idx]
+            if least_image(word, used, branches) == word:
+                yield from extend(
+                    prefix + (idx,),
+                    tuple(i for i in rest if i != idx),
+                    used | set(word),
+                    fixing(word, branches),
+                )
+
+    whole_group = [(flip, {}) for flip in flips]
+    yield from extend((), tuple(range(params.word_count)), frozenset(), whole_group)
+
+
+def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int, int]:
     params, lp_all, piece = args
     feasible: list[tuple[int, ...]] = []
-    hit_feasible = hit_infeasible = silent_infeasible = 0
-    stream = islice(permutations(range(params.word_count)), piece.start, piece.stop)
-    for order in stream:
+    swept = hit_feasible = hit_infeasible = silent_infeasible = 0
+    for order in islice(representatives(params), piece.start, piece.stop):
+        swept += 1
         hit = order_precheck_witness(order, params)
         if hit is None:
             if order_lp_solution(order, params).x is not None:
@@ -76,7 +158,7 @@ def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int]:
                 hit_infeasible += 1
         else:
             hit_infeasible += 1
-    return feasible, hit_feasible, hit_infeasible, silent_infeasible
+    return feasible, hit_feasible, hit_infeasible, silent_infeasible, swept
 
 
 def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
@@ -86,22 +168,28 @@ def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
         )
     total = factorial(params.word_count)
     started = time.monotonic()
-    tasks = [(params, lp_all, piece) for piece in split_range(total, jobs)]
-    parts = fan_out(_sweep_chunk, tasks, jobs)
-    feasible: list[tuple[int, ...]] = []
-    hit_f = hit_i = silent_i = 0
-    for part in parts:
-        feasible.extend(part[0])
-        hit_f += part[1]
-        hit_i += part[2]
-        silent_i += part[3]
+    orbit = orbit_size(params)
+    # each worker generates its own piece of the representative stream
+    pieces = split_range(total // orbit, jobs)
+    parts = fan_out(_sweep_chunk, [(params, lp_all, piece) for piece in pieces], jobs)
+    swept = sum(part[4] for part in parts)
+    if swept * orbit != total:
+        raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
+    feasible_reps = [order for part in parts for order in part[0]]
+    # every verdict is constant on an orbit: count each representative's
+    # orbit, and list every order of a feasible one
+    feasible = sorted(
+        tuple(map(g.__getitem__, rep))
+        for g in word_symmetries(params)
+        for rep in feasible_reps
+    )
     return CensusResult(
         params,
         total,
         tuple(feasible),
-        hit_f,
-        hit_i,
-        silent_i,
+        orbit * sum(part[1] for part in parts),
+        orbit * sum(part[2] for part in parts),
+        orbit * sum(part[3] for part in parts),
         lp_all,
         time.monotonic() - started,
     )
@@ -171,15 +259,16 @@ def _in_word_order(order: Sequence[int], values: Sequence[int]) -> tuple[int, ..
     return tuple(vec)
 
 
-def minimal_max_vector(
+def least_max_vectors(
     order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
-) -> tuple[int, ...] | None:
-    """The flow-balanced assignment minimizing the maximum entry, ties broken
-    by the lexicographically smallest vector (entries in word order).
+) -> list[tuple[int, ...]]:
+    """Every flow-balanced assignment of distinct values >= ``floor`` in the
+    order's rank order at the least maximum within ``cap`` (entries in word
+    order, in the search's order); empty if no maximum within ``cap``
+    admits one.
 
     The allowed maximum is raised one step at a time from its least value,
-    each step a full depth-first search over distinct values >= ``floor``;
-    None if no maximum within ``cap`` admits one.
+    each step a full depth-first search over distinct values >= ``floor``.
     """
     n = len(order)
     cons = _order_constraints(order, params)
@@ -198,8 +287,17 @@ def minimal_max_vector(
 
         rec(0, floor - 1)
         if sols:
-            return min(sols)
-    return None
+            return sols
+    return []
+
+
+def minimal_max_vector(
+    order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
+) -> tuple[int, ...] | None:
+    """The flow-balanced assignment minimizing the maximum entry, ties broken
+    by the lexicographically smallest vector (entries in word order); None
+    if no maximum within ``cap`` admits one."""
+    return min(least_max_vectors(order, params, cap, floor), default=None)
 
 
 def minimal_max_value(
@@ -216,16 +314,16 @@ def minimal_max_value(
     return None if vec is None else max(vec)
 
 
-def _repo_chunk(orders: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _repo_chunk(orders: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     params = Params(BASE_Q, 2)
     out = []
     for order in orders:
-        vec = minimal_max_vector(order, params, REPOSITORY_CAP)
-        if vec is None:
+        sols = least_max_vectors(order, params, REPOSITORY_CAP)
+        if not sols:
             raise AssertionError(
                 f"no assignment with entries <= {REPOSITORY_CAP} for order {order}"
             )
-        out.append(vec)
+        out.append(sols)
     return out
 
 
@@ -235,7 +333,11 @@ def build_repository(
     """Construct and sanity-check the full 30240-entry repository.
 
     Every realizable order must admit an assignment within
-    :data:`REPOSITORY_CAP`; failure is a build error, not a skip.
+    :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  Only the
+    census's orbit representatives are searched.  A map g of G sends the
+    least-maximum assignments of an order onto those of its image, so the
+    image's vector, :func:`minimal_max_vector`'s choice, is the least image
+    under g of its representative's assignments.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -245,9 +347,30 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    tasks = [orders[r.start : r.stop] for r in split_range(len(orders), jobs)]
-    parts = fan_out(_repo_chunk, tasks, jobs)
-    return Repository(tuple(vec for part in parts for vec in part))
+    # the census is a union of orbits iff it holds every image of its
+    # representatives and one orbit's worth of orders per representative
+    unclosed = "the census is not a union of orbits of the code's symmetries"
+    reps = [rep for rep in representatives(params) if _position(orders, rep) is not None]
+    if len(reps) * orbit_size(params) != len(orders):
+        raise AssertionError(unclosed)
+    tasks = [reps[r.start : r.stop] for r in split_range(len(reps), jobs)]
+    solutions = list(chain.from_iterable(fan_out(_repo_chunk, tasks, jobs)))
+    vectors = [()] * len(orders)
+    for g in word_symmetries(params):
+        # an assignment to an order, moved to the same ranks of g(order)
+        image = itemgetter(*sorted(range(len(g)), key=g.__getitem__))
+        for rep, sols in zip(reps, solutions):
+            k = _position(orders, tuple(map(g.__getitem__, rep)))
+            if k is None:
+                raise AssertionError(unclosed)
+            vectors[k] = min(map(image, sols))
+    return Repository(tuple(vectors))
+
+
+def _position(orders: Sequence[tuple[int, ...]], order: tuple[int, ...]) -> int | None:
+    """Index of ``order`` in the lexicographically sorted ``orders``, or None."""
+    k = bisect_left(orders, order)
+    return k if k < len(orders) and orders[k] == order else None
 
 
 def compute_c3(repo: Repository) -> int:

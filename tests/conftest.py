@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-The census, the full-LP sweep, and the repository are expensive (seconds to
-tens of seconds); they are built once per session and shared by the unit and
-acceptance tests.
+The census, the full-LP sweep, and the repository take a fraction of a
+second each since they visit one rank order per symmetry orbit; they are
+built once per session and shared by the unit and acceptance tests.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from itertools import product
 
 import pytest
 
+from bruteforce import kendall_tau_bfs
 from profilerank.channel import rank_decode
 from profilerank.codes import (
     CWBinaryCode,
@@ -20,7 +21,6 @@ from profilerank.codes import (
     PrecodedInfoB,
     interleave_codes,
     kendall_tau,
-    kendall_tau_bfs,
     substitute_codes,
 )
 from profilerank.core import (

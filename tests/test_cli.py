@@ -85,6 +85,19 @@ def test_census_command(capsys):
     assert "feasible=0" in out
 
 
+def test_census_command_output_at_three_two(capsys):
+    assert main(["census", "--q", "3", "--ell", "2", "--jobs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        "census q=3 ell=2",
+        "permutations=362880",
+        "feasible=30240",
+        "precheck_hit_infeasible=332640",
+        "silent_infeasible=0",
+    ]
+    assert lines[-1].startswith("elapsed_seconds=")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
     pfile = tmp_path / "profile.txt"

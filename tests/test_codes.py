@@ -4,15 +4,14 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from bruteforce import BFS_CAP, kendall_tau_bfs
 from profilerank.codes import (
-    BFS_CAP,
     CWBinaryCode,
     PermCode,
     PrecodedInfoA,
     PrecodedInfoB,
     interleave_codes,
     kendall_tau,
-    kendall_tau_bfs,
     restrict,
     side_pattern,
     substitute,

@@ -2,6 +2,8 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,20 +23,30 @@ from profilerank.core import (
     homo_preimages,
     index_to_word,
     is_constant,
-    is_edge,
-    is_flow_conserving,
     first_flow_violation,
     neighborhood,
     profile_of,
     rank_of,
-    rotate,
     satisfies,
     split_range,
     word_index,
+    word_symmetries,
     word_text,
 )
 
 P32 = Params(3, 2)
+
+
+def rotate(w, k):
+    """Reference: the cyclic shift of ``w`` that starts at position k."""
+    k %= len(w)
+    return w[k:] + w[:k]
+
+
+def is_edge(a, b):
+    """Reference edge test: the tail of ``a`` overlaps the head of ``b``."""
+    return len(a) == len(b) >= 1 and a[1:] == b[:-1]
+
 
 # 45-symbol storage string from the worked channel example, letters by position.
 CHANNEL_STRING = "AGGGGGGGGGGCGCGCGCGCGCGCGAGAGAGAGCCCCCCCACACA".translate(
@@ -219,8 +231,8 @@ def test_flow_conservation_of_string_profiles():
     for _ in range(50):
         n = rng.randint(1, 40)
         x = tuple(rng.randrange(3) for _ in range(n))
-        assert is_flow_conserving(profile_of(x, P32))
-        assert is_flow_conserving(profile_of(x, Params(3, 3)))
+        assert first_flow_violation(profile_of(x, P32)) is None
+        assert first_flow_violation(profile_of(x, Params(3, 3))) is None
 
 
 def test_flow_violation_witness():
@@ -228,7 +240,6 @@ def test_flow_violation_witness():
     # lexicographic order.
     p = ProfileVector(Params(2, 2), (1, 2, 1, 0))
     assert first_flow_violation(p) == (0,)
-    assert not is_flow_conserving(p)
     only12 = ProfileVector(P32, (0, 0, 0, 0, 0, 1, 0, 0, 0))
     assert first_flow_violation(only12) == (1,)
 
@@ -250,7 +261,7 @@ def test_flow_check_rejects_window_one():
 
 
 def test_flow_conserving_worked_matrix():
-    assert is_flow_conserving(ProfileVector(P32, CHANNEL_PROFILE))
+    assert first_flow_violation(ProfileVector(P32, CHANNEL_PROFILE)) is None
 
 
 def test_satisfies_channel_output_vector():
@@ -376,6 +387,47 @@ def test_relabel_keeps_rank_structure():
     swapped = perm.relabel((1, 0, 2))
     assert swapped.word_at_rank(1) == (1, 1)
     assert sorted(swapped.order) == list(range(9))
+
+
+def test_word_at_rank_rejects_ranks_outside_one_to_n():
+    perm = RankPermutation.from_text(CHANNEL_ORDER)
+    assert perm.word_at_rank(1) == (0, 0)
+    assert perm.word_at_rank(9) == (2, 2)
+    for r in (0, -1, 10):
+        with pytest.raises(ValueError, match=f"rank {r} out of range 1..9"):
+            perm.word_at_rank(r)
+
+
+@pytest.mark.parametrize("q, ell", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_word_symmetries_are_relabelings_and_reversals(q, ell):
+    params = Params(q, ell)
+    words = list(params.words())
+    maps = list(word_symmetries(params))
+    expected = {
+        tuple(word_index(tuple(sigma[s] for s in w[::step]), q) for w in words)
+        for sigma in permutations(range(q))
+        for step in (1, -1)  # at ell = 1 both give the same map
+    }
+    assert maps[0] == tuple(range(len(words)))
+    assert len(maps) == len(set(maps)) == factorial(q) * min(ell, 2)
+    assert set(maps) == expected
+
+
+@pytest.mark.parametrize("q, ell", [(3, 2), (2, 3), (3, 3)])
+def test_word_symmetries_map_profiles_onto_profiles(q, ell):
+    # the image of a string under a relabeling, read forwards or backwards,
+    # has g's image of the string's profile: so g keeps realizability
+    params = Params(q, ell)
+    rng = random.Random(q * 10 + ell)
+    maps = list(word_symmetries(params))
+    for sigma, g, g_reversed in zip(permutations(range(q)), maps[::2], maps[1::2]):
+        for _ in range(5):
+            x = tuple(rng.randrange(q) for _ in range(rng.randint(1, 40)))
+            counts = profile_of(x, params).counts
+            relabeled = tuple(sigma[s] for s in x)
+            for image, h in ((relabeled, g), (relabeled[::-1], g_reversed)):
+                moved = profile_of(image, params).counts
+                assert all(moved[h[i]] == c for i, c in enumerate(counts))
 
 
 def test_profile_text_round_trip():

@@ -1,24 +1,36 @@
 import random
+from dataclasses import replace
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from bruteforce import full_sweep
 from profilerank.core import (
     Params,
     RankPermutation,
     edge_nodes,
+    first_flow_violation,
     profile_of,
     rank_of,
+    satisfies,
     word_index,
+    word_symmetries,
 )
+from profilerank.encoder import BASE_COUNT
 from profilerank.feasibility import order_precheck_witness
 from profilerank.oracle import (
+    build_repository,
     compute_c3,
     enumerate_feasible,
+    least_max_vectors,
     min_string_length,
     min_sum_vector,
     minimal_max_value,
     minimal_max_vector,
+    orbit_size,
+    precheck_completeness_gap,
+    representatives,
     verify_matching_count,
 )
 from profilerank.synthesis import eulerian_string
@@ -46,9 +58,46 @@ def test_census_cap():
         enumerate_feasible(Params(3, 3))
 
 
-def test_census_serial_matches_parallel(census32):
-    serial = enumerate_feasible(P32, jobs=1)
-    assert serial.feasible == census32.feasible
+# every (q, ell) with q^ell <= CENSUS_CAP
+CAPPED = [Params(q, 1) for q in range(2, 10)] + [Params(2, 2), Params(3, 2), Params(2, 3)]
+
+
+@pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
+def test_orbit_census_matches_full_sweep(params):
+    # ground truth: the pre-check and the LP on every one of the (q^ell)!
+    # orders, against the orbit sweep of both census variants, serial and
+    # fanned out
+    reference = full_sweep(params, jobs=2)
+    for sweep, lp_all in ((enumerate_feasible, False), (precheck_completeness_gap, True)):
+        for jobs in (1, 2):
+            result = sweep(params, jobs=jobs)
+            assert result.total == factorial(params.word_count)
+            assert result.lp_checked_all == lp_all
+            assert (
+                result.feasible,
+                result.precheck_hit_feasible,
+                result.precheck_hit_infeasible,
+                result.silent_infeasible,
+            ) == reference.expected(lp_all)
+
+
+@pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
+def test_representatives_are_least_in_their_orbits(params):
+    reps = list(representatives(params))
+    assert reps == sorted(set(reps))
+    assert len(reps) * orbit_size(params) == factorial(params.word_count)
+    maps = list(word_symmetries(params))
+    assert len(maps) == orbit_size(params)
+    for rep in random.Random(7).sample(reps, min(len(reps), 300)):
+        assert min(tuple(map(g.__getitem__, rep)) for g in maps) == rep
+
+
+def test_orbit_counts_at_three_two(census32):
+    reps = list(representatives(P32))
+    assert len(reps) == 30240 and orbit_size(P32) == 12
+    assert {rep[:1] for rep in reps} == {(0,), (1,)}  # the words 00 and 01
+    feasible = set(census32.feasible)
+    assert sum(1 for rep in reps if rep in feasible) == 2520
 
 
 def test_census_closed_under_relabeling(census32):
@@ -85,6 +134,16 @@ def test_repository_checksum_pinned(repo, tmp_path):
     assert path.read_text().splitlines()[-1] == (
         "sha256=ab436259092f2d125f7237a37d9f71e05b5c393e8d7b0bd6e1a91adfaa52f789"
     )
+    assert len(repo.vectors) == BASE_COUNT
+
+
+def test_repository_refuses_a_census_not_closed_under_the_symmetries(census32):
+    # swap the last realizable order for an unrealizable one
+    stray = (8, 7, 6, 5, 4, 3, 2, 1, 0)
+    assert stray not in set(census32.feasible)
+    broken = replace(census32, feasible=census32.feasible[:-1] + (stray,))
+    with pytest.raises(AssertionError):
+        build_repository(broken, jobs=1)
 
 
 def test_repository_vectors_revalidate(repo):
@@ -96,6 +155,32 @@ def test_repository_entries_are_minimal_max(repo, census32):
     for i in rng.sample(range(30240), 50):
         vec = minimal_max_vector(census32.feasible[i], P32)
         assert vec == repo.vectors[i]
+
+
+@pytest.mark.parametrize("floor", [0, 1])
+def test_least_max_vectors_are_every_least_max_solution(census32, floor):
+    # the search the repository shares with minimal_max_vector: reduced by
+    # min it is minimal_max_vector, each solution is valid at the least
+    # maximum, and the solutions of g(order) are the g-images of those of
+    # the order, which is what lets the repository search one order per orbit
+    maps = list(word_symmetries(P32))
+    rng = random.Random(8)
+    for order in rng.sample(list(census32.feasible), 40):
+        sols = least_max_vectors(order, P32, 17, floor)
+        assert min(sols) == minimal_max_vector(order, P32, 17, floor)
+        assert len(set(sols)) == len(sols)
+        top = max(sols[0])
+        for sol in sols:
+            assert max(sol) == top and min(sol) >= floor
+            assert satisfies(sol, RankPermutation(P32, order))
+            assert first_flow_violation(sol, P32) is None
+        for g in maps:
+            image = tuple(map(g.__getitem__, order))
+            moved = {tuple(sol[g.index(j)] for j in range(9)) for sol in sols}
+            assert set(least_max_vectors(image, P32, 17, floor)) == moved
+    stray = (8, 7, 6, 5, 4, 3, 2, 1, 0)
+    assert least_max_vectors(stray, P32, 17, floor) == []
+    assert minimal_max_vector(stray, P32, 17, floor) is None
 
 
 def test_c3_constants(repo, census32):
