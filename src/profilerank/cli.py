@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from decimal import MAX_EMAX, Context, Decimal
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import channel, codes, encoder, feasibility, oracle, synthesis
@@ -59,6 +61,14 @@ def _whole(least: int = 0):
 _natural = _whole()
 _positive = _whole(1)  # window lengths, string lengths, c3, worker counts
 _alphabet = _whole(2)  # alphabet sizes
+
+
+def _checked(fn, *args):
+    """``fn(*args)``, with its ValueError, a value out of range, a usage error."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
 
 
 def _read(path: str) -> str:
@@ -154,14 +164,14 @@ def cmd_synthesize(args) -> int:
 
 def cmd_census(args) -> int:
     params = Params(args.q, args.ell)
-    result = oracle.enumerate_feasible(params, jobs=args.jobs)
+    result = oracle.enumerate_feasible(params)
     sys.stdout.write(result.summary())
     return EXIT_OK
 
 
 def cmd_repo(args) -> int:
     if args.action == "build":
-        repo = oracle.build_repository(jobs=args.jobs)
+        repo = oracle.build_repository()
         repo.save(args.file)
         print(f"wrote {len(repo.vectors)} vectors, c3={oracle.compute_c3(repo)}")
         return EXIT_OK
@@ -203,6 +213,20 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _exact(x: int | Fraction) -> str:
+    """``str(x)``, written through Decimal, which has no int-to-str digit limit."""
+    n, d = x.as_integer_ratio()
+    return f"{Decimal(n)}/{Decimal(d)}" if d > 1 else f"{Decimal(n)}"
+
+
+def _approx(x: Fraction) -> str:
+    """``f"{float(x):.6g}"``, but rounded from the exact value: no float overflow."""
+    six = Context(prec=6, Emax=MAX_EMAX)
+    d = six.normalize(six.divide(x.numerator, x.denominator))
+    e = d.adjusted()
+    return f"{d:f}" if -4 <= e < 6 else f"{six.scaleb(d, -e):f}e{e:+03d}"
+
+
 def cmd_bounds(args) -> int:
     if args.rate_table:
         lines = ["q\\ell " + " ".join(f"{e:>6}" for e in range(3, 11))]
@@ -217,24 +241,19 @@ def cmd_bounds(args) -> int:
         raise _UsageError("--q and --ell are required unless --rate-table is given")
     params = Params(args.q, args.ell)
     lines = []
-    try:
-        if args.upper:
-            bound = feasibility.upper_bound(params)
-            lines.append(f"upper={bound} ({float(bound):.6g})")
-        if args.lower:
-            lines.append(f"lower={encoder.count_lower_bound(params)}")
-        if args.rate:
-            lines.append(f"rate={encoder.rate_lower_bound(params):.4f}")
-        if args.length:
-            b = encoder.length_bounds(params, args.c3)
-            lines.append(
-                f"max_entry_pairs={b.max_entry_pairs} length_pairs={b.length_pairs} "
-                f"max_entry={b.max_entry} length={b.length}"
-            )
-        if args.alpha:
-            lines.append(f"alpha_star_lower={feasibility.alpha_star_lower(params)}")
-    except ValueError as err:  # --q/--ell outside the calculator's domain
-        raise _UsageError(str(err)) from None
+    if args.upper:
+        bound = _checked(feasibility.upper_bound, params)
+        lines.append(f"upper={_exact(bound)} ({_approx(bound)})")
+    if args.lower:
+        lines.append(f"lower={_exact(_checked(encoder.count_lower_bound, params))}")
+    if args.rate:
+        lines.append(f"rate={_checked(encoder.rate_lower_bound, params):.4f}")
+    if args.length:
+        b = _checked(encoder.length_bounds, params, args.c3)
+        lines.append(" ".join(f"{name}={_exact(v)}" for name, v in vars(b).items()))
+    if args.alpha:
+        alpha = _checked(feasibility.alpha_star_lower, params)
+        lines.append(f"alpha_star_lower={_exact(alpha)}")
     if not lines:
         raise _UsageError("pick at least one of --upper/--lower/--rate/--length/--alpha")
     _write(args.out, "\n".join(lines) + "\n")
@@ -249,14 +268,11 @@ def _rate(text: str) -> float:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.noise == "additive":
-            levels = [parse_natural(v, "additive noise level") for v in args.params]
-            models = [channel.AdditiveNoise(v) for v in levels]
-        else:
-            models = [channel.DropNoise(_rate(v)) for v in args.params]
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
+    if args.noise == "additive":
+        levels = [_checked(parse_natural, v, "additive noise level") for v in args.params]
+        models = [channel.AdditiveNoise(v) for v in levels]
+    else:
+        models = [channel.DropNoise(_checked(_rate, v)) for v in args.params]
     profile = ProfileVector.from_text(_read(args.profile))
     rows = channel.simulate(profile, models, args.trials, args.seed, jobs=args.jobs)
     header = "noise\ttrials\tsuccesses\tties\trank_errors"
@@ -315,13 +331,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="count realizable orders exhaustively")
     p.add_argument("--q", type=_alphabet, required=True)
     p.add_argument("--ell", type=_positive, required=True)
-    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("repo", help="build or verify the base repository")
     p.add_argument("action", choices=["build", "verify"])
     p.add_argument("--file", required=True)
-    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.set_defaults(func=cmd_repo)
 
     p = sub.add_parser("encode", help="message file to vector/permutation/string")

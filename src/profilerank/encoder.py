@@ -602,12 +602,9 @@ def rate_lower_bound(params: Params) -> float:
     q, ell = params.q, params.ell
     if q < 3 or ell < 3:
         raise ValueError("rate formula stated for q >= 3 and ell >= 3")
-    return (
-        math.log(math.factorial(q))
-        * (q - 1)
-        * (q ** (ell - 2) - 1)
-        / (ell * q**ell * math.log(q))
-    )
+    # one true division of exact integers, so no large factor becomes a float
+    share = (q - 1) * (q ** (ell - 2) - 1) / (ell * q**ell)
+    return math.log(math.factorial(q)) / math.log(q) * share
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ smallest witness lengths, and the monochromatic-matching count that the
 counting bound rests on.  The census and the repository visit one rank order
 per orbit of the symmetry group G of :func:`core.word_symmetries`, which
 keeps every verdict and every least-maximum assignment, and expand the
-results through G.  The representatives are split into contiguous pieces
-and fanned out with ``core.fan_out``, so results are independent of the
-worker layout.
+results through G.  Both are one serial pass over the representatives:
+at (3,2), the largest census input, a pass takes a fraction of a second,
+less than a worker pool costs to start.
 """
 
 from __future__ import annotations
@@ -17,19 +17,12 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, permutations
+from itertools import permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import (
-    Params,
-    RankPermutation,
-    edge_nodes,
-    fan_out,
-    split_range,
-    word_symmetries,
-)
+from .core import Params, RankPermutation, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import FeasibleVector, order_lp_solution, order_precheck_witness
 
@@ -139,29 +132,7 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
     yield from extend((), tuple(range(params.word_count)), frozenset(), whole_group)
 
 
-def _sweep_chunk(args) -> tuple[list[tuple[int, ...]], int, int, int, int]:
-    params, lp_all, piece = args
-    feasible: list[tuple[int, ...]] = []
-    swept = hit_feasible = hit_infeasible = silent_infeasible = 0
-    for order in islice(representatives(params), piece.start, piece.stop):
-        swept += 1
-        hit = order_precheck_witness(order, params)
-        if hit is None:
-            if order_lp_solution(order, params).x is not None:
-                feasible.append(order)
-            else:
-                silent_infeasible += 1
-        elif lp_all:
-            if order_lp_solution(order, params).x is not None:
-                hit_feasible += 1
-            else:
-                hit_infeasible += 1
-        else:
-            hit_infeasible += 1
-    return feasible, hit_feasible, hit_infeasible, silent_infeasible, swept
-
-
-def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
+def _sweep(params: Params, lp_all: bool) -> CensusResult:
     if params.word_count > CENSUS_CAP:
         raise ValueError(
             f"census capped at {CENSUS_CAP} words, got {params.word_count}"
@@ -169,13 +140,22 @@ def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
     total = factorial(params.word_count)
     started = time.monotonic()
     orbit = orbit_size(params)
-    # each worker generates its own piece of the representative stream
-    pieces = split_range(total // orbit, jobs)
-    parts = fan_out(_sweep_chunk, [(params, lp_all, piece) for piece in pieces], jobs)
-    swept = sum(part[4] for part in parts)
+    feasible_reps: list[tuple[int, ...]] = []
+    swept = hit_feasible = hit_infeasible = silent_infeasible = 0
+    for order in representatives(params):
+        swept += 1
+        hit = order_precheck_witness(order, params)
+        if hit is None:
+            if order_lp_solution(order, params).x is not None:
+                feasible_reps.append(order)
+            else:
+                silent_infeasible += 1
+        elif lp_all and order_lp_solution(order, params).x is not None:
+            hit_feasible += 1
+        else:
+            hit_infeasible += 1
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
-    feasible_reps = [order for part in parts for order in part[0]]
     # every verdict is constant on an orbit: count each representative's
     # orbit, and list every order of a feasible one
     feasible = sorted(
@@ -187,9 +167,9 @@ def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
         params,
         total,
         tuple(feasible),
-        orbit * sum(part[1] for part in parts),
-        orbit * sum(part[2] for part in parts),
-        orbit * sum(part[3] for part in parts),
+        orbit * hit_feasible,
+        orbit * hit_infeasible,
+        orbit * silent_infeasible,
         lp_all,
         time.monotonic() - started,
     )
@@ -197,14 +177,15 @@ def _sweep(params: Params, lp_all: bool, jobs: int | None) -> CensusResult:
 
 def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     """Full census of realizable orders; the pre-check short-circuits the LP
-    on orders it already refutes."""
-    return _sweep(params, lp_all=False, jobs=jobs)
+    on orders it already refutes.  ``jobs`` selects nothing: the census is
+    one serial pass, and the keyword stays for callers that still pass it."""
+    return _sweep(params, lp_all=False)
 
 
-def precheck_completeness_gap(params: Params, jobs: int | None = None) -> CensusResult:
+def precheck_completeness_gap(params: Params) -> CensusResult:
     """Census variant that runs the LP on every order regardless of the
     pre-check, yielding the full confusion counts between the two tests."""
-    return _sweep(params, lp_all=True, jobs=jobs)
+    return _sweep(params, lp_all=True)
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +295,6 @@ def minimal_max_value(
     return None if vec is None else max(vec)
 
 
-def _repo_chunk(orders: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    params = Params(BASE_Q, 2)
-    out = []
-    for order in orders:
-        sols = least_max_vectors(order, params, REPOSITORY_CAP)
-        if not sols:
-            raise AssertionError(
-                f"no assignment with entries <= {REPOSITORY_CAP} for order {order}"
-            )
-        out.append(sols)
-    return out
-
-
 def build_repository(
     census: CensusResult | None = None, jobs: int | None = None
 ) -> Repository:
@@ -337,11 +305,13 @@ def build_repository(
     census's orbit representatives are searched.  A map g of G sends the
     least-maximum assignments of an order onto those of its image, so the
     image's vector, :func:`minimal_max_vector`'s choice, is the least image
-    under g of its representative's assignments.
+    under g of its representative's assignments.  ``jobs`` selects nothing:
+    the build is one serial pass, and the keyword stays for callers that
+    still pass it.
     """
     params = Params(BASE_Q, 2)
     if census is None:
-        census = enumerate_feasible(params, jobs=jobs)
+        census = enumerate_feasible(params)
     if census.params != params:
         raise ValueError("repository is defined at q=3, window length 2")
     orders = census.feasible
@@ -353,8 +323,12 @@ def build_repository(
     reps = [rep for rep in representatives(params) if _position(orders, rep) is not None]
     if len(reps) * orbit_size(params) != len(orders):
         raise AssertionError(unclosed)
-    tasks = [reps[r.start : r.stop] for r in split_range(len(reps), jobs)]
-    solutions = list(chain.from_iterable(fan_out(_repo_chunk, tasks, jobs)))
+    solutions = [least_max_vectors(rep, params, REPOSITORY_CAP) for rep in reps]
+    for rep, sols in zip(reps, solutions):
+        if not sols:
+            raise AssertionError(
+                f"no assignment with entries <= {REPOSITORY_CAP} for order {rep}"
+            )
     vectors = [()] * len(orders)
     for g in word_symmetries(params):
         # an assignment to an order, moved to the same ranks of g(order)

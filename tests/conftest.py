@@ -16,19 +16,17 @@ from profilerank.oracle import (
     precheck_completeness_gap,
 )
 
-JOBS = 2
-
 
 @pytest.fixture(scope="session")
 def census32():
-    return enumerate_feasible(Params(3, 2), jobs=JOBS)
+    return enumerate_feasible(Params(3, 2))
 
 
 @pytest.fixture(scope="session")
 def gap32():
-    return precheck_completeness_gap(Params(3, 2), jobs=JOBS)
+    return precheck_completeness_gap(Params(3, 2))
 
 
 @pytest.fixture(scope="session")
 def repo(census32):
-    return build_repository(census32, jobs=JOBS)
+    return build_repository(census32)

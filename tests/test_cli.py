@@ -1,6 +1,7 @@
 import io
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -11,13 +12,14 @@ from profilerank.cli import PIECE_CHARS, main
 from profilerank.core import Params, ProfileVector, profile_of, word_text
 from profilerank.encoder import (
     Repository,
+    count_lower_bound,
     encode_b,
     info_a_to_text,
     info_b_to_text,
     random_info_a,
     random_info_b,
 )
-from profilerank.feasibility import FeasibleVector
+from profilerank.feasibility import FeasibleVector, upper_bound
 from profilerank.synthesis import eulerian_runs
 
 CHANNEL_STRING = "AGGGGGGGGGGCGCGCGCGCGCGCGAGAGAGAGCCCCCCCACACA".translate(
@@ -80,13 +82,13 @@ def test_bounds_outside_the_calculator_domain_is_usage_error(argv, capsys):
 
 
 def test_census_command(capsys):
-    assert main(["census", "--q", "2", "--ell", "2", "--jobs", "1"]) == 0
+    assert main(["census", "--q", "2", "--ell", "2"]) == 0
     out = capsys.readouterr().out
     assert "feasible=0" in out
 
 
 def test_census_command_output_at_three_two(capsys):
-    assert main(["census", "--q", "3", "--ell", "2", "--jobs", "2"]) == 0
+    assert main(["census", "--q", "3", "--ell", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [
         "census q=3 ell=2",
@@ -102,17 +104,24 @@ def test_census_command_output_at_three_two(capsys):
 def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
     pfile = tmp_path / "profile.txt"
     pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
+    argv = ["simulate", "--profile", str(pfile), "--noise", "additive", "--params", "1"]
+    assert main(argv + ["--seed", "1", "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "--jobs" in captured.err
+
+
+def test_census_and_repo_build_take_no_jobs(tmp_path, capsys):
+    # both are one serial pass; only simulate fans out
     commands = [
         ["census", "--q", "2", "--ell", "2"],
         ["repo", "build", "--file", str(tmp_path / "repo.txt")],
-        ["simulate", "--profile", str(pfile), "--noise", "additive", "--params", "1"]
-        + ["--seed", "1"],
     ]
     for argv in commands:
-        assert main(argv + ["--jobs", jobs]) == 1
+        assert main(argv + ["--jobs", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--jobs" in captured.err
+        assert "unrecognized arguments: --jobs 2" in captured.err
     assert not (tmp_path / "repo.txt").exists()
 
 
@@ -121,8 +130,8 @@ def test_whole_numbers_below_their_least_are_usage_errors(tmp_path, capsys):
     pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
     markov = ["synthesize", "--profile", str(pfile), "--method", "markov", "--seed", "1"]
     commands = [
-        (["census", "--q", "3", "--ell", "0", "--jobs", "1"], "--ell"),
-        (["census", "--q", "1", "--ell", "2", "--jobs", "1"], "--q"),
+        (["census", "--q", "3", "--ell", "0"], "--ell"),
+        (["census", "--q", "1", "--ell", "2"], "--q"),
         (["profile", "--q", "1", "--ell", "2", "--string", "000"], "--q"),
         (["profile", "--q", "3", "--ell", "0", "--string", "012"], "--ell"),
         (markov + ["--length", "0"], "--length"),
@@ -144,11 +153,11 @@ def test_whole_number_options_take_ascii_digits_only(value, tmp_path, capsys):
     profile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
     pfile = str(profile)
     markov = ["synthesize", "--profile", pfile, "--method", "markov"]
-    sweep = ["simulate", "--profile", pfile, "--noise", "additive", "--jobs", "1"]
+    sweep = ["simulate", "--profile", pfile, "--noise", "additive"]
     commands = [
-        (["census", "--q", value, "--ell", "1", "--jobs", "1"], "--q"),
-        (["census", "--q", "3", "--ell", value, "--jobs", "1"], "--ell"),
-        (["census", "--q", "2", "--ell", "2", "--jobs", value], "--jobs"),
+        (["census", "--q", value, "--ell", "1"], "--q"),
+        (["census", "--q", "3", "--ell", value], "--ell"),
+        (sweep + ["--params", "1", "--seed", "1", "--jobs", value], "--jobs"),
         (["profile", "--q", value, "--ell", "2", "--string", "012"], "--q"),
         (["bounds", "--q", "3", "--ell", value, "--upper"], "--ell"),
         (["bounds", "--q", "3", "--ell", "3", "--length", "--c3", value], "--c3"),
@@ -179,6 +188,49 @@ def test_bounds_command(capsys):
     out = capsys.readouterr().out
     assert "rate=0.0805" in out
     assert "lower=39191040" in out
+
+
+@pytest.mark.parametrize("q, ell", [(3, 2), (3, 3), (4, 2), (5, 2), (4, 3), (3, 4), (5, 3)])
+def test_bounds_upper_approximation_is_the_float_one(q, ell, capsys):
+    # wherever the bound fits a float, the approximation is the one printed
+    # before it was rounded from the exact value
+    assert main(["bounds", "--q", str(q), "--ell", str(ell), "--upper"]) == 0
+    bound = upper_bound(Params(q, ell))
+    assert capsys.readouterr().out == f"upper={bound} ({float(bound):.6g})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, calculator, approx, past_limit",
+    [
+        (["--q", "4", "--ell", "4", "--upper"], upper_bound, "4.03333e+503", False),
+        (["--q", "3", "--ell", "5", "--upper"], upper_bound, "2.19921e+470", False),
+        (["--q", "4", "--ell", "6", "--upper"], upper_bound, "2.07839e+12966", True),
+        (["--q", "5", "--ell", "6", "--lower"], count_lower_bound, None, True),
+    ],
+)
+def test_bounds_past_float_range_and_the_digit_limit(
+    argv, calculator, approx, past_limit, capsys
+):
+    # past a float's range the upper bound's approximation still prints, and
+    # values longer than Python's int-to-str limit print in full, leaving
+    # that process-wide limit as it is
+    limit = sys.get_int_max_str_digits()
+    assert main(["bounds"] + argv) == 0
+    assert sys.get_int_max_str_digits() == limit
+    line = capsys.readouterr().out.removesuffix("\n")
+    value = calculator(Params(int(argv[1]), int(argv[3])))
+    key, digits = line.split(" ")[0].split("=")
+    assert key == argv[4].removeprefix("--")
+    assert int(Decimal(digits)) == value
+    if approx is not None:
+        assert line.endswith(f" ({approx})")
+    assert (len(digits) > limit) == past_limit
+
+
+def test_bounds_rate_at_a_long_window(capsys):
+    # q**(ell - 2) is past a float's range; the rate itself is small
+    assert main(["bounds", "--q", "3", "--ell", "700", "--rate"]) == 0
+    assert capsys.readouterr().out == "rate=0.0005\n"
 
 
 def test_synthesize_euler_round_trip(tmp_path, capsys):

@@ -46,11 +46,11 @@ def test_census_at_three_two(census32):
 
 
 def test_census_degenerate_parameters():
-    assert enumerate_feasible(Params(2, 2), jobs=1).count == 0
-    assert enumerate_feasible(Params(3, 1), jobs=1).count == 6
-    assert enumerate_feasible(Params(2, 3), jobs=1).count == 0
-    assert enumerate_feasible(Params(2, 1), jobs=1).count == 2
-    assert enumerate_feasible(Params(4, 1), jobs=1).count == 24  # q! at window 1
+    assert enumerate_feasible(Params(2, 2)).count == 0
+    assert enumerate_feasible(Params(3, 1)).count == 6
+    assert enumerate_feasible(Params(2, 3)).count == 0
+    assert enumerate_feasible(Params(2, 1)).count == 2
+    assert enumerate_feasible(Params(4, 1)).count == 24  # q! at window 1
 
 
 def test_census_cap():
@@ -65,20 +65,18 @@ CAPPED = [Params(q, 1) for q in range(2, 10)] + [Params(2, 2), Params(3, 2), Par
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
 def test_orbit_census_matches_full_sweep(params):
     # ground truth: the pre-check and the LP on every one of the (q^ell)!
-    # orders, against the orbit sweep of both census variants, serial and
-    # fanned out
+    # orders, against the one serial orbit sweep of both census variants
     reference = full_sweep(params, jobs=2)
     for sweep, lp_all in ((enumerate_feasible, False), (precheck_completeness_gap, True)):
-        for jobs in (1, 2):
-            result = sweep(params, jobs=jobs)
-            assert result.total == factorial(params.word_count)
-            assert result.lp_checked_all == lp_all
-            assert (
-                result.feasible,
-                result.precheck_hit_feasible,
-                result.precheck_hit_infeasible,
-                result.silent_infeasible,
-            ) == reference.expected(lp_all)
+        result = sweep(params)
+        assert result.total == factorial(params.word_count)
+        assert result.lp_checked_all == lp_all
+        assert (
+            result.feasible,
+            result.precheck_hit_feasible,
+            result.precheck_hit_infeasible,
+            result.silent_infeasible,
+        ) == reference.expected(lp_all)
 
 
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
@@ -143,7 +141,7 @@ def test_repository_refuses_a_census_not_closed_under_the_symmetries(census32):
     assert stray not in set(census32.feasible)
     broken = replace(census32, feasible=census32.feasible[:-1] + (stray,))
     with pytest.raises(AssertionError):
-        build_repository(broken, jobs=1)
+        build_repository(broken)
 
 
 def test_repository_vectors_revalidate(repo):
@@ -230,7 +228,7 @@ def test_integer_witness_search_agrees_with_lp_census(census32):
 def test_gap_report_at_two_two():
     from profilerank.oracle import precheck_completeness_gap
 
-    gap = precheck_completeness_gap(Params(2, 2), jobs=1)
+    gap = precheck_completeness_gap(Params(2, 2))
     assert gap.count == 0
     assert gap.precheck_hit_feasible == 0
     assert gap.precheck_hit_infeasible == 24  # the witness test refutes all

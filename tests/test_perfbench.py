@@ -50,3 +50,9 @@ def test_codec_workload_checks_every_message(workloads, repo):
     run = workloads.run_codec(workloads.Library(), (repo, items), 0, False)
     assert run.failed == 0
     assert len(run.latencies) == len(workloads.CODEC_BLOCK)
+
+
+def test_setup_builds_the_known_repository(workloads):
+    # the harness's own set-up call, with the arguments it passes
+    repo, _ = workloads.build_repo(workloads.Library())
+    assert workloads.repository_failures(repo) == 0
