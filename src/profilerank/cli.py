@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from decimal import MAX_EMAX, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -216,7 +216,44 @@ def cmd_decode(args) -> int:
 def _exact(x: int | Fraction) -> str:
     """``str(x)``, written through Decimal, which has no int-to-str digit limit."""
     n, d = x.as_integer_ratio()
-    return f"{Decimal(n)}/{Decimal(d)}" if d > 1 else f"{Decimal(n)}"
+    return f"{_decimal(n)}/{_decimal(d)}" if d > 1 else f"{_decimal(n)}"
+
+
+_LIMB_BITS = 512  # below this, Decimal(n) converts directly
+
+
+def _decimal(n: int) -> Decimal:
+    """``Decimal(n)`` in subquadratic time, for counts of a million digits.
+
+    ``Decimal(n)`` takes time quadratic in the digits.  Here the high and
+    low halves of n's bits are converted apart and joined as
+    ``low + high * 2**w``, exactly, in decimal arithmetic at full
+    precision, whose multiplication is subquadratic.  The powers of two are
+    built the same way and cached, since each level of the split needs at
+    most two of them.
+    """
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            powers[w] = (
+                Decimal(1 << w)
+                if w <= _LIMB_BITS
+                else exact.multiply(power(w >> 1), power(w - (w >> 1)))
+            )
+        return powers[w]
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= _LIMB_BITS:
+            return Decimal(m)
+        w = bits >> 1
+        high = m >> w
+        low = convert(m - (high << w), w)
+        return exact.add(exact.multiply(convert(high, bits - w), power(w)), low)
+
+    d = convert(abs(n), n.bit_length())
+    return exact.minus(d) if n < 0 else d
 
 
 def _approx(x: Fraction) -> str:

@@ -14,13 +14,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 import os
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product
 from multiprocessing import get_context
+from struct import Struct
 from typing import Callable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
@@ -233,6 +237,112 @@ def homo_preimages(u: Word, q: int) -> list[Word]:
             v.append((s - v[-1]) % q)
         out.append(tuple(v))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Packed tables
+# ---------------------------------------------------------------------------
+
+class PackedRows(Sequence):
+    """A read-only table of equal-width rows of naturals below 256, held as
+    one ``bytes`` blob with one byte per entry: row i is
+    ``data[i*width:(i+1)*width]``.
+
+    Rows read back as tuples of ints, so the table behaves as the tuple of
+    its rows: it equals (and hashes like) that tuple, and it equals any
+    packed table of the same rows.  Packed rows compare as bytes in the
+    order their tuples compare, since bytes compare as unsigned bytes.
+
+    :meth:`index` and ``in`` find a row through a lookup built on first
+    use: per prefix of all but the last 8 entries (the first entry, at
+    width 9), the big-endian integers of those last 8 entries, sorted in an
+    ``array`` of 64-bit keys beside their row positions, so a search is one
+    C-level bisection.
+    """
+
+    __slots__ = ("data", "width", "_row", "_lookup")
+
+    def __init__(self, data: bytes | bytearray, width: int):
+        if width < 1 or len(data) % width:
+            raise ValueError(f"{len(data)} bytes do not make rows of width {width}")
+        self.data = bytes(data)
+        self.width = width
+        self._row = Struct(f"{width}B")  # one row as a tuple, read in place
+        self._lookup: dict[bytes, tuple[array, array]] | None = None
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def __getitem__(self, i):
+        w = self.width
+        n = len(self.data) // w
+        if isinstance(i, slice):
+            rows = range(n)[i]
+            return PackedRows(b"".join(self.data[k * w : k * w + w] for k in rows), w)
+        if not -n <= i < n:
+            raise IndexError("row index out of range")
+        return self._row.unpack_from(self.data, i % n * w)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return zip(*[iter(self.data)] * self.width)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedRows):
+            return self.data == other.data and (self.width == other.width or not self.data)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"PackedRows(bytes.fromhex({self.data.hex()!r}), {self.width})"
+
+    def __contains__(self, row) -> bool:
+        try:
+            self.index(row)
+        except ValueError:
+            return False
+        return True
+
+    def index(self, row) -> int:
+        """Position of the first row equal to ``row``; ValueError if none."""
+        try:
+            # bytes(n) of an int n would be n zero bytes
+            packed = b"" if isinstance(row, int) else bytes(row)
+        except (TypeError, ValueError):  # not naturals below 256: in no row
+            packed = b""
+        if len(packed) == self.width:
+            lookup = self._lookup
+            if lookup is None:
+                lookup = self._lookup = self._build_lookup()
+            cut = max(self.width - 8, 0)
+            keys, rows = lookup.get(packed[:cut], ((), ()))
+            key = int.from_bytes(packed[cut:], "big")
+            j = bisect_left(keys, key)
+            if j < len(keys) and keys[j] == key:
+                return rows[j]
+        raise ValueError("row not in table")
+
+    def _build_lookup(self) -> dict[bytes, tuple[array, array]]:
+        w, data = self.width, self.data
+        cut = max(w - 8, 0)  # the bytes before the last 8, one 64-bit key
+        by_prefix: dict[bytes, array] = {}
+        for k in range(len(self)):
+            prefix = data[k * w : k * w + cut]
+            if prefix not in by_prefix:
+                by_prefix[prefix] = array("I")
+            by_prefix[prefix].append(k)
+        lookup = {}
+        for prefix, rows in by_prefix.items():
+            keys = [int.from_bytes(data[k * w + cut : k * w + w], "big") for k in rows]
+            ranked = sorted(range(len(rows)), key=keys.__getitem__)  # stable: first row wins
+            lookup[prefix] = (
+                array("Q", map(keys.__getitem__, ranked)),
+                array("I", map(rows.__getitem__, ranked)),
+            )
+        return lookup
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, starmap
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .core import (
     DIGITS,
+    PackedRows,
     Params,
     RankPermutation,
     Word,
@@ -65,7 +66,8 @@ from .feasibility import FeasibleVector
 BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
 _WIDTH = BASE_Q * BASE_Q  # entries per repository row
-_REPOSITORY_ROW = re.compile(" ".join([DIGITS] * _WIDTH))  # as Repository.save writes it
+_ROW_TEXT = " ".join(["{}"] * _WIDTH) + "\n"  # one repository row as Repository.save writes it
+_REPOSITORY_ROW = re.compile(" ".join([DIGITS] * _WIDTH))  # the same row, read back
 
 
 class NotACodeword(ValueError):
@@ -81,16 +83,19 @@ class Repository:
     """The 30240 integer vectors at (3, 2) seeding both recursions, 1-indexed.
 
     Entry ``i`` realizes the i-th realizable rank order of 3x3 profile
-    matrices (orders enumerated lexicographically by their word sequence);
-    each stored vector is the flow-balanced assignment minimizing the
-    maximum entry, ties broken by the lexicographically smallest 9-tuple.
+    matrices (orders enumerated lexicographically by their word sequence),
+    so the rank orders of the entries increase strictly; each stored vector
+    is the flow-balanced assignment minimizing the maximum entry, ties
+    broken by the lexicographically smallest 9-tuple.  ``vectors`` holds
+    them as packed rows, one byte per entry in word order and 9 bytes a
+    row: entry ``i`` is row ``i - 1``, and every entry is below 256.
     """
 
-    vectors: tuple[tuple[int, ...], ...]
+    vectors: PackedRows
 
     def __post_init__(self) -> None:
-        if len(self.vectors) != BASE_COUNT:
-            raise ValueError(f"repository must hold {BASE_COUNT} vectors")
+        if len(self.vectors) != BASE_COUNT or self.vectors.width != _WIDTH:
+            raise ValueError(f"repository must hold {BASE_COUNT} vectors of {_WIDTH} entries")
 
     @property
     def params(self) -> Params:
@@ -106,55 +111,65 @@ class Repository:
 
     def index_of(self, entries: Sequence[int]) -> int:
         try:
-            return self._lookup[tuple(entries)]
-        except KeyError:
+            return self.vectors.index(entries) + 1
+        except ValueError:
             raise NotACodeword("matrix is not in the repository") from None
 
-    @cached_property
-    def _lookup(self) -> dict[tuple[int, ...], int]:
-        return {v: i + 1 for i, v in enumerate(self.vectors)}
-
     def validate(self) -> None:
-        perms = set()
-        for vec in self.vectors:
-            fv = FeasibleVector(self.params, vec)
-            fv.check()
-            perms.add(rank_of(vec, self.params).order)
-        if len(perms) != BASE_COUNT:
-            raise ValueError("repository permutations are not pairwise distinct")
+        """Check that entry i realizes the i-th realizable order: every
+        vector is flow-balanced with distinct entries, and their rank orders
+        increase strictly."""
+        previous: tuple[int, ...] = ()
+        for number, vec in enumerate(self.vectors, start=1):
+            FeasibleVector(self.params, vec).check()
+            order = rank_of(vec, self.params).order
+            if order <= previous:
+                raise ValueError(
+                    f"repository entry {number} does not realize a later rank order "
+                    f"than entry {number - 1}"
+                )
+            previous = order
 
     def save(self, path) -> None:
-        body = f"f32={BASE_COUNT}\n" + "".join(
-            " ".join(str(e) for e in vec) + "\n" for vec in self.vectors
-        )
-        digest = hashlib.sha256(body.encode()).hexdigest()
+        digest = hashlib.sha256()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-            fh.write(f"sha256={digest}\n")
+            for line in chain([f"f32={BASE_COUNT}\n"], starmap(_ROW_TEXT.format, self.vectors)):
+                fh.write(line)
+                digest.update(line.encode())
+            fh.write(f"sha256={digest.hexdigest()}\n")
 
     @classmethod
     def load(cls, path) -> "Repository":
+        digest = hashlib.sha256()
+        data = bytearray()
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0] != f"f32={BASE_COUNT}":
-            raise ValueError("bad repository header")
-        if not lines[-1].startswith("sha256="):
+            if fh.readline().removesuffix("\n") != f"f32={BASE_COUNT}":
+                raise ValueError("bad repository header")
+            digest.update(f"f32={BASE_COUNT}\n".encode())
+            last = None  # the trailer, once no line follows it
+            for number, line in enumerate(fh, start=1):
+                if last is not None:
+                    data += _repository_row(last, number)
+                    digest.update(f"{last}\n".encode())
+                last = line.removesuffix("\n")
+        if last is None or not last.startswith("sha256="):
             raise ValueError("missing repository checksum trailer")
-        body = "\n".join(lines[:-1]) + "\n"
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        if lines[-1] != f"sha256={digest}":
+        if last != f"sha256={digest.hexdigest()}":
             raise ValueError("repository checksum mismatch")
-        vectors = []
-        for number, ln in enumerate(lines[1:-1], start=2):
-            if not _REPOSITORY_ROW.fullmatch(ln):
-                # Read the row token by token to say what is wrong with it.
-                vec = tuple(parse_natural(t, "repository entry") for t in ln.split())
-                if len(vec) != _WIDTH:
-                    raise ValueError(
-                        f"repository line {number} has {len(vec)} entries, not {_WIDTH}"
-                    )
-            vectors.append(tuple(map(int, ln.split())))
-        return cls(tuple(vectors))
+        return cls(PackedRows(data, _WIDTH))
+
+
+def _repository_row(text: str, number: int) -> bytes:
+    """The packed entries of repository line ``number``."""
+    if not _REPOSITORY_ROW.fullmatch(text):
+        # Read the row token by token to say what is wrong with it.
+        vec = tuple(parse_natural(t, "repository entry") for t in text.split())
+        if len(vec) != _WIDTH:
+            raise ValueError(f"repository line {number} has {len(vec)} entries, not {_WIDTH}")
+    try:
+        return bytes(map(int, text.split()))
+    except ValueError:
+        raise ValueError(f"repository line {number} has an entry above 255") from None
 
 
 # ---------------------------------------------------------------------------

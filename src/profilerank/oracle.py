@@ -14,7 +14,6 @@ less than a worker pool costs to start.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -22,7 +21,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import Params, RankPermutation, edge_nodes, word_symmetries
+from .core import PackedRows, Params, RankPermutation, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import FeasibleVector, order_lp_solution, order_precheck_witness
 
@@ -35,9 +34,14 @@ REPOSITORY_CAP = 17
 
 @dataclass(frozen=True)
 class CensusResult:
+    """One census sweep.  ``feasible`` holds the realizable rank orders as
+    packed rows, one byte per word index and ``params.word_count`` bytes a
+    row, sorted: byte order is the orders' lexicographic order, so row i
+    reads back as the i-th realizable order."""
+
     params: Params
     total: int
-    feasible: tuple[tuple[int, ...], ...]  # rank orders, lexicographic
+    feasible: PackedRows  # rank orders, lexicographic
     precheck_hit_feasible: int  # pre-check fired yet the LP succeeded (must be 0)
     precheck_hit_infeasible: int
     silent_infeasible: int  # pre-check silent, LP refuted
@@ -67,6 +71,13 @@ def orbit_size(params: Params) -> int:
     that fixes an order fixes every word), so each orbit has one order per
     distinct map, q! at ell = 1 and 2 q! above."""
     return factorial(params.q) * min(params.ell, 2)
+
+
+def _translations(params: Params) -> list[bytes]:
+    """Each map g of G as a ``bytes.translate`` table: a packed order
+    translated by it is its image g(order).  Only word indices, all below
+    q^ell <= 9, are ever translated, so the rest of the table is filler."""
+    return [bytes(g).ljust(256) for g in word_symmetries(params)]
 
 
 def representatives(params: Params) -> Iterator[tuple[int, ...]]:
@@ -140,14 +151,14 @@ def _sweep(params: Params, lp_all: bool) -> CensusResult:
     total = factorial(params.word_count)
     started = time.monotonic()
     orbit = orbit_size(params)
-    feasible_reps: list[tuple[int, ...]] = []
+    feasible_reps: list[bytes] = []
     swept = hit_feasible = hit_infeasible = silent_infeasible = 0
     for order in representatives(params):
         swept += 1
         hit = order_precheck_witness(order, params)
         if hit is None:
             if order_lp_solution(order, params).x is not None:
-                feasible_reps.append(order)
+                feasible_reps.append(bytes(order))
             else:
                 silent_infeasible += 1
         elif lp_all and order_lp_solution(order, params).x is not None:
@@ -158,15 +169,15 @@ def _sweep(params: Params, lp_all: bool) -> CensusResult:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
     # every verdict is constant on an orbit: count each representative's
     # orbit, and list every order of a feasible one
-    feasible = sorted(
-        tuple(map(g.__getitem__, rep))
-        for g in word_symmetries(params)
-        for rep in feasible_reps
-    )
+    feasible = bytearray()
+    for order in sorted(
+        rep.translate(g) for g in _translations(params) for rep in feasible_reps
+    ):
+        feasible += order  # b"".join would first take an 80-byte buffer record per row
     return CensusResult(
         params,
         total,
-        tuple(feasible),
+        PackedRows(feasible, params.word_count),
         orbit * hit_feasible,
         orbit * hit_infeasible,
         orbit * silent_infeasible,
@@ -302,12 +313,14 @@ def build_repository(
 
     Every realizable order must admit an assignment within
     :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  Only the
-    census's orbit representatives are searched.  A map g of G sends the
-    least-maximum assignments of an order onto those of its image, so the
-    image's vector, :func:`minimal_max_vector`'s choice, is the least image
-    under g of its representative's assignments.  ``jobs`` selects nothing:
-    the build is one serial pass, and the keyword stays for callers that
-    still pass it.
+    census's orbit representatives are searched: in census order, the first
+    order whose orbit no earlier order has filled is the least of its orbit.
+    A map g of G sends the least-maximum assignments of an order onto those
+    of its image, so the image's vector, :func:`minimal_max_vector`'s
+    choice, is the least image under g of its representative's assignments.
+    Each vector is written into the packed rows at its order's census
+    position.  ``jobs`` selects nothing: the build is one serial pass, and
+    the keyword stays for callers that still pass it.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -317,40 +330,43 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    # the census is a union of orbits iff it holds every image of its
-    # representatives and one orbit's worth of orders per representative
+    # the census is a union of orbits iff every image of every order is a
+    # census order, and then each orbit fills its own rows once
     unclosed = "the census is not a union of orbits of the code's symmetries"
-    reps = [rep for rep in representatives(params) if _position(orders, rep) is not None]
-    if len(reps) * orbit_size(params) != len(orders):
-        raise AssertionError(unclosed)
-    solutions = [least_max_vectors(rep, params, REPOSITORY_CAP) for rep in reps]
-    for rep, sols in zip(reps, solutions):
+    width = params.word_count
+    # an assignment to an order, moved to the same ranks of g(order)
+    moves = [
+        itemgetter(*sorted(range(width), key=g.__getitem__)) for g in word_symmetries(params)
+    ]
+    tables = _translations(params)
+    vectors = bytearray(len(orders) * width)
+    filled = bytearray(len(orders))
+    for k in range(len(orders)):
+        if filled[k]:
+            continue
+        rep = orders.data[k * width : k * width + width]
+        try:
+            places = [orders.index(rep.translate(table)) for table in tables]
+        except ValueError:
+            raise AssertionError(unclosed) from None
+        for j in places:
+            if filled[j]:
+                raise AssertionError(unclosed)
+            filled[j] = 1
+        sols = least_max_vectors(rep, params, REPOSITORY_CAP)
         if not sols:
             raise AssertionError(
-                f"no assignment with entries <= {REPOSITORY_CAP} for order {rep}"
+                f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(rep)}"
             )
-    vectors = [()] * len(orders)
-    for g in word_symmetries(params):
-        # an assignment to an order, moved to the same ranks of g(order)
-        image = itemgetter(*sorted(range(len(g)), key=g.__getitem__))
-        for rep, sols in zip(reps, solutions):
-            k = _position(orders, tuple(map(g.__getitem__, rep)))
-            if k is None:
-                raise AssertionError(unclosed)
-            vectors[k] = min(map(image, sols))
-    return Repository(tuple(vectors))
-
-
-def _position(orders: Sequence[tuple[int, ...]], order: tuple[int, ...]) -> int | None:
-    """Index of ``order`` in the lexicographically sorted ``orders``, or None."""
-    k = bisect_left(orders, order)
-    return k if k < len(orders) and orders[k] == order else None
+        for j, move in zip(places, moves):
+            vectors[j * width : j * width + width] = min(map(move, sols))
+    return Repository(PackedRows(vectors, width))
 
 
 def compute_c3(repo: Repository) -> int:
     """Largest entry needed across the repository (each stored vector already
     minimizes its own maximum, so this is the worst case over all orders)."""
-    return max(max(vec) for vec in repo.vectors)
+    return max(repo.vectors.data)
 
 
 def min_sum_vector(

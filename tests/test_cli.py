@@ -8,7 +8,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from profilerank.cli import PIECE_CHARS, main
+from profilerank.cli import PIECE_CHARS, _exact, main
 from profilerank.core import Params, ProfileVector, profile_of, word_text
 from profilerank.encoder import (
     Repository,
@@ -225,6 +225,22 @@ def test_bounds_past_float_range_and_the_digit_limit(
     if approx is not None:
         assert line.endswith(f" ({approx})")
     assert (len(digits) > limit) == past_limit
+
+
+@pytest.mark.parametrize("digits", [1, 155, 10**4, 31623, 10**5])
+def test_exact_values_print_as_str_would(digits):
+    # the split conversion against str() with the digit limit lifted
+    rng = random.Random(digits)
+    values = [10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in values + [-values[2]]:
+            assert _exact(n) == str(n)
+        assert _exact(Fraction(values[2], 7)) == str(Fraction(values[2], 7))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _exact(0) == "0" and _exact(Fraction(-1, 2)) == "-1/2"
 
 
 def test_bounds_rate_at_a_long_window(capsys):

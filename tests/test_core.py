@@ -12,6 +12,7 @@ from profilerank import core
 from profilerank.core import (
     PIECES_PER_JOB,
     _job_count,
+    PackedRows,
     Params,
     ProfileVector,
     RankPermutation,
@@ -538,3 +539,71 @@ def test_fan_out_rejects_jobs_below_one(jobs):
 def test_word_text_limited_to_ten_symbols():
     with pytest.raises(ValueError):
         word_text((11, 0))
+
+
+# -- packed rows -------------------------------------------------------------
+
+ROWS = ((3, 0, 2), (0, 1, 255), (3, 0, 1), (0, 1, 255), (7, 7, 7))
+
+
+def packed(rows, width=3):
+    return PackedRows(bytes(e for row in rows for e in row), width)
+
+
+def test_packed_rows_read_back_as_the_tuple_of_their_rows():
+    table = packed(ROWS)
+    assert len(table) == 5 and table.width == 3
+    assert list(table) == list(ROWS) and tuple(table) == ROWS
+    assert table == ROWS and ROWS == table and table != ROWS[:-1]
+    assert table != ROWS[:-1] + ((7, 7, 6),) and table != list(ROWS)
+    assert hash(table) == hash(ROWS)
+    for k in range(-5, 5):
+        assert table[k] == ROWS[k]
+    for bad in (5, -6):
+        with pytest.raises(IndexError):
+            table[bad]
+    for cut in (slice(None), slice(1, 4), slice(None, None, -2), slice(4, 1), slice(-2, None)):
+        assert table[cut] == ROWS[cut] and isinstance(table[cut], PackedRows)
+    assert packed((), 2) == () == packed((), 3)
+    assert eval(repr(table), {"PackedRows": PackedRows}) == table
+
+
+def test_packed_rows_compare_as_bytes_like_tuples():
+    rng = random.Random(3)
+    rows = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(200)]
+    table = packed(sorted(rows))
+    assert list(table) == sorted(rows)
+    assert sorted(bytes(row) for row in rows) == [bytes(row) for row in sorted(rows)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 10, 17])
+def test_packed_rows_index_finds_the_first_equal_row(width):
+    rng = random.Random(width)
+    rows = [tuple(rng.choice((0, 1, 254, 255)) for _ in range(width)) for _ in range(300)]
+    table = packed(rows, width)
+    for row in rows:
+        assert table.index(row) == rows.index(row) and row in table
+        assert table.index(list(row)) == table.index(bytes(row)) == rows.index(row)
+    assert table.index(iter(rows[5])) == rows.index(rows[5])
+    drawn = {tuple(rng.randrange(256) for _ in range(width)) for _ in range(50)}
+    absent = [row for row in drawn if row not in rows] + [
+        rows[0][:-1],
+        rows[0] + (0,),
+        (256,) + rows[0][1:],
+        (-1,) + rows[0][1:],
+        (Fraction(1, 2),) * width,
+        width,
+        "a" * width,
+        None,
+    ]
+    for row in absent:
+        assert row not in table
+        with pytest.raises(ValueError):
+            table.index(row)
+
+
+def test_packed_rows_refuse_a_blob_of_another_width():
+    with pytest.raises(ValueError, match="width 3"):
+        PackedRows(bytes(4), 3)
+    with pytest.raises(ValueError):
+        PackedRows(b"", 0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from profilerank.core import (
+    PackedRows,
     Params,
     all_words,
     homo_image,
@@ -537,19 +538,59 @@ def test_encoder_outputs_within_length_bounds(repo):
 @example(changes=[])
 @given(
     st.lists(
-        st.tuples(st.integers(0, BASE_COUNT - 1), st.integers(0, 8), st.integers(0, 2**70)),
+        st.tuples(st.integers(0, BASE_COUNT - 1), st.integers(0, 8), st.integers(0, 255)),
         max_size=5,
     )
 )
 def test_repository_save_load_round_trip(repo, tmp_path_factory, changes):
-    # The session repository with a few entries replaced by any natural number.
-    vectors = [list(vec) for vec in repo.vectors]
+    # The session repository with a few entries replaced by any natural
+    # number a packed row holds.
+    data = bytearray(repo.vectors.data)
     for row, col, value in changes:
-        vectors[row][col] = value
-    edited = Repository(tuple(map(tuple, vectors)))
+        data[row * 9 + col] = value
+    edited = Repository(PackedRows(data, 9))
     path = tmp_path_factory.mktemp("repo") / "repo.txt"
     edited.save(path)
     assert Repository.load(path) == edited
+
+
+@pytest.mark.parametrize("value", [256, 2**70])
+def test_repository_load_refuses_an_entry_above_a_byte(repo, tmp_path, value):
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    row = lines[3].split()
+    row[4] = str(value)
+    lines[3] = " ".join(row)
+    _rewrite_with_trailer(path, lines)
+    with pytest.raises(ValueError, match="line 4 has an entry above 255"):
+        Repository.load(path)
+
+
+def test_repository_save_matches_its_rows(repo, tmp_path):
+    # the streamed file: header, one line per row, then the sha256 of both
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    text = path.read_text()
+    body, trailer = text[: text.rindex("sha256=")], text.splitlines()[-1]
+    assert body == f"f32={BASE_COUNT}\n" + "".join(
+        " ".join(map(str, vec)) + "\n" for vec in repo.vectors
+    )
+    assert trailer == "sha256=" + hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_repository_validate_refuses_swapped_rows(repo, tmp_path):
+    # two rows swapped under a fresh checksum: every row is still a
+    # realizable vector, but rows 2 and 3 no longer realize the 2nd and 3rd
+    # orders, which the encoders rely on
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[2], lines[3] = lines[3], lines[2]
+    _rewrite_with_trailer(path, lines)
+    swapped = Repository.load(path)
+    with pytest.raises(ValueError, match="entry 3 does not realize a later rank order"):
+        swapped.validate()
 
 
 def test_repository_load_rejects_corruption(repo, tmp_path):
@@ -606,6 +647,20 @@ def test_repository_index_lookup(repo):
     assert repo.index_of(EQ3) == 61
     with pytest.raises(NotACodeword):
         repo.index_of((1, 2, 3, 4, 5, 6, 7, 8, 9))
+
+
+def test_repository_index_of_inverts_vector(repo):
+    assert all(repo.index_of(repo.vector(i)) == i for i in range(1, BASE_COUNT + 1))
+    first = repo.vector(1)
+    for entries in [
+        first[:8],  # too short
+        first + (0,),  # too long
+        first[:8] + (first[8] + 256,),  # agrees with a row modulo 256
+        (0,) + first[1:],  # no row has an entry 0
+        tuple(map(Fraction, first[:8])) + (Fraction(1, 2),),
+    ]:
+        with pytest.raises(NotACodeword):
+            repo.index_of(entries)
 
 
 def test_info_text_round_trips():

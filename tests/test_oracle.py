@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 from math import factorial
@@ -7,6 +8,7 @@ import pytest
 
 from bruteforce import full_sweep
 from profilerank.core import (
+    PackedRows,
     Params,
     RankPermutation,
     edge_nodes,
@@ -139,13 +141,47 @@ def test_repository_refuses_a_census_not_closed_under_the_symmetries(census32):
     # swap the last realizable order for an unrealizable one
     stray = (8, 7, 6, 5, 4, 3, 2, 1, 0)
     assert stray not in set(census32.feasible)
-    broken = replace(census32, feasible=census32.feasible[:-1] + (stray,))
+    rows = PackedRows(census32.feasible[:-1].data + bytes(stray), P32.word_count)
+    broken = replace(census32, feasible=rows)
     with pytest.raises(AssertionError):
         build_repository(broken)
 
 
+def test_repository_refuses_a_census_with_an_orbit_twice(census32):
+    # one orbit's orders swapped for a second copy of the first orbit's:
+    # every order's images are census orders, but one orbit would fill its
+    # rows twice and another not at all
+    maps = list(word_symmetries(P32))
+    first = [tuple(map(g.__getitem__, census32.feasible[0])) for g in maps]
+    other = next(row for row in census32.feasible if row not in first)
+    dropped = {tuple(map(g.__getitem__, other)) for g in maps}
+    rows = sorted([row for row in census32.feasible if row not in dropped] + first)
+    assert len(rows) == BASE_COUNT
+    packed = PackedRows(bytes(e for row in rows for e in row), P32.word_count)
+    with pytest.raises(AssertionError, match="union of orbits"):
+        build_repository(replace(census32, feasible=packed))
+
+
 def test_repository_vectors_revalidate(repo):
     repo.validate()
+
+
+def test_census_and_repository_are_packed(repo):
+    # one byte per word index or entry: the census and the build together
+    # peak at a few row-sized buffers, and the repository keeps little more
+    # than its 272160-byte blob (the repo fixture has filled every cache)
+    tracemalloc.start()
+    try:
+        census = enumerate_feasible(P32)
+        built = build_repository(census)
+        peak = tracemalloc.get_traced_memory()[1]
+        del census
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built == repo
+    assert peak <= 2_500_000
+    assert kept <= 500_000
 
 
 def test_repository_entries_are_minimal_max(repo, census32):
