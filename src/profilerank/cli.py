@@ -105,12 +105,12 @@ _DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def _write_string(path: str | None, runs: list[tuple[bytes, int]]) -> None:
-    """Write the string that ``(symbols, repeats)`` runs expand to, in digits
-    and then a newline, in pieces of at most PIECE_CHARS characters or one
-    run's symbols: a witness too long to hold in memory streams out."""
-    if any(max(s) > 9 for s, _ in runs if s):
+    """Write the string that nonempty ``(symbols, repeats)`` runs expand to,
+    in digits and then a newline, in pieces of at most PIECE_CHARS characters
+    or one run's symbols: a witness too long to hold in memory streams out."""
+    if any(max(s) > 9 for s, _ in runs):
         raise ValueError("digit rendering is only defined for q <= 10")
-    texts = [(s.translate(_DIGIT_TEXT).decode("ascii"), k) for s, k in runs if s]
+    texts = [(s.translate(_DIGIT_TEXT).decode("ascii"), k) for s, k in runs]
 
     def pieces() -> Iterator[str]:
         for text, k in texts:
@@ -123,13 +123,6 @@ def _write_string(path: str | None, runs: list[tuple[bytes, int]]) -> None:
         yield "\n"
 
     _write(path, pieces())
-
-
-def _witness_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
-    """The runs of the Eulerian witness of ``p``, less the closing symbol
-    that :func:`synthesis.eulerian_runs` ends with."""
-    *runs, (s, k) = synthesis.eulerian_runs(p)
-    return [*runs, (s, k - 1), (s[:-1], 1)]
 
 
 def cmd_check(args) -> int:
@@ -151,7 +144,7 @@ def cmd_profile(args) -> int:
 def cmd_synthesize(args) -> int:
     profile = ProfileVector.from_text(_read(args.profile))
     if args.method == "euler":
-        runs = _witness_runs(profile)
+        runs = synthesis.eulerian_runs(profile)
     else:
         if args.seed is None or args.length is None:
             raise _UsageError("markov synthesis needs --seed and --length")
@@ -192,7 +185,7 @@ def cmd_encode(args) -> int:
     elif args.emit == "perm":
         _write(args.out, rank_of(vec.entries, vec.params).to_text() + "\n")
     else:
-        _write_string(args.out, _witness_runs(vec.to_profile()))
+        _write_string(args.out, synthesis.eulerian_runs(vec.to_profile()))
     return EXIT_OK
 
 
@@ -200,8 +193,6 @@ def cmd_decode(args) -> int:
     repo = encoder.Repository.load(args.repo)
     fv = feasibility.FeasibleVector.from_text(_read(args.vector))
     try:
-        if fv.denom != 1:
-            raise encoder.NotACodeword("encoder outputs have integer entries")
         if args.kind == "a":
             text = encoder.info_a_to_text(encoder.decode_a(fv, repo))
         else:

@@ -151,30 +151,8 @@ def parse_symbols(x: Union[str, Sequence[int]], q: int) -> Word:
 # De Bruijn graph structure
 # ---------------------------------------------------------------------------
 
-def in_words(v: Word, q: int) -> list[Word]:
-    """The words obtained by prepending one symbol to ``v``."""
-    return [(s,) + v for s in range(q)]
-
-
-def out_words(v: Word, q: int) -> list[Word]:
-    """The words obtained by appending one symbol to ``v``."""
-    return [v + (s,) for s in range(q)]
-
-
 def is_constant(v: Word) -> bool:
     return len(set(v)) <= 1
-
-
-def neighborhood(v: Word, q: int) -> tuple[list[Word], list[Word]]:
-    """Incoming and outgoing extensions of a non-constant word.
-
-    The two lists are disjoint exactly because ``v`` mixes at least two
-    symbols; constant words are rejected since their self-extension would
-    appear on both sides.
-    """
-    if is_constant(v):
-        raise ValueError(f"neighborhood undefined for constant word {v}")
-    return in_words(v, q), out_words(v, q)
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +231,11 @@ class PackedRows(Sequence):
     packed table of the same rows.  Packed rows compare as bytes in the
     order their tuples compare, since bytes compare as unsigned bytes.
 
-    :meth:`index` and ``in`` find a row through a lookup built on first
-    use: per prefix of all but the last 8 entries (the first entry, at
-    width 9), the big-endian integers of those last 8 entries, sorted in an
-    ``array`` of 64-bit keys beside their row positions, so a search is one
-    C-level bisection.
+    :meth:`index` finds a row through a lookup built on first use: per
+    prefix of all but the last 8 entries (the first entry, at width 9), the
+    big-endian integers of those last 8 entries, sorted in an ``array`` of
+    64-bit keys beside their row positions, so a search is one C-level
+    bisection.
     """
 
     __slots__ = ("data", "width", "_row", "_lookup")
@@ -273,12 +251,9 @@ class PackedRows(Sequence):
     def __len__(self) -> int:
         return len(self.data) // self.width
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: int) -> tuple[int, ...]:
         w = self.width
         n = len(self.data) // w
-        if isinstance(i, slice):
-            rows = range(n)[i]
-            return PackedRows(b"".join(self.data[k * w : k * w + w] for k in rows), w)
         if not -n <= i < n:
             raise IndexError("row index out of range")
         return self._row.unpack_from(self.data, i % n * w)
@@ -298,13 +273,6 @@ class PackedRows(Sequence):
 
     def __repr__(self) -> str:
         return f"PackedRows(bytes.fromhex({self.data.hex()!r}), {self.width})"
-
-    def __contains__(self, row) -> bool:
-        try:
-            self.index(row)
-        except ValueError:
-            return False
-        return True
 
     def index(self, row) -> int:
         """Position of the first row equal to ``row``; ValueError if none."""
@@ -596,26 +564,20 @@ class RankPermutation:
         q, ell = self.params.q, self.params.ell
         return [index_to_word(i, q, ell) for i in self.order]
 
-    def relabel(self, sigma: Sequence[int]) -> "RankPermutation":
-        """Apply an alphabet relabeling symbol-wise, keeping the rank order."""
-        image = relabeling(self.params, sigma)
-        return RankPermutation(self.params, tuple(map(image.__getitem__, self.order)))
-
     def to_text(self) -> str:
         return ",".join(word_text(w) for w in self.words_in_order())
 
     @classmethod
-    def from_text(cls, text: str, params: Params | None = None) -> "RankPermutation":
+    def from_text(cls, text: str) -> "RankPermutation":
         """Read a comma-separated word list.  Every word must have the length
-        of the first one, or ``params.ell`` when ``params`` is given."""
+        of the first one; the order lists all q^ell words, so the largest
+        symbol gives q."""
         words = [parse_word(t.strip()) for t in text.strip().split(",")]
-        ell = len(words[0]) if params is None else params.ell
+        ell = len(words[0])
         for w in words:
             if len(w) != ell:
                 raise ValueError(f"word {word_text(w)} does not have length {ell}")
-        if params is None:
-            params = Params(max(max(w) for w in words) + 1, ell)
-        return cls.from_words(params, words)
+        return cls.from_words(Params(max(max(w) for w in words) + 1, ell), words)
 
 
 def _entries(values: Union[ProfileVector, Sequence[Entry]], params: Params | None):

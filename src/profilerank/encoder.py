@@ -29,9 +29,10 @@ puts the groups back into word order with one more ``itemgetter``.  The
 decoder's peel reads each node's q preimage entries through the same plan and
 range-checks them against the base value of the first one.
 
-Both decoders invert by reading rank information back off the output and
-re-encode as a final consistency check; inputs that fail any structural step
-raise :class:`NotACodeword`.
+One decode path inverts both: :func:`decode_a` is :func:`decode_b` at window
+length 2, which reads rank information back off the output and re-encodes
+once as a final consistency check; inputs that fail any structural step,
+fractional ones included, raise :class:`NotACodeword`.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
 _WIDTH = BASE_Q * BASE_Q  # entries per repository row
 _ROW_TEXT = " ".join(["{}"] * _WIDTH) + "\n"  # one repository row as Repository.save writes it
-_REPOSITORY_ROW = re.compile(" ".join([DIGITS] * _WIDTH))  # the same row, read back
+# the same row, read back: ASCII naturals with no leading zero, single spaces
+_REPOSITORY_ROW = re.compile(" ".join(["(?:0|[1-9][0-9]*)"] * _WIDTH))
 
 
 class NotACodeword(ValueError):
@@ -160,12 +162,15 @@ class Repository:
 
 
 def _repository_row(text: str, number: int) -> bytes:
-    """The packed entries of repository line ``number``."""
+    """The packed entries of repository line ``number``, which must read
+    exactly as :meth:`Repository.save` writes them."""
     if not _REPOSITORY_ROW.fullmatch(text):
         # Read the row token by token to say what is wrong with it.
         vec = tuple(parse_natural(t, "repository entry") for t in text.split())
         if len(vec) != _WIDTH:
             raise ValueError(f"repository line {number} has {len(vec)} entries, not {_WIDTH}")
+        if max(vec) < 256:
+            raise ValueError(f"repository line {number} is not written as save writes a row")
     try:
         return bytes(map(int, text.split()))
     except ValueError:
@@ -391,25 +396,12 @@ def _shrink(entries: Sequence[int], q: int) -> tuple[list[int], StageA]:
     return chi, StageA(pi, t)
 
 
-def _peel_alphabet(entries: Sequence[int], q: int, repo: Repository) -> InfoVecA:
-    """The alphabet message read off window-length-2 entries at alphabet size
-    q, without the re-encode that confirms it."""
-    stages: list[StageA] = []
-    for size in range(q, BASE_Q, -1):
-        entries, stage = _shrink(entries, size)
-        stages.append(stage)
-    return InfoVecA(repo.index_of(entries), tuple(reversed(stages)))
-
-
 def decode_a(vec: FeasibleVector, repo: Repository) -> InfoVecA:
-    """Inverse of :func:`encode_a`; re-encodes to confirm codeword status."""
-    q = vec.params.q
-    if vec.params.ell != 2 or q < BASE_Q:
+    """Inverse of :func:`encode_a`: the alphabet message that
+    :func:`decode_b` reads at window length 2, for q >= 3 only."""
+    if vec.params.ell != 2 or vec.params.q < BASE_Q:
         raise NotACodeword(f"alphabet codewords have window length 2 and q >= {BASE_Q}")
-    info = _peel_alphabet(vec.entries, q, repo)
-    if encode_a(info, repo).entries != vec.entries:
-        raise NotACodeword("matrix is not an encoder output")
-    return info
+    return decode_b(vec, repo).base
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +547,11 @@ def encode_b(info: InfoVecB, repo: Repository) -> ScaledVector:
 
 
 def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
-    """Inverse of :func:`encode_b`; re-encodes to confirm codeword status."""
+    """Inverse of :func:`encode_b`: peels the window layers, then the
+    alphabet stages, and re-encodes once to confirm codeword status."""
     q, ell = vec.params.q, vec.params.ell
+    if vec.denom != 1:
+        raise NotACodeword("encoder outputs have integer entries")
     if ell < 2:
         raise NotACodeword("encoder outputs have window length >= 2")
     scale = q ** (q * q)
@@ -586,7 +581,11 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
     # The peel keyed each layer by exactly the interior words and gave each
     # the ranks of q distinct entries, so the layers pass InfoVecB.check
     # and the re-encode need not sort them again.
-    base = _peel_alphabet(entries, q, repo)
+    stages: list[StageA] = []
+    for size in range(q, BASE_Q, -1):
+        entries, stage = _shrink(entries, size)
+        stages.append(stage)
+    base = InfoVecA(repo.index_of(entries), tuple(reversed(stages)))
     layers.reverse()
     if _lift_layers(base, layers, repo) != vec.entries:
         raise NotACodeword("vector is not an encoder output")

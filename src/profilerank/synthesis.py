@@ -62,17 +62,19 @@ def check_connectivity(p: ProfileVector) -> bool:
 def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
     """The witness of :func:`eulerian_string` as ``(symbols, repeats)`` runs.
 
-    The runs expand to the witness followed by its first symbol again (the
-    closing node of the walk), so ``sum(len(s) * k)`` is ``p.total() + 1``.
-    Their number does not grow with the counts: it is bounded by a function
-    of q and ell alone, however long the witness is.
+    The runs expand to exactly the witness, so ``sum(len(s) * k)`` is
+    ``p.total()``, and no run is empty or repeated zero times.  Their number
+    does not grow with the counts: it is bounded by a function of q and ell
+    alone, however long the witness is.
 
     The walk is Hierholzer's, taking the smallest remaining out-edge at every
     step.  While no edge runs out, that rule is a fixed successor map, so a
     walk that enters a cycle of it goes round that cycle once per unit of the
     cycle's smallest remaining count: those laps are pushed as one run.  Runs
     are popped whole once all of their nodes are exhausted, or split at the
-    last node of their final lap that still has edges left.
+    last node of their final lap that still has edges left.  The first pop
+    ends on the closing node of the walk, its start again, which the
+    witness leaves out: it is cut from that pop's last lap.
     """
     params = p.params
     q, ell = params.q, params.ell
@@ -80,8 +82,7 @@ def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
     if not check_connectivity(p):
         raise ValueError("support graph is not strongly connected")
     if ell == 1:
-        runs = [(bytes((s,)), c) for s, c in enumerate(p.counts) if c]
-        return runs + [(runs[0][0], 1)]
+        return [(bytes((s,)), c) for s, c in enumerate(p.counts) if c]
 
     remaining = list(p.counts)
     node_count = params.node_count
@@ -134,7 +135,9 @@ def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
                     stack.append((nodes, laps - 1))
                 stack.append((nodes[: j + 1], 1))
     # Reversed, the pops are the closed node walk; each node's first symbol
-    # starts the edge word that leaves it.
+    # starts the edge word that leaves it, and the closing node leaves none.
+    nodes, laps = popped[0]
+    popped[:1] = [run for run in ((nodes[:-1], 1), (nodes, laps - 1)) if run[0] and run[1]]
     sub = q ** (ell - 2)
     return [(bytes(u // sub for u in nodes), k) for nodes, k in reversed(popped)]
 
@@ -144,9 +147,9 @@ def eulerian_string(p: ProfileVector) -> bytes:
 
     Walks the overlap multigraph with ``p[w]`` parallel copies of each edge,
     consuming out-edges in lexicographic order from the smallest active node;
-    :func:`eulerian_runs` does the walk lap by lap.
+    :func:`eulerian_runs` does the walk lap by lap, and this joins its runs.
     """
-    return b"".join(s * k for s, k in eulerian_runs(p))[:-1]
+    return b"".join(s * k for s, k in eulerian_runs(p))
 
 
 def verify(x: str | bytes | Sequence[int], perm: RankPermutation) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import sys
@@ -258,6 +259,24 @@ def test_synthesize_euler_round_trip(tmp_path, capsys):
     emitted = capsys.readouterr().out.strip()
     assert len(emitted) == 45
     assert profile_of(emitted, params).counts == prof.counts
+
+
+# sha256 of the witness text the CLI writes: `synthesize --method euler` on
+# the profile of CHANNEL_STRING, and `encode b --emit string` on
+# random_info_b(3, 3, random.Random(1)), a witness of 7203978 symbols
+EULER_WITNESS_DIGEST = "0b35bf6eac7ed9969157bd909f1bf09d2767acc57a663ca49d827548ff68c35c"
+ENCODE_B_WITNESS_DIGEST = "62f13a143a2f45dd69ec78e9d60bd1d67f48d3f3bc93a0e77c22e417ee3ddf03"
+
+
+def test_witness_outputs_match_pinned_digests(repo_path, tmp_path):
+    pfile, ifile, out = tmp_path / "profile.txt", tmp_path / "info_b.txt", tmp_path / "w.txt"
+    pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
+    assert main(["synthesize", "--profile", str(pfile), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EULER_WITNESS_DIGEST
+    ifile.write_text(info_b_to_text(random_info_b(3, 3, random.Random(1))))
+    argv = ["encode", "b", "--info", str(ifile), "--repo", repo_path, "--emit", "string"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENCODE_B_WITNESS_DIGEST
 
 
 def test_synthesize_markov_requires_seed(tmp_path, capsys):

@@ -25,9 +25,9 @@ from profilerank.core import (
     index_to_word,
     is_constant,
     first_flow_violation,
-    neighborhood,
     profile_of,
     rank_of,
+    relabeling,
     satisfies,
     split_range,
     word_index,
@@ -368,24 +368,16 @@ def test_edge_nodes_are_prefix_and_suffix(q, ell):
         assert tails[idx] == word_index(w[1:], q)
 
 
-def test_neighborhood_disjoint_lists():
-    ins, outs = neighborhood((0, 1), 3)
-    assert ins == [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
-    assert outs == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
-    assert not set(ins) & set(outs)
-
-
-def test_neighborhood_rejects_constant():
-    with pytest.raises(ValueError):
-        neighborhood((1,), 3)
-    with pytest.raises(ValueError):
-        neighborhood((2, 2), 3)
+def test_is_constant_words():
     assert all(is_constant(v) for v in all_words(3, 1))
+    assert is_constant((2, 2)) and is_constant(())
+    assert not is_constant((0, 1)) and not is_constant((1, 1, 0))
 
 
 def test_relabel_keeps_rank_structure():
     perm = RankPermutation.from_text(CHANNEL_ORDER)
-    swapped = perm.relabel((1, 0, 2))
+    image = relabeling(perm.params, (1, 0, 2))
+    swapped = RankPermutation(perm.params, tuple(map(image.__getitem__, perm.order)))
     assert swapped.word_at_rank(1) == (1, 1)
     assert sorted(swapped.order) == list(range(9))
 
@@ -475,17 +467,14 @@ def test_perm_text_round_trip_property(data):
     params = data.draw(_PARAMS)
     order = tuple(data.draw(st.permutations(range(params.word_count))))
     perm = RankPermutation(params, order)
-    assert RankPermutation.from_text(perm.to_text(), params) == perm
+    assert RankPermutation.from_text(perm.to_text()) == perm
 
 
-@pytest.mark.parametrize(
-    "text, params",
-    [("00,1,10,11", None), ("00,01,10,111", None), ("0,1", Params(2, 2))],
-)
-def test_perm_text_rejects_ragged_words(text, params):
+@pytest.mark.parametrize("text", ["00,1,10,11", "00,01,10,111"])
+def test_perm_text_rejects_ragged_words(text):
     # "00,1,10,11" used to be read as 00,01,10,11
     with pytest.raises(ValueError, match="does not have length"):
-        RankPermutation.from_text(text, params)
+        RankPermutation.from_text(text)
 
 
 @pytest.mark.parametrize("total", [0, 1, 7, 362880])
@@ -562,8 +551,6 @@ def test_packed_rows_read_back_as_the_tuple_of_their_rows():
     for bad in (5, -6):
         with pytest.raises(IndexError):
             table[bad]
-    for cut in (slice(None), slice(1, 4), slice(None, None, -2), slice(4, 1), slice(-2, None)):
-        assert table[cut] == ROWS[cut] and isinstance(table[cut], PackedRows)
     assert packed((), 2) == () == packed((), 3)
     assert eval(repr(table), {"PackedRows": PackedRows}) == table
 

@@ -265,6 +265,34 @@ def test_decode_b_rejects_window_one(repo):
         decode_b(FeasibleVector(Params(3, 1), (1, 2, 3)), repo)
 
 
+@pytest.mark.parametrize("q, ell", [(3, 2), (4, 3)])
+def test_decoders_refuse_a_fractional_vector(repo, q, ell):
+    # the codeword's entries over a denominator of 7: the numerators alone
+    # are the codeword, so a decoder that reads only them accepts it
+    codeword = encode_b(random_info_b(q, ell, random.Random(q)), repo)
+    fractional = FeasibleVector(codeword.params, codeword.entries, 7)
+    decoders = [decode_b, decode_a] if ell == 2 else [decode_b]
+    for decode in decoders:
+        with pytest.raises(NotACodeword, match="encoder outputs have integer entries"):
+            decode(fractional, repo)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_decode_a_is_decode_b_at_window_two(repo, q):
+    rng = random.Random(20 + q)
+    for _ in range(10):
+        info = random_info_b(q, 2, rng)
+        vec = encode_b(info, repo)
+        assert decode_a(vec, repo) == decode_b(vec, repo).base == info.base
+        for _ in range(5):
+            entries = list(vec.entries)
+            entries[rng.randrange(len(entries))] += rng.choice((-2, -1, 1, 2, q))
+            corrupted = ScaledVector(vec.params, tuple(entries))
+            for decode in (decode_a, decode_b):
+                with pytest.raises(NotACodeword):
+                    decode(corrupted, repo)
+
+
 def test_rank_level_injectivity_window(repo):
     rng = random.Random(10)
     seen = {}
@@ -564,6 +592,35 @@ def test_repository_load_refuses_an_entry_above_a_byte(repo, tmp_path, value):
     lines[3] = " ".join(row)
     _rewrite_with_trailer(path, lines)
     with pytest.raises(ValueError, match="line 4 has an entry above 255"):
+        Repository.load(path)
+
+
+@pytest.mark.parametrize(
+    "respace",
+    [
+        lambda tokens: "  " + "\t ".join(tokens) + " ",
+        lambda tokens: "  ".join(tokens),
+        lambda tokens: " ".join(tokens) + " ",
+        lambda tokens: " " + " ".join(tokens),
+        lambda tokens: "\t".join(tokens),
+        lambda tokens: " ".join(["0" + tokens[0]] + tokens[1:]),
+    ],
+    ids=["tabs", "double-spaced", "trailing-blank", "leading-blank", "tab-separated", "zero-padded"],
+)
+def test_repository_load_refuses_rows_save_never_writes(repo, tmp_path, respace):
+    # the same nine naturals, written otherwise than save writes them, under
+    # a fresh checksum
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[1] = respace(lines[1].split())
+    _rewrite_with_trailer(path, lines)
+    with pytest.raises(ValueError, match="line 2 is not written as save writes a row"):
+        Repository.load(path)
+    # a row that is also wrong otherwise keeps its own diagnostic
+    lines[1] = respace(["256"] + lines[2].split()[1:])
+    _rewrite_with_trailer(path, lines)
+    with pytest.raises(ValueError, match="line 2 has an entry above 255"):
         Repository.load(path)
 
 

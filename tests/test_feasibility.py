@@ -18,9 +18,7 @@ from profilerank.core import (
     Params,
     ProfileVector,
     RankPermutation,
-    in_words,
     is_constant,
-    out_words,
     profile_of,
     rank_of,
     word_index,
@@ -76,10 +74,9 @@ def _balance_rows(params):
     rows = []
     for v in params.nodes():
         coef = [0] * params.word_count
-        for w in out_words(v, q):
-            coef[word_index(w, q)] += 1
-        for w in in_words(v, q):
-            coef[word_index(w, q)] -= 1
+        for s in range(q):
+            coef[word_index(v + (s,), q)] += 1
+            coef[word_index((s,) + v, q)] -= 1
         rows.append(coef)
     return rows
 

@@ -142,6 +142,26 @@ def test_eulerian_window_one():
     assert eulerian_string(p) == bytes((0, 0, 1, 2, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        ProfileVector(Params(3, 1), (2, 1, 3)),
+        ProfileVector(Params(2, 1), (0, 4)),
+        ProfileVector(Params(2, 2), (0, 5, 5, 0)),  # the closing lap repeats
+        ProfileVector(Params(2, 2), (4, 0, 0, 0)),
+        ProfileVector(Params(2, 3), (0, 0, 0, 0, 0, 0, 0, 1)),
+        CHANNEL_PROFILE,
+        CHANNEL_PROFILE.scaled(7),
+    ],
+)
+def test_eulerian_runs_expand_to_exactly_the_witness(p):
+    runs = eulerian_runs(p)
+    assert all(s and k > 0 for s, k in runs)
+    assert sum(len(s) * k for s, k in runs) == p.total()
+    assert b"".join(s * k for s, k in runs) == eulerian_string(p)
+    assert profile_of(eulerian_string(p), p.params) == p
+
+
 def test_eulerian_is_deterministic():
     assert eulerian_string(CHANNEL_PROFILE) == eulerian_string(CHANNEL_PROFILE)
 
@@ -203,8 +223,9 @@ def test_eulerian_matches_reference_walk():
         x = eulerian_string(p)
         assert x == _reference_eulerian(p), (params, p.counts)
         runs = eulerian_runs(p)
-        assert sum(len(s) * k for s, k in runs) == p.total() + 1
-        assert b"".join(s * k for s, k in runs) == x + x[:1]
+        assert sum(len(s) * k for s, k in runs) == p.total()
+        assert b"".join(s * k for s, k in runs) == x
+        assert all(s and k > 0 for s, k in runs)
 
 
 def test_eulerian_runs_of_encoder_vector_stay_few(repo):
@@ -212,7 +233,7 @@ def test_eulerian_runs_of_encoder_vector_stay_few(repo):
     vec = encode_b(info, repo)
     p = ProfileVector(Params(4, 3), vec.entries)
     runs = eulerian_runs(p)
-    assert sum(len(s) * k for s, k in runs) == sum(vec.entries) + 1
+    assert sum(len(s) * k for s, k in runs) == sum(vec.entries)
     assert len(runs) <= 300
     assert max(vec.entries).bit_length() > 30  # far too long to expand here
 
