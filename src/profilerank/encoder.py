@@ -326,6 +326,11 @@ def extend_vector(
     everything stays integral.
     """
     StageA(tuple(pi), tuple(t)).check()
+    return _extend(entries, pi, t)
+
+
+def _extend(entries: Sequence[int], pi: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
+    """:func:`extend_vector` on a checked stage."""
     q = len(pi)
     m = q - 1
     if len(entries) != m * m:
@@ -356,10 +361,7 @@ def encode_a(info: InfoVecA, repo: Repository) -> ScaledVector:
     """Alphabet-recursion encoder: message to realizable integer vector at
     window length 2."""
     info.check()
-    entries = repo.vector(info.base)
-    for stage in info.stages:
-        entries = extend_vector(entries, stage.pi, stage.t)
-    return ScaledVector(Params(info.q, 2), entries)
+    return ScaledVector(Params(info.q, 2), _lift_layers(info, (), repo))
 
 
 def _shrink(entries: Sequence[int], q: int) -> tuple[list[int], StageA]:
@@ -531,10 +533,13 @@ def _lift_layer(
 def _lift_layers(
     base: InfoVecA, layers: Sequence[dict[Word, tuple[int, ...]]], repo: Repository
 ) -> tuple[int, ...]:
-    """The window recursion's entries for checked layers 3, 4, ... on top of
-    the alphabet message ``base``."""
+    """The window recursion's entries for the checked alphabet message
+    ``base`` and checked layers 3, 4, ...: each message is checked once, by
+    its encoder, and a decoder's re-encode checks nothing."""
     q = base.q
-    entries: Sequence[int] = encode_a(base, repo).entries
+    entries: Sequence[int] = repo.vector(base.base)
+    for stage in base.stages:
+        entries = _extend(entries, stage.pi, stage.t)
     for offset, layer in enumerate(layers):
         entries = _lift_layer(entries, layer, q, 3 + offset)
     return tuple(entries)
@@ -579,8 +584,9 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
         layers.append(layer)
         entries = prev
     # The peel keyed each layer by exactly the interior words and gave each
-    # the ranks of q distinct entries, so the layers pass InfoVecB.check
-    # and the re-encode need not sort them again.
+    # the ranks of q distinct entries, and _shrink reads each stage from q
+    # distinct new values merged with the old ones, so the message passes
+    # InfoVecB.check and the re-encode need not check it again.
     stages: list[StageA] = []
     for size in range(q, BASE_Q, -1):
         entries, stage = _shrink(entries, size)

@@ -6,7 +6,10 @@ smallest witness lengths, and the monochromatic-matching count that the
 counting bound rests on.  The census and the repository visit one rank order
 per orbit of the symmetry group G of :func:`core.word_symmetries`, which
 keeps every verdict and every least-maximum assignment, and expand the
-results through G.  Both are one serial pass over the representatives:
+results through G.  The representatives, the least order of each orbit,
+come from a depth-first walk over prefixes that keeps the maps of G fixing
+the prefix (G has at most 12 maps at ell >= 2, where the census is capped
+at 9 words).  Both are one serial pass over the representatives:
 at (3,2), the largest census input, a pass takes a fraction of a second,
 less than a worker pool costs to start.
 """
@@ -73,74 +76,41 @@ def orbit_size(params: Params) -> int:
     return factorial(params.q) * min(params.ell, 2)
 
 
-def _translations(params: Params) -> list[bytes]:
-    """Each map g of G as a ``bytes.translate`` table: a packed order
-    translated by it is its image g(order).  Only word indices, all below
-    q^ell <= 9, are ever translated, so the rest of the table is filler."""
-    return [bytes(g).ljust(256) for g in word_symmetries(params)]
+def _translations(params: Params) -> Iterator[bytes]:
+    """Each map g of G as a ``bytes.translate`` table, one at a time: a
+    packed order translated by it is its image g(order).  Only word indices,
+    all below q^ell <= 9, are ever translated, so the rest of the table is
+    filler."""
+    return (bytes(g).ljust(256) for g in word_symmetries(params))
 
 
 def representatives(params: Params) -> Iterator[tuple[int, ...]]:
     """The lexicographically least order of every orbit of G, in
     lexicographic order.
 
-    An order is least in its orbit iff each of its words is the least image
-    of that word under the maps of G that fix every word before it: a map
-    that fixes the first k words and sends word k lower sends the whole
-    order lower, and the first position where a lower image differs gives
-    such a map.  Those maps are, per reversal flag, the relabelings that
-    agree with one permutation of the symbols used so far and permute the
-    unused symbols freely.  So the least image of a word needs no scan of
-    the group: its used symbols go through the permutation, and its unused
-    ones are renamed, in order of first appearance, to the least unused
-    symbols.  Once the identity is the only map left, every arrangement of
-    the remaining words is least in its orbit.
+    Orderly generation with an explicit stabilizer: a depth-first walk over
+    prefixes holds the maps of G that fix the prefix word by word.  A map
+    that fixes the prefix and sends the next word lower sends the whole
+    order lower, so such a word is skipped; the maps that send it higher
+    can no longer send the order lower and are dropped, and those that fix
+    it are kept.  Once the identity is the only map left, every arrangement
+    of the remaining words is least in its orbit.
     """
-    q = params.q
-    words = list(params.words())
-    flips = (False, True) if params.ell > 1 else (False,)
 
-    def least_image(word, used, branches):
-        unused = [s for s in range(q) if s not in used]
-        best = word
-        for flip, sigma in branches:
-            source = word[::-1] if flip else word
-            fresh = dict(zip(dict.fromkeys(s for s in source if s not in used), unused))
-            best = min(best, tuple(sigma[s] if s in used else fresh[s] for s in source))
-        return best
-
-    def fixing(word, branches):
-        # the branches whose maps can also fix ``word``, permutations extended
-        kept = []
-        for flip, sigma in branches:
-            sigma = dict(sigma)
-            for s, t in zip(word[::-1] if flip else word, word):
-                if sigma.get(s, t) != t or (s not in sigma and t in sigma.values()):
-                    break
-                sigma[s] = t
-            else:
-                kept.append((flip, sigma))
-        return kept
-
-    def extend(prefix, rest, used, branches):
-        # the identity's branch always survives; it is the only map left
-        # once no other branch does and at most one symbol is unused
-        if len(branches) == 1 and len(used) >= q - 1:
+    def walk(prefix, rest, stabilizer):
+        if len(stabilizer) == 1:
             for tail in permutations(rest):
                 yield prefix + tail
             return
         for idx in rest:
-            word = words[idx]
-            if least_image(word, used, branches) == word:
-                yield from extend(
+            if all(g[idx] >= idx for g in stabilizer):
+                yield from walk(
                     prefix + (idx,),
                     tuple(i for i in rest if i != idx),
-                    used | set(word),
-                    fixing(word, branches),
+                    [g for g in stabilizer if g[idx] == idx],
                 )
 
-    whole_group = [(flip, {}) for flip in flips]
-    yield from extend((), tuple(range(params.word_count)), frozenset(), whole_group)
+    yield from walk((), tuple(range(params.word_count)), list(word_symmetries(params)))
 
 
 def _sweep(params: Params, lp_all: bool) -> CensusResult:
@@ -338,7 +308,7 @@ def build_repository(
     moves = [
         itemgetter(*sorted(range(width), key=g.__getitem__)) for g in word_symmetries(params)
     ]
-    tables = _translations(params)
+    tables = list(_translations(params))
     vectors = bytearray(len(orders) * width)
     filled = bytearray(len(orders))
     for k in range(len(orders)):
@@ -427,15 +397,15 @@ def _has_monochromatic_matching(ranked_sides: Sequence[int], q: int) -> bool:
     return False
 
 
-def verify_matching_count(q: int = 3) -> tuple[int, Fraction]:
-    """Count rank orders of a 2q-word neighborhood that certify infeasibility.
+def verify_matching_count() -> tuple[int, Fraction]:
+    """Count rank orders of a 2q-word neighborhood, q = 3, that certify
+    infeasibility.
 
     Returns the count and its fraction of all (2q)! orders; the matcher here
     is the naive all-pairings search, independent of the ballot test used by
     the fast pre-check.
     """
-    if q != 3:
-        raise ValueError("exhaustive matching count is run at q=3 only")
+    q = 3
     count = 0
     total = 0
     for arrangement in permutations(range(2 * q)):

@@ -63,7 +63,8 @@ def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
     """The witness of :func:`eulerian_string` as ``(symbols, repeats)`` runs.
 
     The runs expand to exactly the witness, so ``sum(len(s) * k)`` is
-    ``p.total()``, and no run is empty or repeated zero times.  Their number
+    ``p.total()``, no run is empty or repeated zero times, and no two
+    neighbouring runs have equal symbols (they are merged).  Their number
     does not grow with the counts: it is bounded by a function of q and ell
     alone, however long the witness is.
 
@@ -139,7 +140,13 @@ def eulerian_runs(p: ProfileVector) -> list[tuple[bytes, int]]:
     nodes, laps = popped[0]
     popped[:1] = [run for run in ((nodes[:-1], 1), (nodes, laps - 1)) if run[0] and run[1]]
     sub = q ** (ell - 2)
-    return [(bytes(u // sub for u in nodes), k) for nodes, k in reversed(popped)]
+    runs: list[tuple[bytes, int]] = []
+    for nodes, k in reversed(popped):
+        symbols = bytes(u // sub for u in nodes)
+        if runs and runs[-1][0] == symbols:
+            k += runs.pop()[1]
+        runs.append((symbols, k))
+    return runs
 
 
 def eulerian_string(p: ProfileVector) -> bytes:

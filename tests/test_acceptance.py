@@ -126,7 +126,7 @@ def test_criterion_05_max_entry_constant(census32, repo):
 
 
 def test_criterion_06_matching_count():
-    count, ratio = verify_matching_count(3)
+    count, ratio = verify_matching_count()
     assert count == 360
     assert ratio == Fraction(2, 3 + 1)
     assert count == Fraction(2, 3 + 1) * 720

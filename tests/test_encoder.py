@@ -485,6 +485,21 @@ def test_encode_b_outputs_match_pinned_digest(repo):
     assert digest.hexdigest() == ENCODE_B_DIGEST
 
 
+@pytest.mark.parametrize("q, ell", [(4, 2), (5, 3)])
+def test_each_stage_is_checked_once(repo, monkeypatch, q, ell):
+    # encode_b checks its message once; decode_b's re-encode works on stages
+    # that _shrink built valid and checks none
+    checks = []
+    check = StageA.check
+    monkeypatch.setattr(StageA, "check", lambda stage: checks.append(stage) or check(stage))
+    info = random_info_b(q, ell, random.Random(17))
+    vec = encode_b(info, repo)
+    assert checks == list(info.base.stages)
+    checks.clear()
+    assert decode_b(vec, repo) == info
+    assert checks == []
+
+
 def test_decode_b_rejects_every_unit_change_of_one_entry(repo):
     sv = encode_b(random_info_b(4, 3, random.Random(13)), repo)
     for idx in range(len(sv.entries)):

@@ -23,6 +23,7 @@ PAPER_CLAIM_HELPERS = {
     "codes.restrict": "test_codes.py::test_interleave_triple_recovery",
     "codes.PrecodedInfoA": "test_codes.py::test_precoded_alphabet_exhaustive_pairs",
     "codes.PrecodedInfoB": "test_acceptance.py::test_criterion_11_distance_bounds",
+    "encoder.extend_vector": "test_acceptance.py::test_criterion_03_worked_recursive_step",
     "oracle.precheck_completeness_gap": "test_oracle.py::test_gap_report_at_two_two",
     "oracle.minimal_max_value": "test_acceptance.py::test_criterion_05_max_entry_constant",
     "oracle.min_string_length": "test_oracle.py::test_min_string_length_worked_example",

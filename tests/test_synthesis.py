@@ -157,6 +157,7 @@ def test_eulerian_window_one():
 def test_eulerian_runs_expand_to_exactly_the_witness(p):
     runs = eulerian_runs(p)
     assert all(s and k > 0 for s, k in runs)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
     assert sum(len(s) * k for s, k in runs) == p.total()
     assert b"".join(s * k for s, k in runs) == eulerian_string(p)
     assert profile_of(eulerian_string(p), p.params) == p
