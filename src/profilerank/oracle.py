@@ -12,6 +12,11 @@ the prefix (G has at most 12 maps at ell >= 2, where the census is capped
 at 9 words).  Both are one serial pass over the representatives:
 at (3,2), the largest census input, a pass takes a fraction of a second,
 less than a worker pool costs to start.
+
+The value-assignment searches test, for one largest value at a time, every
+increasing sequence of rank-order values that ends at it: each sequence is
+one byte of a few big integers, so one integer sum per node of the overlap
+graph checks the node's flow balance for all of them at once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, combinations, permutations
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -32,6 +38,7 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
 # fits with entries <= 16 (verified exhaustively); the strictly positive
 # entries the encoders need cost at most a +1 shift, and 72 orders need it.
+# It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
 
 
@@ -173,52 +180,103 @@ def precheck_completeness_gap(params: Params) -> CensusResult:
 # Value-assignment searches at (q, ell) = (3, 2)
 # ---------------------------------------------------------------------------
 
-def _order_constraints(order: Sequence[int], params: Params):
-    """Flow constraints over rank positions: (plus_positions, minus_positions).
-
-    Self-loop words cancel out and never appear.
-    """
+@lru_cache(maxsize=None)
+def _flow_nodes(params: Params) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per node of the overlap graph but the first, the word indices of the
+    non-loop words leaving it and of those entering it.  Loop words cancel
+    out.  Each non-loop word leaves one node and enters another, so the
+    nodes' imbalances sum to zero and the first node balances when the rest
+    do."""
     heads, tails = edge_nodes(params)
-    plus: list[list[int]] = [[] for _ in range(params.node_count)]
-    minus: list[list[int]] = [[] for _ in range(params.node_count)]
-    for k, idx in enumerate(order):
-        h, t = heads[idx], tails[idx]
-        if h != t:
-            plus[h].append(k)
-            minus[t].append(k)
-    return [(tuple(p), tuple(m)) for p, m in zip(plus, minus)]
+    words = range(params.word_count)
+    return tuple(
+        (
+            tuple(i for i in words if heads[i] == v != tails[i]),
+            tuple(i for i in words if tails[i] == v != heads[i]),
+        )
+        for v in range(1, params.node_count)
+    )
 
 
-def _prefix_balanced(cons, values: list[int], k: int, v: int, cap: int, n: int) -> bool:
-    """Whether ``values[:k+1]`` (with ``values[k] == v``) can still balance
-    every constraint once the later positions j > k take increasing values
-    in their reachable ranges [v + j - k, cap - (n-1-j)]."""
-    for plus, minus in cons:
-        acc = 0
-        lo = hi = 0
-        for j in plus:
-            if j <= k:
-                acc += values[j]
-            else:
-                lo += v + j - k
-                hi += cap - (n - 1 - j)
-        for j in minus:
-            if j <= k:
-                acc -= values[j]
-            else:
-                lo -= cap - (n - 1 - j)
-                hi -= v + j - k
-        if not (acc + lo <= 0 <= acc + hi):
-            return False
-    return True
+def _inverse(perm: Sequence[int]) -> itemgetter:
+    """The getter of a permutation's inverse: entry i of its result is the
+    entry at the position where ``perm`` holds i.  For a rank order it takes
+    values over rank positions to word order."""
+    return itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))
 
 
-def _in_word_order(order: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
-    """Place the value of each rank position on its word index."""
-    vec = [0] * len(order)
-    for k, idx in enumerate(order):
-        vec[idx] = values[k]
-    return tuple(vec)
+@dataclass(frozen=True)
+class _Candidates:
+    """Every increasing length-n sequence over [floor, top] that ends at
+    top, in lexicographic order, laid out for byte-parallel tests.
+
+    ``blob`` holds n bytes per sequence; byte j of ``columns[k]`` (little
+    end first) is position k's value in sequence j, and ``bias`` has 128 in
+    each of its ``count`` bytes.
+    """
+
+    count: int
+    blob: bytes
+    columns: tuple[int, ...]
+    bias: int
+
+
+@lru_cache(maxsize=None)
+def _candidates(n: int, floor: int, top: int) -> _Candidates:
+    blob = bytes(
+        chain.from_iterable(head + (top,) for head in combinations(range(floor, top), n - 1))
+    )
+    count = len(blob) // n
+    columns = tuple(int.from_bytes(blob[k::n], "little") for k in range(n))
+    return _Candidates(count, blob, columns, int.from_bytes(b"\x80" * count, "little"))
+
+
+def _balanced(in_word_order: itemgetter, nodes, n: int, floor: int, top: int) -> list[bytes]:
+    """The rank-order values of every flow-balanced sequence in the
+    ``_candidates(n, floor, top)`` table, in its lexicographic order, for the
+    order whose :func:`_inverse` is ``in_word_order`` and the graph whose
+    :func:`_flow_nodes` are ``nodes``.
+
+    One big-integer sum per node tests every sequence at once (Lamport,
+    "Multiple byte processing with full-word instructions", CACM 1975):
+    byte j of ``bias + entering columns - leaving columns`` is 128 plus the
+    node's imbalance in sequence j.  No carry or borrow crosses a byte,
+    since the imbalance is at most degree * top < 128 in size: values >= 0
+    are distinct and at most top <= REPOSITORY_CAP, so a sequence exists
+    only for q^ell <= 18 words, where a node has at most q <= 4 non-loop
+    words in and 4 out (at ell = 1 every word is a loop).  A zero byte of
+    the OR of ``sum ^ bias`` over the nodes marks a balanced sequence.
+    """
+    table = _candidates(n, floor, top)
+    bias, columns = table.bias, in_word_order(table.columns)
+    unbalanced = 0
+    for leaving, entering in nodes:
+        total = bias
+        for i in entering:
+            total += columns[i]
+        for i in leaving:
+            total -= columns[i]
+        unbalanced |= total ^ bias
+    flags = unbalanced.to_bytes(table.count, "little")
+    blob, found = table.blob, []
+    j = flags.find(0)
+    while j >= 0:
+        found.append(blob[j * n : j * n + n])
+        j = flags.find(0, j + 1)
+    return found
+
+
+def _tops(n: int, floor: int, cap: int) -> range:
+    """The maxima to try, least first: from ``n + floor - 1``, the least
+    end of n distinct values >= ``floor``, up to ``cap``.  Refuses what the
+    byte-parallel test cannot hold: a negative ``floor``, or a ``cap``
+    above :data:`REPOSITORY_CAP`, whose tables would take
+    C(cap - floor, n - 1) sequences at the top group alone."""
+    if floor < 0:
+        raise ValueError(f"values start at floor >= 0, got {floor}")
+    if cap > REPOSITORY_CAP:
+        raise ValueError(f"cap {cap} is above REPOSITORY_CAP = {REPOSITORY_CAP}")
+    return range(n + floor - 1, cap + 1)
 
 
 def least_max_vectors(
@@ -226,30 +284,19 @@ def least_max_vectors(
 ) -> list[tuple[int, ...]]:
     """Every flow-balanced assignment of distinct values >= ``floor`` in the
     order's rank order at the least maximum within ``cap`` (entries in word
-    order, in the search's order); empty if no maximum within ``cap``
-    admits one.
+    order, their rank-order values in lexicographic order); empty if no
+    maximum within ``cap`` admits one.
 
-    The allowed maximum is raised one step at a time from its least value,
-    each step a full depth-first search over distinct values >= ``floor``.
+    For each maximum from its least value up, one byte-parallel test
+    (:func:`_balanced`) checks every increasing sequence that ends at it;
+    the first maximum with a balanced sequence is the least.  Raises
+    ValueError for ``floor < 0`` or ``cap > REPOSITORY_CAP``.
     """
-    n = len(order)
-    cons = _order_constraints(order, params)
-    values = [0] * n
-    for top in range(n + floor - 1, cap + 1):
-        sols: list[tuple[int, ...]] = []
-
-        def rec(k: int, prev: int) -> None:
-            if k == n:
-                sols.append(_in_word_order(order, values))
-                return
-            for v in range(prev + 1, top - (n - 1 - k) + 1):
-                values[k] = v
-                if _prefix_balanced(cons, values, k, v, top, n):
-                    rec(k + 1, v)
-
-        rec(0, floor - 1)
-        if sols:
-            return sols
+    n, nodes, in_word_order = len(order), _flow_nodes(params), _inverse(order)
+    for top in _tops(n, floor, cap):
+        found = _balanced(in_word_order, nodes, n, floor, top)
+        if found:
+            return list(map(in_word_order, found))
     return []
 
 
@@ -305,9 +352,7 @@ def build_repository(
     unclosed = "the census is not a union of orbits of the code's symmetries"
     width = params.word_count
     # an assignment to an order, moved to the same ranks of g(order)
-    moves = [
-        itemgetter(*sorted(range(width), key=g.__getitem__)) for g in word_symmetries(params)
-    ]
+    moves = [_inverse(g) for g in word_symmetries(params)]
     tables = list(_translations(params))
     vectors = bytearray(len(orders) * width)
     filled = bytearray(len(orders))
@@ -343,36 +388,29 @@ def min_sum_vector(
     perm: RankPermutation, cap: int = 16
 ) -> FeasibleVector:
     """Strictly positive flow-balanced vector of minimal total for the order,
-    found by branch and bound on the total.
+    ties broken by the lexicographically first values in rank order.
 
-    The total equals the shortest witness length over full-support profiles:
+    The balanced sequences come from the byte-parallel test of
+    :func:`_balanced`, one maximum at a time; the search stops at the first
+    maximum whose least possible total is above the best total found.  The
+    total equals the shortest witness length over full-support profiles:
     positive support keeps the overlap graph strongly connected, so the
     minimizing vector is realized by an actual circular string.
     """
     if perm.params != Params(BASE_Q, 2):
         raise ValueError("witness-length search is defined at q=3, window length 2")
-    n = len(perm.order)
-    cons = _order_constraints(perm.order, perm.params)
-    best: tuple[int, ...] | None = None
-    best_sum = cap * n + 1
-    values = [0] * n
-
-    def rec(k: int, prev: int, total: int) -> None:
-        nonlocal best, best_sum
-        if total + sum(range(prev + 1, prev + 1 + (n - k))) >= best_sum:
-            return
-        if k == n:
-            best, best_sum = tuple(values), total
-            return
-        for v in range(prev + 1, cap - (n - 1 - k) + 1):
-            values[k] = v
-            if _prefix_balanced(cons, values, k, v, cap, n):
-                rec(k + 1, v, total + v)
-
-    rec(0, 0, 0)
+    n, nodes, in_word_order = len(perm.order), _flow_nodes(perm.params), _inverse(perm.order)
+    best: tuple[int, bytes] | None = None
+    for top in _tops(n, 1, cap):
+        if best is not None and top + n * (n - 1) // 2 > best[0]:
+            break  # 1, 2, ..., n - 1, top is the least total ending at top
+        for values in _balanced(in_word_order, nodes, n, 1, top):
+            found = (sum(values), values)
+            if best is None or found < best:
+                best = found
     if best is None:
         raise ValueError(f"no assignment with entries <= {cap}")
-    return FeasibleVector(perm.params, _in_word_order(perm.order, best))
+    return FeasibleVector(perm.params, in_word_order(best[1]))
 
 
 def min_string_length(perm: RankPermutation, cap: int = 16) -> int:

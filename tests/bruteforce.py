@@ -1,8 +1,9 @@
 """Exhaustive references the tests check the library against.
 
 Each one searches the whole space the faster library code reasons about:
-every arrangement within a transposition distance, or every rank order of a
-census with both of its decision procedures run on each.
+every arrangement within a transposition distance, every rank order of a
+census with both of its decision procedures run on each, or every increasing
+value assignment of a rank order by depth-first search.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Sequence
 
-from profilerank.core import Params, fan_out, split_range
+from profilerank.core import Params, edge_nodes, fan_out, split_range
 from profilerank.feasibility import order_lp_solution, order_precheck_witness
 
 BFS_CAP = 10
@@ -88,3 +89,105 @@ def full_sweep(params: Params, jobs: int) -> FullSweep:
     parts = fan_out(_full_sweep_chunk, tasks, jobs)
     counts = [sum(part[1][i] for part in parts) for i in range(3)]
     return FullSweep(tuple(o for part in parts for o in part[0]), *counts)
+
+
+def _order_constraints(order: Sequence[int], params: Params):
+    """Flow constraints over rank positions, per node: the positions of the
+    words leaving it and of those entering it.  Self-loop words cancel out
+    and never appear."""
+    heads, tails = edge_nodes(params)
+    plus: list[list[int]] = [[] for _ in range(params.node_count)]
+    minus: list[list[int]] = [[] for _ in range(params.node_count)]
+    for k, idx in enumerate(order):
+        h, t = heads[idx], tails[idx]
+        if h != t:
+            plus[h].append(k)
+            minus[t].append(k)
+    return [(tuple(p), tuple(m)) for p, m in zip(plus, minus)]
+
+
+def _in_word_order(order: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+    """Place the value of each rank position on its word index."""
+    vec = [0] * len(order)
+    for k, idx in enumerate(order):
+        vec[idx] = values[k]
+    return tuple(vec)
+
+
+def _prefix_balanced(cons, values: list[int], k: int, v: int, cap: int, n: int) -> bool:
+    """Whether ``values[:k+1]`` (with ``values[k] == v``) can still balance
+    every constraint once the later positions j > k take increasing values
+    in their reachable ranges [v + j - k, cap - (n-1-j)]."""
+    for plus, minus in cons:
+        acc = 0
+        lo = hi = 0
+        for j in plus:
+            if j <= k:
+                acc += values[j]
+            else:
+                lo += v + j - k
+                hi += cap - (n - 1 - j)
+        for j in minus:
+            if j <= k:
+                acc -= values[j]
+            else:
+                lo -= cap - (n - 1 - j)
+                hi -= v + j - k
+        if not (acc + lo <= 0 <= acc + hi):
+            return False
+    return True
+
+
+def least_max_search(
+    order: Sequence[int], params: Params, cap: int, floor: int
+) -> list[tuple[int, ...]]:
+    """Every balanced assignment of distinct values >= ``floor`` at the least
+    maximum within ``cap``, in word order: the allowed maximum is raised one
+    step at a time, each step a full depth-first search in rank order."""
+    n = len(order)
+    cons = _order_constraints(order, params)
+    values = [0] * n
+    for top in range(n + floor - 1, cap + 1):
+        sols: list[tuple[int, ...]] = []
+
+        def rec(k: int, prev: int) -> None:
+            if k == n:
+                sols.append(_in_word_order(order, values))
+                return
+            for v in range(prev + 1, top - (n - 1 - k) + 1):
+                values[k] = v
+                if _prefix_balanced(cons, values, k, v, top, n):
+                    rec(k + 1, v)
+
+        rec(0, floor - 1)
+        if sols:
+            return sols
+    return []
+
+
+def min_sum_search(order: Sequence[int], params: Params, cap: int) -> tuple[int, ...]:
+    """The balanced assignment of distinct values >= 1 within ``cap`` of least
+    total, in word order, by branch and bound on the total: the first found
+    in depth-first order among equal totals.  ValueError if there is none."""
+    n = len(order)
+    cons = _order_constraints(order, params)
+    best: tuple[int, ...] | None = None
+    best_sum = cap * n + 1
+    values = [0] * n
+
+    def rec(k: int, prev: int, total: int) -> None:
+        nonlocal best, best_sum
+        if total + sum(range(prev + 1, prev + 1 + (n - k))) >= best_sum:
+            return
+        if k == n:
+            best, best_sum = tuple(values), total
+            return
+        for v in range(prev + 1, cap - (n - 1 - k) + 1):
+            values[k] = v
+            if _prefix_balanced(cons, values, k, v, cap, n):
+                rec(k + 1, v, total + v)
+
+    rec(0, 0, 0)
+    if best is None:
+        raise ValueError(f"no assignment with entries <= {cap}")
+    return _in_word_order(order, best)

@@ -3,11 +3,11 @@ import tracemalloc
 from dataclasses import replace
 from hashlib import sha256
 from itertools import chain, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from bruteforce import full_sweep
+from bruteforce import full_sweep, least_max_search, min_sum_search
 from profilerank.core import (
     PackedRows,
     Params,
@@ -24,6 +24,8 @@ from profilerank.core import (
 from profilerank.encoder import BASE_COUNT
 from profilerank.feasibility import order_precheck_witness
 from profilerank.oracle import (
+    REPOSITORY_CAP,
+    _candidates,
     build_repository,
     compute_c3,
     enumerate_feasible,
@@ -255,6 +257,73 @@ def test_least_max_vectors_are_every_least_max_solution(census32, floor):
     stray = (8, 7, 6, 5, 4, 3, 2, 1, 0)
     assert least_max_vectors(stray, P32, 17, floor) == []
     assert minimal_max_vector(stray, P32, 17, floor) is None
+
+
+def _split_representatives(census32):
+    feasible = set(census32.feasible)
+    reps = list(representatives(P32))
+    return [r for r in reps if r in feasible], [r for r in reps if r not in feasible]
+
+
+@pytest.mark.parametrize("floor", [0, 1])
+def test_least_max_vectors_match_depth_first_search(census32, floor):
+    # the byte-parallel test against the iterative-deepening search it
+    # replaced: the same solutions in the same order on every feasible
+    # representative, and none on 300 infeasible ones
+    feasible, infeasible = _split_representatives(census32)
+    assert len(feasible) == 2520
+    for order in feasible:
+        assert least_max_vectors(order, P32, 17, floor) == least_max_search(order, P32, 17, floor)
+    for order in random.Random(9).sample(infeasible, 300):
+        assert least_max_vectors(order, P32, 17, floor) == []
+        assert least_max_search(order, P32, 17, floor) == []
+
+
+def test_min_sum_vector_matches_branch_and_bound(census32):
+    feasible, infeasible = _split_representatives(census32)
+    unsolved = 0
+    for order in feasible:
+        try:
+            expected = min_sum_search(order, P32, 16)
+        except ValueError:
+            unsolved += 1
+            with pytest.raises(ValueError):
+                min_sum_vector(RankPermutation(P32, order))
+            continue
+        assert min_sum_vector(RankPermutation(P32, order)).entries == expected
+    assert unsolved == 6  # the orbits of the 72 orders that need an entry of 17
+    for order in random.Random(10).sample(infeasible, 200):
+        with pytest.raises(ValueError):
+            min_sum_search(order, P32, 17)
+        with pytest.raises(ValueError):
+            min_sum_vector(RankPermutation(P32, order), 17)
+
+
+@pytest.mark.parametrize("floor", [0, 1])
+def test_candidate_tables(floor):
+    n = 9
+    for top in range(n + floor - 1, REPOSITORY_CAP + 1):
+        table = _candidates(n, floor, top)
+        rows = [tuple(table.blob[j * n : j * n + n]) for j in range(table.count)]
+        assert table.count == comb(top - floor, n - 1) == len(table.blob) // n
+        assert rows == sorted(set(rows))
+        for row in rows:
+            assert row[0] >= floor and row[-1] == top
+            assert all(a < b for a, b in zip(row, row[1:]))
+        for k, column in enumerate(table.columns):
+            assert column.to_bytes(table.count, "little") == table.blob[k::n]
+        assert table.bias.to_bytes(table.count, "little") == b"\x80" * table.count
+
+
+def test_searches_refuse_what_the_tables_cannot_hold(census32):
+    order = census32.feasible[0]
+    with pytest.raises(ValueError, match="REPOSITORY_CAP"):
+        least_max_vectors(order, P32, REPOSITORY_CAP + 1)
+    with pytest.raises(ValueError, match="floor"):
+        least_max_vectors(order, P32, 17, floor=-1)
+    with pytest.raises(ValueError, match="REPOSITORY_CAP"):
+        min_sum_vector(RankPermutation(P32, order), REPOSITORY_CAP + 1)
+    assert least_max_vectors(order, P32, REPOSITORY_CAP) != []
 
 
 def test_c3_constants(repo, census32):
