@@ -165,6 +165,22 @@ def order_precheck_witness(
     changes nothing.  A node is green while that count never rises above 0,
     red while it never drops below 0 (never both: its first non-loop word
     moves it).
+
+    A prefix of the order can settle the verdict of every order that starts
+    with it.  A node has as many non-loop words entering it as leaving it,
+    so its count ends at 0, and after a prefix it equals the entering words
+    still to place minus the leaving ones.  A scanned node that has not
+    risen and has no entering word left is green in every completion: only
+    leaving words remain, which lift the count one step at a time to its
+    final 0 and never above it.  Mirrored, a scanned node that has not
+    fallen and has no leaving word left is red in every completion.  And
+    once every scanned node has both risen and fallen, no completion is a
+    hit, since a flag once set stays set.  A full order settles one way or
+    the other.  The census's orbit walk (``oracle._OrbitWalk``) applies the
+    rule only once the identity is the only map of G that fixes the prefix:
+    only then is every one of the ``(len(rest))!`` completions the least
+    order of its orbit, so a settled prefix stands for a known count of
+    representatives.
     """
     heads, tails = edge_nodes(params)
     count = [0] * params.node_count

@@ -9,9 +9,13 @@ keeps every verdict and every least-maximum assignment, and expand the
 results through G.  The representatives, the least order of each orbit,
 come from a depth-first walk over prefixes that keeps the maps of G fixing
 the prefix (G has at most 12 maps at ell >= 2, where the census is capped
-at 9 words).  Both are one serial pass over the representatives:
-at (3,2), the largest census input, a pass takes a fraction of a second,
-less than a worker pool costs to start.
+at 9 words).  The walk also carries the matching pre-check's ballot state,
+so once only the identity fixes a prefix, a prefix that settles the
+pre-check for every completion ends in one block: the census counts a
+block of hits without building its orders, and runs the exact LP on every
+order of a silent block.  Both are one serial pass over the
+representatives: at (3,2), the largest census input, a pass takes a
+fraction of a second, less than a worker pool costs to start.
 
 The value-assignment searches test, for one largest value at a time, every
 increasing sequence of rank-order values that ends at it: each sequence is
@@ -22,7 +26,7 @@ graph checks the node's flow balance for all of them at once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
@@ -32,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .core import PackedRows, Params, RankPermutation, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import FeasibleVector, order_lp_solution, order_precheck_witness
+from .feasibility import FeasibleVector, _scanned_nodes, order_lp_solution
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -40,6 +44,17 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # entries the encoders need cost at most a +1 shift, and 72 orders need it.
 # It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
+
+
+@dataclass(frozen=True)
+class CensusStats:
+    """Where one census sweep's work went.  Not part of a result's ``==``
+    or :meth:`CensusResult.summary`."""
+
+    prefixes: int = 0  # prefixes the orbit walk visited
+    settled_hits: int = 0  # representatives a prefix proved pre-check hits
+    lp_calls: int = 0
+    lp_pivots: int = 0  # the sum of Phase1.pivots over the LP calls
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,7 @@ class CensusResult:
     silent_infeasible: int  # pre-check silent, LP refuted
     lp_checked_all: bool
     elapsed: float
+    stats: CensusStats = field(default=CensusStats(), compare=False)
 
     @property
     def count(self) -> int:
@@ -91,9 +107,15 @@ def _translations(params: Params) -> Iterator[bytes]:
     return (bytes(g).ljust(256) for g in word_symmetries(params))
 
 
-def representatives(params: Params) -> Iterator[tuple[int, ...]]:
-    """The lexicographically least order of every orbit of G, in
-    lexicographic order.
+class _OrbitWalk:
+    """The stabilizer walk that generates the orbit representatives, with
+    the ballot state of :func:`feasibility.order_precheck_witness` carried
+    along each prefix.
+
+    Iterating yields blocks ``(prefix, rest, hit)`` in lexicographic order:
+    every arrangement of ``rest`` after ``prefix`` is the least order of its
+    orbit, and ``hit`` is the pre-check's verdict on every one of them.
+    ``prefixes`` counts the prefixes walked.
 
     Orderly generation with an explicit stabilizer: a depth-first walk over
     prefixes holds the maps of G that fix the prefix word by word.  A map
@@ -101,23 +123,84 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
     order lower, so such a word is skipped; the maps that send it higher
     can no longer send the order lower and are dropped, and those that fix
     it are kept.  Once the identity is the only map left, every arrangement
-    of the remaining words is least in its orbit.
+    of the remaining words is least in its orbit.  From there on a prefix
+    whose ballot state settles the verdict of all its completions (the rule
+    in ``order_precheck_witness``'s docstring) ends the descent as one
+    block; any other prefix descends one more word, and a full order always
+    settles.  Before that, only some completions are representatives, so a
+    verdict on the prefix would stand for an unknown count.
     """
 
-    def walk(prefix, rest, stabilizer):
-        if len(stabilizer) == 1:
-            for tail in permutations(rest):
-                yield prefix + tail
-            return
-        for idx in rest:
-            if all(g[idx] >= idx for g in stabilizer):
-                yield from walk(
-                    prefix + (idx,),
-                    tuple(i for i in rest if i != idx),
-                    [g for g in stabilizer if g[idx] == idx],
-                )
+    def __init__(self, params: Params):
+        self.params = params
+        self.prefixes = 0
 
-    yield from walk((), tuple(range(params.word_count)), list(word_symmetries(params)))
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], bool]]:
+        params = self.params
+        heads, tails = edge_nodes(params)
+        arcs = [None if h == t else (h, t) for h, t in zip(heads, tails)]
+        scanned = [v for v, _ in _scanned_nodes(params)]
+        # per node: the non-loop words left that leave it and that enter it
+        # (as many of each), and whether its count rose above 0 or fell
+        # below it; the count is the entering words left minus the leaving
+        leaving = [0] * params.node_count
+        for arc in filter(None, arcs):
+            leaving[arc[0]] += 1
+        start = (leaving, leaving.copy(), [False] * len(leaving), [False] * len(leaving))
+
+        def step(ballot, idx):
+            if arcs[idx] is None:
+                return ballot  # a loop word leaves and enters its node
+            h, t = arcs[idx]
+            leaving, entering, rose, fell = map(list.copy, ballot)
+            leaving[h] -= 1
+            entering[t] -= 1
+            rose[h] = rose[h] or entering[h] > leaving[h]
+            fell[t] = fell[t] or entering[t] < leaving[t]
+            return leaving, entering, rose, fell
+
+        def verdict(ballot):
+            """True if every completion is a hit, False if none is, None if
+            the prefix does not settle it."""
+            leaving, entering, rose, fell = ballot
+            silent = True
+            for v in scanned:
+                if not rose[v]:
+                    if not entering[v]:
+                        return True  # green in every completion
+                    silent = False
+                if not fell[v]:
+                    if not leaving[v]:
+                        return True  # red in every completion
+                    silent = False
+            return False if silent else None
+
+        def walk(prefix, rest, stabilizer, ballot):
+            self.prefixes += 1
+            if len(stabilizer) == 1:
+                hit = verdict(ballot)
+                if hit is not None:
+                    yield prefix, rest, hit
+                    return
+            for k, idx in enumerate(rest):
+                if all(g[idx] >= idx for g in stabilizer):
+                    yield from walk(
+                        prefix + (idx,),
+                        rest[:k] + rest[k + 1 :],
+                        [g for g in stabilizer if g[idx] == idx],
+                        step(ballot, idx),
+                    )
+
+        yield from walk((), tuple(range(params.word_count)), list(word_symmetries(params)), start)
+
+
+def representatives(params: Params) -> Iterator[tuple[int, ...]]:
+    """The lexicographically least order of every orbit of G, in
+    lexicographic order: the blocks of the orbit walk (:class:`_OrbitWalk`),
+    each expanded into every arrangement of its remaining words."""
+    for prefix, rest, _ in _OrbitWalk(params):
+        for tail in permutations(rest):
+            yield prefix + tail
 
 
 def _sweep(params: Params, lp_all: bool) -> CensusResult:
@@ -128,20 +211,32 @@ def _sweep(params: Params, lp_all: bool) -> CensusResult:
     total = factorial(params.word_count)
     started = time.monotonic()
     orbit = orbit_size(params)
+    walk = _OrbitWalk(params)
     feasible_reps: list[bytes] = []
-    swept = hit_feasible = hit_infeasible = silent_infeasible = 0
-    for order in representatives(params):
-        swept += 1
-        hit = order_precheck_witness(order, params)
-        if hit is None:
-            if order_lp_solution(order, params).x is not None:
-                feasible_reps.append(bytes(order))
-            else:
+    swept = settled = hit_feasible = hit_infeasible = silent_infeasible = 0
+    lp_calls = lp_pivots = 0
+    for prefix, rest, hit in walk:
+        block = factorial(len(rest))
+        swept += block
+        if hit:
+            settled += block
+            if not lp_all:
+                hit_infeasible += block  # refuted by the pre-check, none built
+                continue
+        for tail in permutations(rest):
+            order = prefix + tail
+            solution = order_lp_solution(order, params)
+            lp_calls += 1
+            lp_pivots += solution.pivots
+            if hit:
+                if solution.x is None:
+                    hit_infeasible += 1
+                else:
+                    hit_feasible += 1
+            elif solution.x is None:
                 silent_infeasible += 1
-        elif lp_all and order_lp_solution(order, params).x is not None:
-            hit_feasible += 1
-        else:
-            hit_infeasible += 1
+            else:
+                feasible_reps.append(bytes(order))
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
     # every verdict is constant on an orbit: count each representative's
@@ -160,19 +255,25 @@ def _sweep(params: Params, lp_all: bool) -> CensusResult:
         orbit * silent_infeasible,
         lp_all,
         time.monotonic() - started,
+        CensusStats(walk.prefixes, settled, lp_calls, lp_pivots),
     )
 
 
 def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
-    """Full census of realizable orders; the pre-check short-circuits the LP
-    on orders it already refutes.  ``jobs`` selects nothing: the census is
-    one serial pass, and the keyword stays for callers that still pass it."""
+    """Full census of realizable orders.  The pre-check short-circuits the
+    LP on the orders it refutes, and the orbit walk settles those by prefix
+    (:class:`_OrbitWalk`): a block of hits adds its ``(len(rest))!``
+    representatives to the count without building them, and the LP runs on
+    every order the pre-check lets through.  ``jobs`` selects nothing: the
+    census is one serial pass, and the keyword stays for callers that still
+    pass it."""
     return _sweep(params, lp_all=False)
 
 
 def precheck_completeness_gap(params: Params) -> CensusResult:
     """Census variant that runs the LP on every order regardless of the
-    pre-check, yielding the full confusion counts between the two tests."""
+    pre-check, yielding the full confusion counts between the two tests:
+    it expands the walk's blocks of hits too."""
     return _sweep(params, lp_all=True)
 
 

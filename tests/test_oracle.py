@@ -22,10 +22,12 @@ from profilerank.core import (
     word_symmetries,
 )
 from profilerank.encoder import BASE_COUNT
-from profilerank.feasibility import order_precheck_witness
+from profilerank.feasibility import order_lp_solution, order_precheck_witness
 from profilerank.oracle import (
     REPOSITORY_CAP,
+    CensusStats,
     _candidates,
+    _OrbitWalk,
     build_repository,
     compute_c3,
     enumerate_feasible,
@@ -118,6 +120,39 @@ REPRESENTATIVES_DIGEST = {
 def test_representatives_match_pinned_digest(params):
     digest = sha256(bytes(chain.from_iterable(representatives(params)))).hexdigest()
     assert digest == REPRESENTATIVES_DIGEST[params.q, params.ell]
+
+
+@pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
+def test_walk_blocks_carry_the_precheck_verdict(params):
+    # every order of every block the walk yields has the pre-check verdict
+    # the block's prefix settled, and the blocks, expanded in turn, are the
+    # representatives, whose sequence the digests above pin
+    expanded = []
+    for prefix, rest, hit in _OrbitWalk(params):
+        for tail in permutations(rest):
+            order = prefix + tail
+            assert (order_precheck_witness(order, params) is not None) == hit, order
+            expanded.append(order)
+    assert expanded == list(representatives(params))
+
+
+def test_census_stats_at_three_two(census32, gap32):
+    # the LP runs on the 2520 silent representatives, or on all 30240 when
+    # the gap sweep asks; every pre-check hit is settled by a prefix of the
+    # walk
+    for result, lp_calls in ((census32, 2520), (gap32, 30240)):
+        stats = result.stats
+        assert stats.prefixes == 6649
+        assert stats.lp_calls == lp_calls
+        assert stats.settled_hits * orbit_size(P32) == result.precheck_hit_infeasible
+    pivots = {rep: order_lp_solution(rep, P32).pivots for rep in representatives(P32)}
+    silent = [rep for rep in pivots if order_precheck_witness(rep, P32) is None]
+    assert len(silent) == 2520
+    assert census32.stats.lp_pivots == sum(pivots[rep] for rep in silent)
+    assert gap32.stats.lp_pivots == sum(pivots.values())
+    # the counters stay out of == and of the summary
+    blank = replace(census32, stats=CensusStats())
+    assert blank == census32 and blank.summary() == census32.summary()
 
 
 def test_census_at_window_one_keeps_one_translation_table_at_a_time():
