@@ -42,17 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _whole(least: int = 0):
-    """The argparse type of a whole-number option: ASCII digits only, under
-    the one numeral rule of the text formats, and at least ``least``."""
+    """The argparse type of a whole-number option: written as ``str`` writes
+    it, the one numeral rule of the text formats, and at least ``least``."""
 
     def parse(text: str) -> int:
-        bad = argparse.ArgumentTypeError(f"must be a whole number >= {least}, got {text!r}")
         try:
             value = parse_natural(text, "whole number")
-        except ValueError:
-            raise bad from None
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         if value < least:
-            raise bad
+            raise argparse.ArgumentTypeError(f"must be a whole number >= {least}, got {text!r}")
         return value
 
     return parse

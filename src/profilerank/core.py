@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from multiprocessing import get_context
 from struct import Struct
 from typing import Callable, Iterator, Sequence, Union
@@ -78,6 +78,13 @@ class Params:
         return all_words(self.q, self.ell - 1)
 
 
+def _at_most(params: Params, cap: int) -> bool:
+    """Whether ``params`` has at most ``cap`` words.  ell is compared first:
+    q^ell >= 2^ell, so q^ell is never computed for an ell past the bit
+    length of ``cap``, nor rendered in the caller's message."""
+    return params.ell < cap.bit_length() and params.word_count <= cap
+
+
 def all_words(q: int, length: int) -> Iterator[Word]:
     """All words of the given length in lexicographic order."""
     return product(range(q), repeat=length)
@@ -118,18 +125,35 @@ def word_label(w: Word) -> str:
     return "(" + ",".join(map(str, w)) + ")"
 
 
-DIGITS = "[0-9]+"  # the one numeral rule of every text format: ASCII digits only
-DECIMAL = rf"{DIGITS}(?:\.{DIGITS})?"  # the same rule for a rate: no sign, exponent or _
-_DIGIT_STRING = re.compile(DIGITS)
+DECIMAL = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+)?"  # a rate: a natural, maybe a decimal fraction
+_DIGIT_STRING = re.compile("[0-9]+")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def parse_natural(text: str, what: str) -> int:
-    """The value of an ASCII digit string; ValueError naming ``what`` if
-    ``text`` is anything else (a sign, ``_``, non-ASCII digits, ...)."""
-    if not _DIGIT_STRING.fullmatch(text):
-        raise ValueError(f"bad {what}: {text!r}")
+    """The natural number ``text`` names, which must be written as ``str``
+    writes it: ASCII digits with no sign, ``_`` or leading zero, the
+    numeral rule of every text format.  ValueError naming ``what`` and
+    that rule otherwise."""
+    if not (text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")):
+        raise ValueError(f"bad {what}: {text!r} is not ASCII digits with no sign or leading zero")
     return int(text)
+
+
+def read_back(text: str, written: str, what: str) -> None:
+    """Raise ValueError unless ``text`` is ``written``, the text the format's
+    writer gives for the value read from it, or that text without its final
+    newline.  Each reader calls this last, so it accepts one spelling per
+    value; the error names the first line of the ``what`` that differs."""
+    if text == written or text + "\n" == written:
+        return
+    pairs = zip_longest(text.split("\n"), written.split("\n"))
+    number, (got, want) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+    if want is None:
+        raise ValueError(f"{what} line {number} reads {got!r} past the end of the {what}")
+    if got is None:
+        raise ValueError(f"{what} ends before line {number}, {want!r}")
+    raise ValueError(f"{what} line {number} reads {got!r}, not {want!r}")
 
 
 def parse_word(text: str) -> Word:
@@ -352,7 +376,9 @@ class ProfileVector:
     @classmethod
     def from_text(cls, text: str) -> "ProfileVector":
         params, fields = parse_vector_text(text)
-        return cls(params, tuple(parse_natural(f, "profile count") for f in fields))
+        profile = cls(params, tuple(map(int, fields)))
+        read_back(text, profile.to_text(), "profile")
+        return profile
 
 
 def vector_text(params: Params, values: Sequence[Entry]) -> str:
@@ -364,38 +390,20 @@ def vector_text(params: Params, values: Sequence[Entry]) -> str:
 
 
 def parse_vector_text(text: str) -> tuple[Params, list[str]]:
-    """Strict reader of the vector text format shared by profiles and vectors.
-
-    The format is a ``q=<q> ell=<ell>`` header, then one ``<word> <value>``
-    line for every word; blank lines are ignored.  Returns the parameters and
-    the value fields in word order.  Raises ValueError on a bad header, a
-    malformed line, a word of the wrong length or alphabet, and a missing or
-    repeated word.
+    """The vector text format shared by profiles and vectors, split by
+    position: the parameters of the ``q=<q> ell=<ell>`` header and the value
+    field (what follows the first space) of each of the q^ell lines after
+    it.  Only the line count is checked here, ell before q^ell is computed;
+    each reader builds its vector from the fields and then holds the text
+    to :func:`vector_text` of it with :func:`read_back`, which checks the
+    spelling of every line, the words and their index order included.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty vector text")
-    m = re.fullmatch(f"q=({DIGITS}) ell=({DIGITS})", lines[0].strip())
-    if not m:
-        raise ValueError(f"bad vector header: {lines[0]!r}")
-    params = Params(int(m.group(1)), int(m.group(2)))
-    if len(lines) - 1 != params.word_count:
-        raise ValueError(
-            f"expected {params.word_count} word lines, got {len(lines) - 1}"
-        )
-    fields: list[str | None] = [None] * params.word_count
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed word line: {ln!r}")
-        w = parse_word(parts[0])
-        if len(w) != params.ell:
-            raise ValueError(f"word {parts[0]!r} does not have length {params.ell}")
-        idx = word_index(w, params.q)
-        if fields[idx] is not None:
-            raise ValueError(f"word {parts[0]} listed twice")
-        fields[idx] = parts[1]
-    return params, fields
+    header, *lines = text.removesuffix("\n").split("\n")
+    q, _, ell = header.removeprefix("q=").partition(" ell=")
+    params = Params(int(q), int(ell))
+    if not _at_most(params, len(lines)):
+        raise ValueError(f"q={params.q} ell={params.ell} takes q^ell word lines, not {len(lines)}")
+    return params, [ln.partition(" ")[2] for ln in lines[: params.word_count]]
 
 
 # digit values 0..31 to the characters int(text, 2**k) reads them from
@@ -418,6 +426,11 @@ def _plane_tables(q: int) -> tuple[int, tuple[bytes, ...]]:
     return k, tuple(bytes(d).translate(_BASE32_TEXT) for d in digits)
 
 
+# The most words profile_of counts.  Their text already runs to some 20 MB;
+# a larger q^ell would fail only as its counts are allocated.
+_PROFILE_CAP = 1 << 20
+
+
 def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     """Profile vector of a circular string: windows wrap around the end.
 
@@ -438,6 +451,8 @@ def profile_of(x: Union[str, Sequence[int]], params: Params) -> ProfileVector:
     word sets take a symbol loop.
     """
     q, ell = params.q, params.ell
+    if not _at_most(params, _PROFILE_CAP):
+        raise ValueError(f"q={q} ell={ell} has more than {_PROFILE_CAP} words to count")
     if params.word_count <= 256:
         if isinstance(x, str):
             if not _DIGIT_STRING.fullmatch(x):
@@ -569,15 +584,14 @@ class RankPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "RankPermutation":
-        """Read a comma-separated word list.  Every word must have the length
-        of the first one; the order lists all q^ell words, so the largest
-        symbol gives q."""
-        words = [parse_word(t.strip()) for t in text.strip().split(",")]
-        ell = len(words[0])
-        for w in words:
-            if len(w) != ell:
-                raise ValueError(f"word {word_text(w)} does not have length {ell}")
-        return cls.from_words(Params(max(max(w) for w in words) + 1, ell), words)
+        """Read a comma-separated word list, as :meth:`to_text` writes it.
+        Every word must have the length of the first one; the order lists
+        all q^ell words, so the largest symbol gives q."""
+        words = [parse_word(t) for t in text.split(",")]
+        params = Params(max(max(w) for w in words) + 1, len(words[0]))
+        perm = cls.from_words(params, words)
+        read_back(text, perm.to_text(), "rank order")
+        return perm
 
 
 def _entries(values: Union[ProfileVector, Sequence[Entry]], params: Params | None):

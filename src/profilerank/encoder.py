@@ -48,7 +48,6 @@ from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .core import (
-    DIGITS,
     PackedRows,
     Params,
     RankPermutation,
@@ -56,9 +55,9 @@ from .core import (
     all_words,
     homo_image,
     homo_preimages,
-    parse_natural,
     parse_word,
     rank_of,
+    read_back,
     word_index,
     word_text,
 )
@@ -165,11 +164,15 @@ def _repository_row(text: str, number: int) -> bytes:
     """The packed entries of repository line ``number``, which must read
     exactly as :meth:`Repository.save` writes them."""
     if not _REPOSITORY_ROW.fullmatch(text):
-        # Read the row token by token to say what is wrong with it.
-        vec = tuple(parse_natural(t, "repository entry") for t in text.split())
-        if len(vec) != _WIDTH:
-            raise ValueError(f"repository line {number} has {len(vec)} entries, not {_WIDTH}")
-        if max(vec) < 256:
+        # Read the row token by token to say what is wrong with it; a
+        # zero-padded entry is still read, so the row is named as respelled.
+        tokens = text.split()
+        for t in tokens:
+            if not (t.isascii() and t.isdigit()):
+                raise ValueError(f"bad repository entry: {t!r}")
+        if len(tokens) != _WIDTH:
+            raise ValueError(f"repository line {number} has {len(tokens)} entries, not {_WIDTH}")
+        if max(map(int, tokens)) < 256:
             raise ValueError(f"repository line {number} is not written as save writes a row")
     try:
         return bytes(map(int, text.split()))
@@ -682,19 +685,6 @@ def random_info_b(q: int, ell: int, rng) -> InfoVecB:
     )
 
 
-_DIGIT_LIST = f"{DIGITS}(?:,{DIGITS})*"
-_BASE_LINE = re.compile(f"base=({DIGITS})")
-_STAGE_LINE = re.compile(f"pi=({_DIGIT_LIST}) t=([01]+)")
-_LAYER_LINE = re.compile(rf"P\(({DIGITS})\)=({_DIGIT_LIST})")
-
-
-def _message_lines(text: str) -> list[str]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty message")
-    return lines
-
-
 def _alphabet_lines(info: InfoVecA) -> list[str]:
     """The base and stage lines, shared by both message formats."""
     lines = [f"base={info.base}"]
@@ -705,24 +695,16 @@ def _alphabet_lines(info: InfoVecA) -> list[str]:
     return lines
 
 
-def _alphabet_from_lines(q: int, lines: Sequence[str]) -> InfoVecA:
-    """Inverse of :func:`_alphabet_lines`; ``q`` is the declared alphabet."""
+def _alphabet_from_lines(lines: Sequence[str]) -> InfoVecA:
+    """Inverse of :func:`_alphabet_lines`, by position: the base line, then
+    one stage line per added symbol.  The caller checks the spelling."""
     if not lines:
         raise ValueError("message has no base line")
-    bm = _BASE_LINE.fullmatch(lines[0])
-    if not bm:
-        raise ValueError(f"bad base line: {lines[0]!r}")
     stages = []
     for ln in lines[1:]:
-        sm = _STAGE_LINE.fullmatch(ln)
-        if not sm:
-            raise ValueError(f"bad stage line: {ln!r}")
-        pi = tuple(map(int, sm.group(1).split(",")))
-        stages.append(StageA(pi, parse_word(sm.group(2))))
-    info = InfoVecA(int(bm.group(1)), tuple(stages))
-    if info.q != q:
-        raise ValueError("stage count does not match the declared q")
-    return info
+        pi, _, t = ln.removeprefix("pi=").partition(" t=")
+        stages.append(StageA(tuple(map(int, pi.split(","))), parse_word(t)))
+    return InfoVecA(int(lines[0].removeprefix("base=")), tuple(stages))
 
 
 def info_a_to_text(info: InfoVecA) -> str:
@@ -730,11 +712,12 @@ def info_a_to_text(info: InfoVecA) -> str:
 
 
 def info_a_from_text(text: str) -> InfoVecA:
-    lines = _message_lines(text)
-    m = re.fullmatch(f"q=({DIGITS})", lines[0])
-    if not m:
-        raise ValueError(f"bad message header: {lines[0]!r}")
-    return _alphabet_from_lines(int(m.group(1)), lines[1:])
+    """Read what :func:`info_a_to_text` writes: the ``q=<q>`` header, whose
+    q the stage count fixes, then the alphabet lines."""
+    info = _alphabet_from_lines(text.removesuffix("\n").split("\n")[1:])
+    info.check()
+    read_back(text, info_a_to_text(info), "message")
+    return info
 
 
 def info_b_to_text(info: InfoVecB) -> str:
@@ -747,30 +730,24 @@ def info_b_to_text(info: InfoVecB) -> str:
 
 
 def info_b_from_text(text: str) -> InfoVecB:
-    lines = _message_lines(text)
-    m = re.fullmatch(f"q=({DIGITS}) ell=({DIGITS})", lines[0])
-    if not m:
-        raise ValueError(f"bad message header: {lines[0]!r}")
-    q, ell = int(m.group(1)), int(m.group(2))
+    """Read what :func:`info_b_to_text` writes: the ``q=<q> ell=<ell>``
+    header, the base line and q - 3 stage lines, then the layer lines,
+    each filed under the layer its word's length names."""
+    header, *lines = text.removesuffix("\n").split("\n")
+    q, _, ell = header.removeprefix("q=").partition(" ell=")
+    q, ell = int(q), int(ell)
     if not 2 <= ell <= len(lines) + 1:
-        # Every layer 3..ell needs at least one line of its own.
-        raise ValueError(f"window length {ell} does not fit a {len(lines)}-line message")
-    base_lines = []
+        # Every layer 3..ell needs a line of its own after the base line.
+        raise ValueError(f"window length {ell} does not fit a {len(lines) + 1}-line message")
+    cut = max(q, BASE_Q) - 2  # the base line and the stage lines
     layers: list[dict[Word, tuple[int, ...]]] = [{} for _ in range(3, ell + 1)]
-    for ln in lines[1:]:
-        if not ln.startswith("P("):
-            base_lines.append(ln)
-            continue
-        lm = _LAYER_LINE.fullmatch(ln)
-        if not lm:
-            raise ValueError(f"bad layer line: {ln!r}")
-        u = parse_word(lm.group(1))
+    for ln in lines[cut:]:
+        word, _, perm = ln.removeprefix("P(").partition(")=")
+        u = parse_word(word)
         if not 3 <= len(u) + 1 <= ell:
             raise ValueError(f"layer line {ln!r} names no layer 3..{ell}")
-        layer = layers[len(u) - 2]
-        if u in layer:
-            raise ValueError(f"repeated layer line for P({lm.group(1)})")
-        layer[u] = tuple(map(int, lm.group(2).split(",")))
-    info = InfoVecB(_alphabet_from_lines(q, base_lines), tuple(layers))
+        layers[len(u) - 2][u] = tuple(map(int, perm.split(",")))
+    info = InfoVecB(_alphabet_from_lines(lines[:cut]), tuple(layers))
     info.check()
+    read_back(text, info_b_to_text(info), "message")
     return info

@@ -24,7 +24,6 @@ remaining pairs.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +41,7 @@ from .core import (
     first_flow_violation,
     is_constant,
     parse_vector_text,
+    read_back,
     satisfies,
     vector_text,
     word_label,
@@ -100,15 +100,17 @@ class FeasibleVector:
     @classmethod
     def from_text(cls, text: str) -> "FeasibleVector":
         params, fields = parse_vector_text(text)
-        values = []
-        for f in fields:
-            if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", f):
-                raise ValueError(f"bad vector entry: {f!r}")
-            values.append(Fraction(f))
+        pairs = (f.partition("/") for f in fields)
+        try:
+            values = [Fraction(int(n), int(d or 1)) for n, _, d in pairs]
+        except ZeroDivisionError:
+            raise ValueError("a vector entry has denominator 0") from None
         # Over the lcm of the reduced denominators the entries are in lowest
         # terms: each prime of it divides one denominator fully.
         d = math.lcm(*(v.denominator for v in values))
-        return cls(params, tuple(v.numerator * (d // v.denominator) for v in values), d)
+        vec = cls(params, tuple(v.numerator * (d // v.denominator) for v in values), d)
+        read_back(text, vec.to_text(), "vector")
+        return vec
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .core import PackedRows, Params, RankPermutation, edge_nodes, word_symmetries
+from .core import PackedRows, Params, RankPermutation, _at_most, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
 from .feasibility import FeasibleVector, _scanned_nodes, order_lp_solution
 
@@ -204,9 +204,9 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
 
 
 def _sweep(params: Params, lp_all: bool) -> CensusResult:
-    if params.word_count > CENSUS_CAP:
+    if not _at_most(params, CENSUS_CAP):
         raise ValueError(
-            f"census capped at {CENSUS_CAP} words, got {params.word_count}"
+            f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}"
         )
     total = factorial(params.word_count)
     started = time.monotonic()

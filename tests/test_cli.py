@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -126,6 +127,26 @@ def test_census_and_repo_build_take_no_jobs(tmp_path, capsys):
     assert not (tmp_path / "repo.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--q", "2", "--ell", "5000"],
+        ["census", "--q", "3", "--ell", "3000000"],
+        ["profile", "--q", "2", "--ell", "40", "--string", "01"],
+        ["profile", "--q", "3", "--ell", "3000000", "--string", "01"],
+    ],
+    ids=["census-q2-l5000", "census-q3-l3000000", "profile-q2-l40", "profile-q3-l3000000"],
+)
+def test_huge_window_lengths_are_refused_fast_in_one_line(argv, capsys):
+    # refused on ell before q^ell is computed, and q^ell is never printed
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 80
+
+
 def test_whole_numbers_below_their_least_are_usage_errors(tmp_path, capsys):
     pfile = tmp_path / "profile.txt"
     pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
@@ -147,9 +168,10 @@ def test_whole_numbers_below_their_least_are_usage_errors(tmp_path, capsys):
         assert option in captured.err
 
 
-@pytest.mark.parametrize("value", ["\uff13", "1_0", "+3", "-3", "3.0", ""])
+@pytest.mark.parametrize("value", ["\uff13", "1_0", "+3", "-3", "3.0", "", "02", "007", "00"])
 def test_whole_number_options_take_ascii_digits_only(value, tmp_path, capsys):
-    # int() reads the first three as 3, 10 and 3.
+    # int() reads the first three as 3, 10 and 3, and the last three as 2, 7
+    # and 0; a whole number is written as str writes it.
     profile = tmp_path / "profile.txt"
     profile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
     pfile = str(profile)
@@ -548,7 +570,7 @@ def _drop_argv(profile, *rates):
 
 @pytest.mark.parametrize(
     "rate",
-    ["\uff10.\uff11", "1_0e-1", "1e-1", ".5", "5.", "+0.5", "-0", "1.01", "nan", "inf"],
+    ["\uff10.\uff11", "1_0e-1", "1e-1", ".5", "5.", "+0.5", "-0", "1.01", "nan", "inf", "00.5"],
 )
 def test_drop_rates_take_ascii_decimals_in_unit_interval(rate, tmp_path, capsys):
     # float() reads every one of these; the profile file does not exist, so

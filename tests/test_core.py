@@ -1,5 +1,6 @@
 import os
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -225,6 +226,25 @@ def test_profile_of_large_alphabet_rejects_bad_symbols():
         profile_of([0, 17], Params(17, 2))
     with pytest.raises(ValueError):
         profile_of(b"", Params(17, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ProfileVector.from_text("q=3 ell=3000000\n0 1\n"),
+        lambda: ProfileVector.from_text("q=2 ell=5000\n" + "0 1\n" * 64),
+        lambda: profile_of("01", Params(2, 40)),
+        lambda: profile_of("01", Params(3, 3000000)),
+    ],
+    ids=["text-q3-l3000000", "text-q2-l5000", "profile-q2-l40", "profile-q3-l3000000"],
+)
+def test_huge_window_lengths_fail_fast_with_a_short_error(call):
+    # ell is compared before q^ell is computed, and q^ell is never rendered
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        call()
+    assert time.perf_counter() - start < 1
+    assert len(str(err.value)) < 80 and "\n" not in str(err.value)
 
 
 def test_flow_conservation_of_string_profiles():

@@ -677,12 +677,16 @@ def test_feasible_vector_text_round_trip_property(data):
     assert fields == [str(Fraction(e)) for e in entries]
 
 
-def test_vector_parsers_read_words_in_any_order():
-    text = "q=2 ell=1\n\n1 5/2\n0 3\n"
-    assert FeasibleVector.from_text(text) == FeasibleVector(Params(2, 1), (6, 5), 2)
-    with pytest.raises(ValueError):
-        ProfileVector.from_text(text)  # counts are integers
-    assert ProfileVector.from_text("q=2 ell=1\n1 5\n0 3").counts == (3, 5)
+def test_vector_parsers_refuse_words_out_of_index_order():
+    # the writers list the words in index order, so the readers take no other
+    with pytest.raises(ValueError, match="vector line 2 reads '1 5/2', not '0 5/2'"):
+        FeasibleVector.from_text("q=2 ell=1\n1 5/2\n0 3\n")
+    with pytest.raises(ValueError, match="profile line 2 reads '1 5', not '0 5'"):
+        ProfileVector.from_text("q=2 ell=1\n1 5\n0 3")
+    assert FeasibleVector.from_text("q=2 ell=1\n0 3\n1 5/2\n") == FeasibleVector(
+        Params(2, 1), (6, 5), 2
+    )
+    assert ProfileVector.from_text("q=2 ell=1\n0 3\n1 5").counts == (3, 5)
 
 
 def test_feasible_vector_check_rejects_violations():
