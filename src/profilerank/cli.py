@@ -246,10 +246,12 @@ def _decimal(n: int) -> Decimal:
     return exact.minus(d) if n < 0 else d
 
 
-def _approx(x: Fraction) -> str:
-    """``f"{float(x):.6g}"``, but rounded from the exact value: no float overflow."""
+def _approx(exact: str) -> str:
+    """``f"{float(x):.6g}"`` for ``exact = _exact(x)``, rounded from the exact
+    digits: no float overflow, and linear time where ``Decimal(int)`` is quadratic."""
+    num, _, den = exact.partition("/")
     six = Context(prec=6, Emax=MAX_EMAX)
-    d = six.normalize(six.divide(x.numerator, x.denominator))
+    d = six.normalize(six.divide(Decimal(num), Decimal(den or 1)))
     e = d.adjusted()
     return f"{d:f}" if -4 <= e < 6 else f"{six.scaleb(d, -e):f}e{e:+03d}"
 
@@ -270,7 +272,8 @@ def cmd_bounds(args) -> int:
     lines = []
     if args.upper:
         bound = _checked(feasibility.upper_bound, params)
-        lines.append(f"upper={_exact(bound)} ({_approx(bound)})")
+        exact = _exact(bound)
+        lines.append(f"upper={exact} ({_approx(exact)})")
     if args.lower:
         lines.append(f"lower={_exact(_checked(encoder.count_lower_bound, params))}")
     if args.rate:

@@ -140,6 +140,15 @@ def parse_natural(text: str, what: str) -> int:
     return int(text)
 
 
+def parse_int(text: str, what: str, line: int) -> int:
+    """``int(text)``, or a ValueError naming line ``line`` of the ``what``;
+    a number spelled otherwise than its writer's is left to :func:`read_back`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} line {line}: {text!r} is not a number") from None
+
+
 def read_back(text: str, written: str, what: str) -> None:
     """Raise ValueError unless ``text`` is ``written``, the text the format's
     writer gives for the value read from it, or that text without its final
@@ -375,8 +384,8 @@ class ProfileVector:
 
     @classmethod
     def from_text(cls, text: str) -> "ProfileVector":
-        params, fields = parse_vector_text(text)
-        profile = cls(params, tuple(map(int, fields)))
+        params, fields = parse_vector_text(text, "profile")
+        profile = cls(params, tuple(parse_int(f, "profile", n) for n, f in enumerate(fields, 2)))
         read_back(text, profile.to_text(), "profile")
         return profile
 
@@ -389,18 +398,19 @@ def vector_text(params: Params, values: Sequence[Entry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_vector_text(text: str) -> tuple[Params, list[str]]:
+def parse_vector_text(text: str, what: str) -> tuple[Params, list[str]]:
     """The vector text format shared by profiles and vectors, split by
     position: the parameters of the ``q=<q> ell=<ell>`` header and the value
     field (what follows the first space) of each of the q^ell lines after
-    it.  Only the line count is checked here, ell before q^ell is computed;
+    it, field k on line k + 2.  Only the header and the line count are
+    checked here, ell before q^ell is computed;
     each reader builds its vector from the fields and then holds the text
     to :func:`vector_text` of it with :func:`read_back`, which checks the
     spelling of every line, the words and their index order included.
     """
     header, *lines = text.removesuffix("\n").split("\n")
     q, _, ell = header.removeprefix("q=").partition(" ell=")
-    params = Params(int(q), int(ell))
+    params = Params(parse_int(q, what, 1), parse_int(ell, what, 1))
     if not _at_most(params, len(lines)):
         raise ValueError(f"q={params.q} ell={params.ell} takes q^ell word lines, not {len(lines)}")
     return params, [ln.partition(" ")[2] for ln in lines[: params.word_count]]

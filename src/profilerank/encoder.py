@@ -55,6 +55,7 @@ from .core import (
     all_words,
     homo_image,
     homo_preimages,
+    parse_int,
     parse_word,
     rank_of,
     read_back,
@@ -700,11 +701,13 @@ def _alphabet_from_lines(lines: Sequence[str]) -> InfoVecA:
     one stage line per added symbol.  The caller checks the spelling."""
     if not lines:
         raise ValueError("message has no base line")
+    base = parse_int(lines[0].removeprefix("base="), "message", 2)
     stages = []
-    for ln in lines[1:]:
+    for n, ln in enumerate(lines[1:], 3):
         pi, _, t = ln.removeprefix("pi=").partition(" t=")
-        stages.append(StageA(tuple(map(int, pi.split(","))), parse_word(t)))
-    return InfoVecA(int(lines[0].removeprefix("base=")), tuple(stages))
+        pi = tuple(parse_int(v, "message", n) for v in pi.split(","))
+        stages.append(StageA(pi, parse_word(t)))
+    return InfoVecA(base, tuple(stages))
 
 
 def info_a_to_text(info: InfoVecA) -> str:
@@ -735,18 +738,18 @@ def info_b_from_text(text: str) -> InfoVecB:
     each filed under the layer its word's length names."""
     header, *lines = text.removesuffix("\n").split("\n")
     q, _, ell = header.removeprefix("q=").partition(" ell=")
-    q, ell = int(q), int(ell)
+    q, ell = parse_int(q, "message", 1), parse_int(ell, "message", 1)
     if not 2 <= ell <= len(lines) + 1:
         # Every layer 3..ell needs a line of its own after the base line.
         raise ValueError(f"window length {ell} does not fit a {len(lines) + 1}-line message")
     cut = max(q, BASE_Q) - 2  # the base line and the stage lines
     layers: list[dict[Word, tuple[int, ...]]] = [{} for _ in range(3, ell + 1)]
-    for ln in lines[cut:]:
+    for n, ln in enumerate(lines[cut:], cut + 2):
         word, _, perm = ln.removeprefix("P(").partition(")=")
         u = parse_word(word)
         if not 3 <= len(u) + 1 <= ell:
             raise ValueError(f"layer line {ln!r} names no layer 3..{ell}")
-        layers[len(u) - 2][u] = tuple(map(int, perm.split(",")))
+        layers[len(u) - 2][u] = tuple(parse_int(v, "message", n) for v in perm.split(","))
     info = InfoVecB(_alphabet_from_lines(lines[:cut]), tuple(layers))
     info.check()
     read_back(text, info_b_to_text(info), "message")

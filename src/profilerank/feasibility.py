@@ -37,9 +37,11 @@ from .core import (
     ProfileVector,
     RankPermutation,
     Word,
+    _at_most,
     edge_nodes,
     first_flow_violation,
     is_constant,
+    parse_int,
     parse_vector_text,
     read_back,
     satisfies,
@@ -99,10 +101,13 @@ class FeasibleVector:
 
     @classmethod
     def from_text(cls, text: str) -> "FeasibleVector":
-        params, fields = parse_vector_text(text)
-        pairs = (f.partition("/") for f in fields)
+        params, fields = parse_vector_text(text, "vector")
+        pairs = enumerate((f.partition("/") for f in fields), 2)
         try:
-            values = [Fraction(int(n), int(d or 1)) for n, _, d in pairs]
+            values = [
+                Fraction(parse_int(n, "vector", k), parse_int(d or "1", "vector", k))
+                for k, (n, _, d) in pairs
+            ]
         except ZeroDivisionError:
             raise ValueError("a vector entry has denominator 0") from None
         # Over the lcm of the reduced denominators the entries are in lowest
@@ -320,17 +325,22 @@ def alpha_star_lower(params: Params) -> int:
     return -((q**ell - q ** (ell - 2)) // -4)
 
 
+_UPPER_CAP = 1 << 18  # the most words upper_bound takes: (q^ell)! has 1.3 M digits here
+
+
 def upper_bound(params: Params) -> Fraction:
     """Upper bound on the number of realizable permutations, exact rational.
 
     For ell >= 3 the shrinking factor is taken to the certified integer
     exponent from :func:`alpha_star_lower` one window size down (the bound is
     monotone in the exponent, so the integer version is still valid and stays
-    rational).
+    rational).  Refuses more than ``_UPPER_CAP`` words, ell tested first.
     """
     q, ell = params.q, params.ell
     if q < 3 or ell < 2:
         raise ValueError("bound stated only for q >= 3 and ell >= 2")
+    if not _at_most(params, _UPPER_CAP):
+        raise ValueError(f"upper bound capped at {_UPPER_CAP} words, got q={q} ell={ell}")
     total = math.factorial(params.word_count)
     if ell == 2:
         return Fraction(total * (q - 1), q + 1)

@@ -67,16 +67,14 @@ class CensusResult:
     params: Params
     total: int
     feasible: PackedRows  # rank orders, lexicographic
-    precheck_hit_feasible: int  # pre-check fired yet the LP succeeded (must be 0)
-    precheck_hit_infeasible: int
+    precheck_hit_infeasible: int  # refuted by the pre-check
     silent_infeasible: int  # pre-check silent, LP refuted
-    lp_checked_all: bool
     elapsed: float
     stats: CensusStats = field(default=CensusStats(), compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.feasible) + self.precheck_hit_feasible
+        return len(self.feasible)
 
     def summary(self) -> str:
         lines = [
@@ -85,10 +83,8 @@ class CensusResult:
             f"feasible={self.count}",
             f"precheck_hit_infeasible={self.precheck_hit_infeasible}",
             f"silent_infeasible={self.silent_infeasible}",
+            f"elapsed_seconds={self.elapsed:.1f}",
         ]
-        if self.lp_checked_all:
-            lines.append(f"precheck_hit_feasible={self.precheck_hit_feasible}")
-        lines.append(f"elapsed_seconds={self.elapsed:.1f}")
         return "\n".join(lines) + "\n"
 
 
@@ -203,37 +199,32 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
             yield prefix + tail
 
 
-def _sweep(params: Params, lp_all: bool) -> CensusResult:
+def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
+    """Full census of realizable orders.  The orbit walk (:class:`_OrbitWalk`)
+    settles the pre-check's refutations by prefix: a block of hits adds its
+    ``(len(rest))!`` representatives to the count without building them, and
+    the LP runs on every order the pre-check lets through.  ``jobs`` selects
+    nothing: the census is one serial pass; the keyword stays for callers."""
     if not _at_most(params, CENSUS_CAP):
-        raise ValueError(
-            f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}"
-        )
+        raise ValueError(f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}")
     total = factorial(params.word_count)
     started = time.monotonic()
     orbit = orbit_size(params)
     walk = _OrbitWalk(params)
     feasible_reps: list[bytes] = []
-    swept = settled = hit_feasible = hit_infeasible = silent_infeasible = 0
-    lp_calls = lp_pivots = 0
+    swept = settled = silent_infeasible = lp_calls = lp_pivots = 0
     for prefix, rest, hit in walk:
         block = factorial(len(rest))
         swept += block
         if hit:
-            settled += block
-            if not lp_all:
-                hit_infeasible += block  # refuted by the pre-check, none built
-                continue
+            settled += block  # refuted by the pre-check, none built
+            continue
         for tail in permutations(rest):
             order = prefix + tail
             solution = order_lp_solution(order, params)
             lp_calls += 1
             lp_pivots += solution.pivots
-            if hit:
-                if solution.x is None:
-                    hit_infeasible += 1
-                else:
-                    hit_feasible += 1
-            elif solution.x is None:
+            if solution.x is None:
                 silent_infeasible += 1
             else:
                 feasible_reps.append(bytes(order))
@@ -250,31 +241,11 @@ def _sweep(params: Params, lp_all: bool) -> CensusResult:
         params,
         total,
         PackedRows(feasible, params.word_count),
-        orbit * hit_feasible,
-        orbit * hit_infeasible,
+        orbit * settled,
         orbit * silent_infeasible,
-        lp_all,
         time.monotonic() - started,
         CensusStats(walk.prefixes, settled, lp_calls, lp_pivots),
     )
-
-
-def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
-    """Full census of realizable orders.  The pre-check short-circuits the
-    LP on the orders it refutes, and the orbit walk settles those by prefix
-    (:class:`_OrbitWalk`): a block of hits adds its ``(len(rest))!``
-    representatives to the count without building them, and the LP runs on
-    every order the pre-check lets through.  ``jobs`` selects nothing: the
-    census is one serial pass, and the keyword stays for callers that still
-    pass it."""
-    return _sweep(params, lp_all=False)
-
-
-def precheck_completeness_gap(params: Params) -> CensusResult:
-    """Census variant that runs the LP on every order regardless of the
-    pre-check, yielding the full confusion counts between the two tests:
-    it expands the walk's blocks of hits too."""
-    return _sweep(params, lp_all=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
 from typing import Sequence
@@ -56,14 +57,11 @@ class FullSweep:
     hit_infeasible: int  # pre-check fired, LP refuted
     silent_infeasible: int  # pre-check silent, LP refuted
 
-    def expected(self, lp_all: bool) -> tuple:
-        """``(feasible, precheck_hit_feasible, precheck_hit_infeasible,
-        silent_infeasible)`` as a census reports them: without ``lp_all``
-        it runs no LP on a pre-check hit, so every hit counts as infeasible."""
-        if lp_all:
-            return (self.feasible, self.hit_feasible, self.hit_infeasible, self.silent_infeasible)
-        hits = self.hit_feasible + self.hit_infeasible
-        return (self.feasible, 0, hits, self.silent_infeasible)
+    def expected(self) -> tuple:
+        """``(feasible, precheck_hit_infeasible, silent_infeasible)`` as a
+        census reports them: it runs no LP on a pre-check hit, so every hit
+        counts as infeasible."""
+        return (self.feasible, self.hit_feasible + self.hit_infeasible, self.silent_infeasible)
 
 
 def _full_sweep_chunk(args):
@@ -82,9 +80,11 @@ def _full_sweep_chunk(args):
     return feasible, counts
 
 
+@lru_cache(maxsize=None)
 def full_sweep(params: Params, jobs: int) -> FullSweep:
     """Both decision procedures on every order, in the lexicographic
-    permutation stream split into index ranges."""
+    permutation stream split into index ranges.  Cached, so one test
+    session sweeps each (q, ell) once."""
     tasks = [(params, piece) for piece in split_range(factorial(params.word_count), jobs)]
     parts = fan_out(_full_sweep_chunk, tasks, jobs)
     counts = [sum(part[1][i] for part in parts) for i in range(3)]

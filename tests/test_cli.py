@@ -250,6 +250,32 @@ def test_bounds_past_float_range_and_the_digit_limit(
     assert (len(digits) > limit) == past_limit
 
 
+# sha256 and length of `bounds --q 3 --ell <ell> --upper` stdout, as printed
+# when the approximation was rounded from the exact integers
+UPPER_OUTPUT = {
+    9: ("14f031e6f3d07b0f9694823bf019cfb316727bf120aa4e2fa84e3732da6e41cd", 75561),
+    10: ("a8b54cc97a40e2894d0cb38ada9bcd74d55d652d2ff6762f9e956d9e2b707f39", 254801),
+}
+
+
+@pytest.mark.parametrize("ell", sorted(UPPER_OUTPUT))
+def test_bounds_upper_at_long_windows_matches_pinned_output(ell, capsys):
+    assert main(["bounds", "--q", "3", "--ell", str(ell), "--upper"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == UPPER_OUTPUT[ell]
+
+
+@pytest.mark.parametrize("q, ell", [(3, 12), (3, 40), (3, 10**12), (513, 2)])
+def test_bounds_upper_refuses_more_words_than_its_cap(q, ell, capsys):
+    # refused on ell before q^ell or its factorial is computed
+    start = time.perf_counter()
+    assert main(["bounds", "--q", str(q), "--ell", str(ell), "--upper"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: upper bound capped at 262144 words, got q={q} ell={ell}\n"
+
+
 @pytest.mark.parametrize("digits", [1, 155, 10**4, 31623, 10**5])
 def test_exact_values_print_as_str_would(digits):
     # the split conversion against str() with the digit limit lifted

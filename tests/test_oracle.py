@@ -37,7 +37,6 @@ from profilerank.oracle import (
     minimal_max_value,
     minimal_max_vector,
     orbit_size,
-    precheck_completeness_gap,
     representatives,
     verify_matching_count,
 )
@@ -73,18 +72,16 @@ CAPPED = [Params(q, 1) for q in range(2, 10)] + [Params(2, 2), Params(3, 2), Par
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
 def test_orbit_census_matches_full_sweep(params):
     # ground truth: the pre-check and the LP on every one of the (q^ell)!
-    # orders, against the one serial orbit sweep of both census variants
+    # orders, against the census's one serial orbit sweep
     reference = full_sweep(params, jobs=2)
-    for sweep, lp_all in ((enumerate_feasible, False), (precheck_completeness_gap, True)):
-        result = sweep(params)
-        assert result.total == factorial(params.word_count)
-        assert result.lp_checked_all == lp_all
-        assert (
-            result.feasible,
-            result.precheck_hit_feasible,
-            result.precheck_hit_infeasible,
-            result.silent_infeasible,
-        ) == reference.expected(lp_all)
+    assert reference.hit_feasible == 0  # the pre-check never fires on a realizable order
+    result = enumerate_feasible(params)
+    assert result.total == factorial(params.word_count)
+    assert (
+        result.feasible,
+        result.precheck_hit_infeasible,
+        result.silent_infeasible,
+    ) == reference.expected()
 
 
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
@@ -136,20 +133,16 @@ def test_walk_blocks_carry_the_precheck_verdict(params):
     assert expanded == list(representatives(params))
 
 
-def test_census_stats_at_three_two(census32, gap32):
-    # the LP runs on the 2520 silent representatives, or on all 30240 when
-    # the gap sweep asks; every pre-check hit is settled by a prefix of the
-    # walk
-    for result, lp_calls in ((census32, 2520), (gap32, 30240)):
-        stats = result.stats
-        assert stats.prefixes == 6649
-        assert stats.lp_calls == lp_calls
-        assert stats.settled_hits * orbit_size(P32) == result.precheck_hit_infeasible
-    pivots = {rep: order_lp_solution(rep, P32).pivots for rep in representatives(P32)}
-    silent = [rep for rep in pivots if order_precheck_witness(rep, P32) is None]
+def test_census_stats_at_three_two(census32):
+    # the LP runs on the 2520 silent representatives; every pre-check hit
+    # is settled by a prefix of the walk
+    stats = census32.stats
+    assert stats.prefixes == 6649
+    assert stats.lp_calls == 2520
+    assert stats.settled_hits * orbit_size(P32) == census32.precheck_hit_infeasible
+    silent = [rep for rep in representatives(P32) if order_precheck_witness(rep, P32) is None]
     assert len(silent) == 2520
-    assert census32.stats.lp_pivots == sum(pivots[rep] for rep in silent)
-    assert gap32.stats.lp_pivots == sum(pivots.values())
+    assert stats.lp_pivots == sum(order_lp_solution(rep, P32).pivots for rep in silent)
     # the counters stay out of == and of the summary
     blank = replace(census32, stats=CensusStats())
     assert blank == census32 and blank.summary() == census32.summary()
@@ -187,13 +180,13 @@ def test_census_closed_under_relabeling(census32):
             assert tuple(map(image.__getitem__, order)) in feasible
 
 
-def test_gap_confusion_counts(gap32):
-    assert gap32.precheck_hit_feasible == 0  # the witness test is sound
-    assert gap32.count == 30240
+def test_gap_confusion_counts(sweep32):
+    assert sweep32.hit_feasible == 0  # the witness test is sound
+    assert len(sweep32.feasible) == 30240
     # at these parameters the ballot witness is also complete: the LP never
     # refutes an order the witness test let through
-    assert gap32.silent_infeasible == 0
-    assert gap32.precheck_hit_infeasible == 332640
+    assert sweep32.silent_infeasible == 0
+    assert sweep32.hit_infeasible == 332640
 
 
 def test_repository_matches_census_order(repo, census32):
@@ -406,14 +399,12 @@ def test_integer_witness_search_agrees_with_lp_census(census32):
 
 
 def test_gap_report_at_two_two():
-    from profilerank.oracle import precheck_completeness_gap
-
-    gap = precheck_completeness_gap(Params(2, 2))
-    assert gap.count == 0
-    assert gap.precheck_hit_feasible == 0
-    assert gap.precheck_hit_infeasible == 24  # the witness test refutes all
-    assert gap.silent_infeasible == 0
-    assert "feasible=0" in gap.summary()
+    sweep = full_sweep(Params(2, 2), jobs=2)
+    assert sweep.feasible == ()
+    assert sweep.hit_feasible == 0
+    assert sweep.hit_infeasible == 24  # the witness test refutes all
+    assert sweep.silent_infeasible == 0
+    assert "feasible=0" in enumerate_feasible(Params(2, 2)).summary()
 
 
 def test_min_length_realized_by_string(census32):

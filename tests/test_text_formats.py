@@ -201,3 +201,33 @@ def test_readers_refuse_a_second_spelling(text, old, new):
     assert old in text
     with pytest.raises(ValueError):
         read(text.replace(old, new, 1))
+
+
+# (the canonical text, a field of it, that field made no number, the error)
+NOT_A_NUMBER = [
+    (PROFILE, "ell=2", "ell=x", "profile line 1: 'x' is not a number"),
+    (PROFILE, "01 5", "01 x", "profile line 3: 'x' is not a number"),
+    (PROFILE, "\n01 5", "\n\n01 5", "profile line 3: '' is not a number"),
+    (VECTOR, "q=2", "q=", "vector line 1: '' is not a number"),
+    (VECTOR, "01 5/2", "01 5/y", "vector line 3: 'y' is not a number"),
+    (VECTOR, "11 -3", "11 -x", "vector line 5: '-x' is not a number"),
+    (INFO_A, "base=612", "base=6x2", "message line 2: '6x2' is not a number"),
+    (INFO_A, "pi=2,4,1,3", "pi=2,x,1,3", "message line 3: 'x' is not a number"),
+    (INFO_B, "ell=3", "ell=three", "message line 1: 'three' is not a number"),
+    (INFO_B, "P(21)=1,0,2", "P(21)=1,,2", "message line 5: '' is not a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,old,new,error",
+    [
+        pytest.param(text, old, new, error, id=f"{READERS[text].__qualname__}-{k}")
+        for k, (text, old, new, error) in enumerate(NOT_A_NUMBER)
+    ],
+)
+def test_a_field_that_is_no_number_is_named_by_its_line(text, old, new, error):
+    read = READERS[text]
+    assert old in text
+    with pytest.raises(ValueError) as raised:
+        read(text.replace(old, new, 1))
+    assert str(raised.value) == error
