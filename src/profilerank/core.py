@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product, zip_longest
-from multiprocessing import get_context
 from struct import Struct
 from typing import Callable, Iterator, Sequence, Union
 
@@ -206,13 +205,16 @@ def word_symmetries(params: Params) -> Iterator[tuple[int, ...]]:
     (relabel a witness string, or read it backwards), so G permutes the
     rank orders and keeps every verdict.  Its q! (ell = 1, where reversal
     fixes every word) or 2 q! maps are distinct; the first is the identity.
+    At ell = 1 each relabeling is sigma itself.
     """
+    if params.ell == 1:
+        yield from permutations(range(params.q))
+        return
     flip = tuple(word_index(w[::-1], params.q) for w in params.words())
     for sigma in permutations(range(params.q)):
         image = relabeling(params, sigma)
         yield image
-        if params.ell > 1:
-            yield tuple(map(image.__getitem__, flip))
+        yield tuple(map(image.__getitem__, flip))
 
 
 def relabeling(params: Params, sigma: Sequence[int]) -> tuple[int, ...]:
@@ -683,6 +685,14 @@ def split_range(total: int, jobs: int | None) -> list[range]:
     pieces = 1 if workers == 1 else workers * PIECES_PER_JOB
     step = max(1, -(-total // pieces))
     return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def get_context(method: str):
+    """``multiprocessing.get_context``, imported on the first call: only a
+    fan-out forks, so importing the library does not pay for the module."""
+    from multiprocessing import get_context
+
+    return get_context(method)
 
 
 def fan_out(work: Callable, tasks: Sequence, jobs: int | None) -> list:

@@ -52,6 +52,7 @@ from .core import (
     Params,
     RankPermutation,
     Word,
+    _at_most,
     all_words,
     homo_image,
     homo_preimages,
@@ -62,7 +63,7 @@ from .core import (
     word_index,
     word_text,
 )
-from .feasibility import FeasibleVector
+from .feasibility import BOUND_CAP, FeasibleVector
 
 BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
@@ -607,10 +608,13 @@ def decode_b(vec: FeasibleVector, repo: Repository) -> InfoVecB:
 # ---------------------------------------------------------------------------
 
 def count_lower_bound(params: Params) -> int:
-    """Number of distinct realizable orders the encoders reach, exact."""
+    """Number of distinct realizable orders the encoders reach, exact.
+    Refuses more than :data:`feasibility.BOUND_CAP` words, ell tested first."""
     q, ell = params.q, params.ell
     if q < 3 or ell < 2:
         raise ValueError("bound defined for q >= 3 and ell >= 2")
+    if not _at_most(params, BOUND_CAP):
+        raise ValueError(f"lower bound capped at {BOUND_CAP} words, got q={q} ell={ell}")
     total = BASE_COUNT
     for j in range(4, q + 1):
         total *= math.factorial(j) * math.comb(j * j - j + 1, j)

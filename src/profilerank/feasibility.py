@@ -325,7 +325,7 @@ def alpha_star_lower(params: Params) -> int:
     return -((q**ell - q ** (ell - 2)) // -4)
 
 
-_UPPER_CAP = 1 << 18  # the most words upper_bound takes: (q^ell)! has 1.3 M digits here
+BOUND_CAP = 1 << 18  # the most words the exact bounds take: (q^ell)! has 1.3 M digits here
 
 
 def upper_bound(params: Params) -> Fraction:
@@ -334,13 +334,13 @@ def upper_bound(params: Params) -> Fraction:
     For ell >= 3 the shrinking factor is taken to the certified integer
     exponent from :func:`alpha_star_lower` one window size down (the bound is
     monotone in the exponent, so the integer version is still valid and stays
-    rational).  Refuses more than ``_UPPER_CAP`` words, ell tested first.
+    rational).  Refuses more than :data:`BOUND_CAP` words, ell tested first.
     """
     q, ell = params.q, params.ell
     if q < 3 or ell < 2:
         raise ValueError("bound stated only for q >= 3 and ell >= 2")
-    if not _at_most(params, _UPPER_CAP):
-        raise ValueError(f"upper bound capped at {_UPPER_CAP} words, got q={q} ell={ell}")
+    if not _at_most(params, BOUND_CAP):
+        raise ValueError(f"upper bound capped at {BOUND_CAP} words, got q={q} ell={ell}")
     total = math.factorial(params.word_count)
     if ell == 2:
         return Fraction(total * (q - 1), q + 1)

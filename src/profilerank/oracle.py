@@ -6,9 +6,11 @@ smallest witness lengths, and the monochromatic-matching count that the
 counting bound rests on.  The census and the repository visit one rank order
 per orbit of the symmetry group G of :func:`core.word_symmetries`, which
 keeps every verdict and every least-maximum assignment, and expand the
-results through G.  The representatives, the least order of each orbit,
-come from a depth-first walk over prefixes that keeps the maps of G fixing
-the prefix (G has at most 12 maps at ell >= 2, where the census is capped
+results through G: the census sorts each image of a feasible
+representative with its label and keeps the row where it landed, which is
+where the build writes the image's vector, so no order is looked up.  The
+representatives, the least order of each orbit, come from a depth-first
+walk over prefixes that keeps the maps of G fixing the prefix (G has at most 12 maps at ell >= 2, where the census is capped
 at 9 words).  The walk also carries the matching pre-check's ballot state,
 so once only the identity fixes a prefix, a prefix that settles the
 pre-check for every completion ends in one block: the census counts a
@@ -26,12 +28,14 @@ graph checks the node's flow balance for all of them at once.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, count, permutations
 from math import factorial
 from operator import itemgetter
+from struct import Struct
 from typing import Iterator, Sequence
 
 from .core import PackedRows, Params, RankPermutation, _at_most, edge_nodes, word_symmetries
@@ -44,6 +48,7 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # entries the encoders need cost at most a +1 shift, and 72 orders need it.
 # It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
+_LABEL = Struct("I")  # an image's label in the census sort, as array("I") holds it
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,9 @@ class CensusResult:
     """One census sweep.  ``feasible`` holds the realizable rank orders as
     packed rows, one byte per word index and ``params.word_count`` bytes a
     row, sorted: byte order is the orders' lexicographic order, so row i
-    reads back as the i-th realizable order."""
+    reads back as the i-th realizable order.  ``orbits`` names the row of
+    every image of every feasible representative (:func:`_expand`); like
+    ``stats`` it is not part of ``==`` or :meth:`summary`."""
 
     params: Params
     total: int
@@ -71,6 +78,7 @@ class CensusResult:
     silent_infeasible: int  # pre-check silent, LP refuted
     elapsed: float
     stats: CensusStats = field(default=CensusStats(), compare=False)
+    orbits: array = field(default_factory=lambda: array("I"), compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -203,8 +211,10 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     """Full census of realizable orders.  The orbit walk (:class:`_OrbitWalk`)
     settles the pre-check's refutations by prefix: a block of hits adds its
     ``(len(rest))!`` representatives to the count without building them, and
-    the LP runs on every order the pre-check lets through.  ``jobs`` selects
-    nothing: the census is one serial pass; the keyword stays for callers."""
+    the LP runs on every order the pre-check lets through.  The feasible
+    representatives are then expanded through G (:func:`_expand`), which
+    also gives ``orbits``.  ``jobs`` selects nothing: the census is one
+    serial pass; the keyword stays for callers."""
     if not _at_most(params, CENSUS_CAP):
         raise ValueError(f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}")
     total = factorial(params.word_count)
@@ -230,13 +240,7 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
                 feasible_reps.append(bytes(order))
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
-    # every verdict is constant on an orbit: count each representative's
-    # orbit, and list every order of a feasible one
-    feasible = bytearray()
-    for order in sorted(
-        rep.translate(g) for g in _translations(params) for rep in feasible_reps
-    ):
-        feasible += order  # b"".join would first take an 80-byte buffer record per row
+    feasible, orbits = _expand(params, feasible_reps)
     return CensusResult(
         params,
         total,
@@ -245,7 +249,48 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
         orbit * silent_infeasible,
         time.monotonic() - started,
         CensusStats(walk.prefixes, settled, lp_calls, lp_pivots),
+        orbits,
     )
+
+
+def _expand(params: Params, reps: list[bytes]) -> tuple[bytearray, array]:
+    """Every order of the orbits of ``reps``, sorted and packed, and where
+    each landed: entry ``r * orbit_size(params) + g`` of the array is the
+    row of the image of ``reps[r]`` under the g-th map of G.
+
+    Image k, the map ``k // len(reps)``'s image of ``reps[k % len(reps)]``,
+    is sorted with k in trailing bytes.  The images are distinct, so the
+    trailing bytes never decide a comparison.  Strided slices split the
+    sorted rows into the orders and the labels, one pass puts each image's
+    row at its label k, and one strided slice per representative gathers
+    the rows of its images in map order."""
+    width, size, n = params.word_count, orbit_size(params), len(reps)
+    labelled = sorted(
+        map(
+            bytes.__add__,
+            (rep.translate(table) for table in _translations(params) for rep in reps),
+            map(_LABEL.pack, count()),
+        )
+    )
+    blob = bytearray()
+    for row in labelled:
+        blob += row  # b"".join would first take an 80-byte buffer record per row
+    del labelled
+    stride = width + _LABEL.size
+    rows = len(blob) // stride
+    feasible, labels = bytearray(rows * width), bytearray(rows * _LABEL.size)
+    for k in range(width):
+        feasible[k::width] = blob[k::stride]
+    for k in range(_LABEL.size):
+        labels[k :: _LABEL.size] = blob[width + k :: stride]
+    del blob
+    landed = array("I", bytes(len(labels)))
+    for row, k in enumerate(array("I", labels)):
+        landed[k] = row
+    orbits = array("I", bytes(len(labels)))
+    for r in range(n):
+        orbits[r * size : r * size + size] = landed[r::n]
+    return feasible, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +447,14 @@ def build_repository(
 
     Every realizable order must admit an assignment within
     :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  Only the
-    census's orbit representatives are searched: in census order, the first
-    order whose orbit no earlier order has filled is the least of its orbit.
-    A map g of G sends the least-maximum assignments of an order onto those
-    of its image, so the image's vector, :func:`minimal_max_vector`'s
-    choice, is the least image under g of its representative's assignments.
-    Each vector is written into the packed rows at its order's census
-    position.  ``jobs`` selects nothing: the build is one serial pass, and
-    the keyword stays for callers that still pass it.
+    census's orbit representatives are searched, and ``census.orbits``
+    names the rows of each one's images, so no order is looked up.  A map g
+    of G sends the least-maximum assignments of an order onto those of its
+    image, so the image's vector, :func:`minimal_max_vector`'s choice, is
+    the least image under g of its representative's assignments.  Each
+    vector is written into the packed rows at its order's census position.
+    ``jobs`` selects nothing: the build is one serial pass, and the keyword
+    stays for callers that still pass it.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -419,23 +464,28 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    # the census is a union of orbits iff every image of every order is a
-    # census order, and then each orbit fills its own rows once
+    # the census is a union of orbits iff ``census.orbits`` lists each of
+    # its rows once and each orbit it lists is a representative's: every
+    # listed row holds the image of the orbit's first row under the map at
+    # its place, and that first row is the least of them and above the
+    # previous orbit's, so no orbit is listed twice
     unclosed = "the census is not a union of orbits of the code's symmetries"
-    width = params.word_count
+    width, size, data, orbits = params.word_count, orbit_size(params), orders.data, census.orbits
+    if len(orbits) != len(orders):
+        raise AssertionError(unclosed)
     # an assignment to an order, moved to the same ranks of g(order)
     moves = [_inverse(g) for g in word_symmetries(params)]
     tables = list(_translations(params))
-    vectors = bytearray(len(orders) * width)
+    vectors = bytearray(len(data))
     filled = bytearray(len(orders))
-    for k in range(len(orders)):
-        if filled[k]:
-            continue
-        rep = orders.data[k * width : k * width + width]
-        try:
-            places = [orders.index(rep.translate(table)) for table in tables]
-        except ValueError:
-            raise AssertionError(unclosed) from None
+    last = b""
+    for start in range(0, len(orbits), size):
+        places = orbits[start : start + size]
+        images = [data[j * width : j * width + width] for j in places]
+        rep = images[0]  # the image under the identity
+        if rep <= last or rep != min(images) or images != [rep.translate(t) for t in tables]:
+            raise AssertionError(unclosed)
+        last = rep
         for j in places:
             if filled[j]:
                 raise AssertionError(unclosed)

@@ -276,6 +276,18 @@ def test_bounds_upper_refuses_more_words_than_its_cap(q, ell, capsys):
     assert err == f"usage error: upper bound capped at 262144 words, got q={q} ell={ell}\n"
 
 
+@pytest.mark.parametrize("q, ell", [(3, 12), (3, 40), (3, 10**12), (513, 2)])
+def test_bounds_lower_refuses_more_words_than_its_cap(q, ell, capsys):
+    # the cap --upper has, tested on ell first: the product over the layers
+    # would otherwise run on for every ell
+    start = time.perf_counter()
+    assert main(["bounds", "--q", str(q), "--ell", str(ell), "--lower"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: lower bound capped at 262144 words, got q={q} ell={ell}\n"
+
+
 @pytest.mark.parametrize("digits", [1, 155, 10**4, 31623, 10**5])
 def test_exact_values_print_as_str_would(digits):
     # the split conversion against str() with the digit limit lifted

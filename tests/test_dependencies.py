@@ -30,3 +30,24 @@ def test_importing_every_module_loads_no_optional_library():
     loaded = json.loads(out)
     assert "profilerank.cli" in loaded and "profilerank._simplex" in loaded
     assert [m for m in loaded if m.split(".")[0] in FORBIDDEN] == []
+
+
+# the library imports the benchmark makes (perfbench/run.py IMPORT_PROBE)
+_BENCH_PROBE = """
+import json, sys
+from profilerank import channel, codes, core, encoder, feasibility, oracle, synthesis
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_importing_the_library_loads_no_process_pool():
+    # only core.fan_out forks, and it imports multiprocessing when it does
+    src = str(Path(profilerank.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", _BENCH_PROBE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = json.loads(out)
+    assert "profilerank.oracle" in loaded
+    assert "multiprocessing" not in loaded

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 from hashlib import sha256
 from itertools import chain, permutations
@@ -133,6 +134,23 @@ def test_walk_blocks_carry_the_precheck_verdict(params):
     assert expanded == list(representatives(params))
 
 
+@pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
+def test_census_orbits_name_the_row_of_every_image(params):
+    result = enumerate_feasible(params)
+    size, orbits = orbit_size(params), result.orbits
+    # one to one onto the census rows
+    assert sorted(orbits) == list(range(result.count))
+    maps = list(word_symmetries(params))
+    reps = [result.feasible[orbits[start]] for start in range(0, len(orbits), size)]
+    for r, rep in enumerate(reps):
+        images = [tuple(map(g.__getitem__, rep)) for g in maps]
+        assert [result.feasible[orbits[r * size + g]] for g in range(size)] == images
+        assert min(images) == rep  # the least order of its orbit
+    assert reps == sorted(set(reps))
+    feasible = set(result.feasible)
+    assert reps == [rep for rep in representatives(params) if rep in feasible]
+
+
 def test_census_stats_at_three_two(census32):
     # the LP runs on the 2520 silent representatives; every pre-check hit
     # is settled by a prefix of the walk
@@ -207,6 +225,15 @@ def test_repository_checksum_pinned(repo, tmp_path):
     assert len(repo.vectors) == BASE_COUNT
 
 
+def test_repository_build_looks_up_no_order(census32, repo, monkeypatch):
+    # census.orbits names every image's row: no packed lookup is built
+    def lookup(self, row):
+        raise AssertionError(f"looked up {row}")
+
+    monkeypatch.setattr(PackedRows, "index", lookup)
+    assert build_repository(census32) == repo
+
+
 def test_repository_refuses_a_census_not_closed_under_the_symmetries(census32):
     # swap the last realizable order for an unrealizable one
     stray = (8, 7, 6, 5, 4, 3, 2, 1, 0)
@@ -230,6 +257,35 @@ def test_repository_refuses_a_census_with_an_orbit_twice(census32):
     packed = PackedRows(bytes(e for row in rows for e in row), P32.word_count)
     with pytest.raises(AssertionError, match="union of orbits"):
         build_repository(replace(census32, feasible=packed))
+
+
+def test_repository_refuses_orbits_that_list_one_orbit_from_two_orders(census32):
+    # as in the test above, one orbit dropped and one held twice, but with
+    # orbits that name the rows truly: the second copy is listed from an
+    # order above its least one, so only the check that a listed orbit
+    # starts at its least order refuses it
+    maps = list(word_symmetries(P32))
+    size, orbits = orbit_size(P32), census32.orbits
+    reps = [census32.feasible[orbits[start]] for start in range(0, len(orbits), size)]
+    starts = reps[2:] + [reps[0], tuple(map(maps[1].__getitem__, reps[0]))]
+    images = [tuple(map(g.__getitem__, start)) for start in sorted(starts) for g in maps]
+    rows = sorted(images)
+    places = {}
+    for k, row in enumerate(rows):
+        places.setdefault(row, []).append(k)
+    listed = array("I", (places[image].pop(0) for image in images))
+    packed = PackedRows(bytes(e for row in rows for e in row), P32.word_count)
+    with pytest.raises(AssertionError, match="union of orbits"):
+        build_repository(replace(census32, feasible=packed, orbits=listed))
+
+
+@pytest.mark.parametrize("first, second", [(1, 2), (5, 17)], ids=["one-orbit", "two-orbits"])
+def test_repository_refuses_a_census_with_two_orbit_entries_swapped(census32, first, second):
+    # every row still listed once, but two images at the wrong map's place
+    orbits = array("I", census32.orbits)
+    orbits[first], orbits[second] = orbits[second], orbits[first]
+    with pytest.raises(AssertionError, match="union of orbits"):
+        build_repository(replace(census32, orbits=orbits))
 
 
 def test_repository_vectors_revalidate(repo):
