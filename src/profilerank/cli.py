@@ -126,7 +126,7 @@ def _write_string(path: str | None, runs: list[tuple[bytes, int]]) -> None:
 
 def cmd_check(args) -> int:
     perm = RankPermutation.from_text(_inline_or_file(args, "perm").strip())
-    verdict = feasibility.decide(perm, use_precheck=not args.no_precheck)
+    verdict = feasibility.decide(perm)
     _write(args.out, verdict.to_text())
     return EXIT_OK if verdict.feasible else EXIT_REJECTED
 
@@ -338,7 +338,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="decide whether a rank order is realizable")
     p.add_argument("--perm")
     p.add_argument("--perm-file")
-    p.add_argument("--no-precheck", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._simplex import Phase1, phase1
 from .core import (
@@ -150,63 +150,96 @@ class Verdict:
         return f"status=infeasible witness={self.witness}\n"
 
 
-@lru_cache(maxsize=None)
-def _scanned_nodes(params: Params) -> tuple[tuple[int, Word], ...]:
-    """The nodes the pre-check scans, by index and word: every node at
-    ell = 2 (a single letter, its self-loop skipped), the non-constant ones
-    above that, none at ell = 1."""
-    return tuple(
-        (v, word)
-        for v, word in enumerate(params.nodes())
-        if params.ell == 2 or not is_constant(word)
-    )
+class _Ballot(NamedTuple):
+    """The matching pre-check's ballot state after a prefix of a rank order.
+
+    The pre-check goes up the ranks keeping, per node, the words placed so
+    far that leave it minus those that enter it; a loop word does both at
+    once, so it changes nothing.  A node is green while that count never
+    rises above 0, red while it never drops below 0 (never both: its first
+    non-loop word moves it).  A node has as many non-loop words entering it
+    as leaving it, so its count ends at 0, and after a prefix it equals the
+    entering words still to place minus the leaving ones: the state keeps
+    those two per node, with the flags ``rose`` (the count went above 0:
+    not green) and ``fell`` (it went below 0: not red).  The pre-check
+    scans every node at ell = 2 (a single letter, its self-loop skipped)
+    and the non-constant ones otherwise; a node it skips starts with both
+    flags set.
+
+    :meth:`settle` reads off what the prefix decides for every order that
+    starts with it.  A node that has not risen and has no entering word
+    left is green in every completion: only leaving words remain, which
+    lift the count one step at a time to its final 0 and never above it.
+    Mirrored, a node that has not fallen and has no leaving word left is
+    red in every completion.  And once every node has both risen and
+    fallen, no completion is a hit, since a flag once set stays set.  A
+    full order settles one way or the other.
+    """
+
+    arcs: tuple[tuple[int, int] | None, ...]  # per word: (leaves, enters), None for a loop
+    nodes: tuple[Word, ...]
+    leaving: Sequence[int]  # per node: the non-loop words left that leave it
+    entering: Sequence[int]  # and those left that enter it
+    rose: Sequence[bool]
+    fell: Sequence[bool]
+
+    UNSETTLED = "unsettled"  # what :meth:`settle` returns when the prefix decides nothing
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def start(params: Params) -> _Ballot:
+        """The state before the first word, built once per ``params``.  Its
+        rows are tuples, shared by every caller: only a :meth:`copy`, whose
+        rows are lists, can be extended."""
+        heads, tails = edge_nodes(params)
+        arcs = tuple(None if h == t else (h, t) for h, t in zip(heads, tails))
+        leaving = [0] * params.node_count
+        for arc in filter(None, arcs):
+            leaving[arc[0]] += 1
+        nodes = tuple(params.nodes())
+        skipped = tuple(params.ell != 2 and is_constant(v) for v in nodes)
+        return _Ballot(arcs, nodes, tuple(leaving), tuple(leaving), skipped, skipped)
+
+    def copy(self) -> _Ballot:
+        arcs, nodes, leaving, entering, rose, fell = self
+        return _Ballot(arcs, nodes, list(leaving), list(entering), list(rose), list(fell))
+
+    def extend(self, words: Iterable[int]) -> None:
+        """Place ``words`` next, in rank order."""
+        arcs, _, leaving, entering, rose, fell = self
+        for idx in words:
+            arc = arcs[idx]
+            if arc is not None:
+                h, t = arc
+                leaving[h] -= 1
+                entering[t] -= 1
+                if not rose[h] and entering[h] > leaving[h]:
+                    rose[h] = True
+                if not fell[t] and entering[t] < leaving[t]:
+                    fell[t] = True
+
+    def settle(self) -> tuple[Word, str] | None | str:
+        """``(node, color)`` of the first node that has that color in every
+        completion, None if no completion is a hit, and :attr:`UNSETTLED`
+        otherwise."""
+        _, nodes, leaving, entering, rose, fell = self
+        for v, word in enumerate(nodes):
+            if not rose[v] and not entering[v]:
+                return word, "green"
+            if not fell[v] and not leaving[v]:
+                return word, "red"
+        return None if all(rose) and all(fell) else _Ballot.UNSETTLED
 
 
 def order_precheck_witness(
     order: tuple[int, ...], params: Params
 ) -> tuple[Word, str] | None:
-    """Ballot test on a raw rank ordering; returns (node, color) or None.
-
-    One pass up the ranks keeps, per node, the words seen so far that leave
-    it minus those that enter it; a loop word does both at once, so it
-    changes nothing.  A node is green while that count never rises above 0,
-    red while it never drops below 0 (never both: its first non-loop word
-    moves it).
-
-    A prefix of the order can settle the verdict of every order that starts
-    with it.  A node has as many non-loop words entering it as leaving it,
-    so its count ends at 0, and after a prefix it equals the entering words
-    still to place minus the leaving ones.  A scanned node that has not
-    risen and has no entering word left is green in every completion: only
-    leaving words remain, which lift the count one step at a time to its
-    final 0 and never above it.  Mirrored, a scanned node that has not
-    fallen and has no leaving word left is red in every completion.  And
-    once every scanned node has both risen and fallen, no completion is a
-    hit, since a flag once set stays set.  A full order settles one way or
-    the other.  The census's orbit walk (``oracle._OrbitWalk``) applies the
-    rule only once the identity is the only map of G that fixes the prefix:
-    only then is every one of the ``(len(rest))!`` completions the least
-    order of its orbit, so a settled prefix stands for a known count of
-    representatives.
-    """
-    heads, tails = edge_nodes(params)
-    count = [0] * params.node_count
-    rose = [False] * len(count)  # the count went above 0: not green
-    fell = rose.copy()  # the count went below 0: not red
-    for idx in order:
-        h, t = heads[idx], tails[idx]
-        count[h] += 1
-        count[t] -= 1
-        if count[h] > 0:
-            rose[h] = True
-        if count[t] < 0:
-            fell[t] = True
-    for v, word in _scanned_nodes(params):
-        if not rose[v]:
-            return word, "green"
-        if not fell[v]:
-            return word, "red"
-    return None
+    """Ballot test on a raw rank ordering (:class:`_Ballot`): the first
+    node that is green or red (green tested first), as (node, color), or
+    None."""
+    ballot = _Ballot.start(params).copy()
+    ballot.extend(order)
+    return ballot.settle()
 
 
 class _OrderLP:

@@ -10,14 +10,15 @@ results through G: the census sorts each image of a feasible
 representative with its label and keeps the row where it landed, which is
 where the build writes the image's vector, so no order is looked up.  The
 representatives, the least order of each orbit, come from a depth-first
-walk over prefixes that keeps the maps of G fixing the prefix (G has at most 12 maps at ell >= 2, where the census is capped
-at 9 words).  The walk also carries the matching pre-check's ballot state,
-so once only the identity fixes a prefix, a prefix that settles the
-pre-check for every completion ends in one block: the census counts a
-block of hits without building its orders, and runs the exact LP on every
-order of a silent block.  Both are one serial pass over the
-representatives: at (3,2), the largest census input, a pass takes a
-fraction of a second, less than a worker pool costs to start.
+walk over prefixes that keeps the maps of G fixing the prefix (G has at
+most 12 maps at ell >= 2, where the census is capped at 9 words).  The walk
+also carries the matching pre-check's ballot state, so once only the
+identity fixes a prefix, a prefix that settles the pre-check for every
+completion ends in one block: the census counts a block of hits without
+building its orders, and runs the exact LP on every order of a silent
+block.  Both are one serial pass over the representatives: at (3,2), the
+largest census input, a pass takes a fraction of a second, less than a
+worker pool costs to start.
 
 The value-assignment searches test, for one largest value at a time, every
 increasing sequence of rank-order values that ends at it: each sequence is
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence
 
 from .core import PackedRows, Params, RankPermutation, _at_most, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import FeasibleVector, _scanned_nodes, order_lp_solution
+from .feasibility import FeasibleVector, _Ballot, order_lp_solution
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -111,10 +112,25 @@ def _translations(params: Params) -> Iterator[bytes]:
     return (bytes(g).ljust(256) for g in word_symmetries(params))
 
 
+@dataclass(frozen=True)
+class _Symmetries:
+    """G as the root of the orbit walk holds it: each pass generates the
+    maps afresh (:func:`core.word_symmetries`), so the q! maps of window
+    one are never all held at once."""
+
+    params: Params
+
+    def __len__(self) -> int:
+        return orbit_size(self.params)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return word_symmetries(self.params)
+
+
 class _OrbitWalk:
     """The stabilizer walk that generates the orbit representatives, with
-    the ballot state of :func:`feasibility.order_precheck_witness` carried
-    along each prefix.
+    the matching pre-check's ballot state (:class:`feasibility._Ballot`)
+    carried along each prefix.
 
     Iterating yields blocks ``(prefix, rest, hit)`` in lexicographic order:
     every arrangement of ``rest`` after ``prefix`` is the least order of its
@@ -128,11 +144,11 @@ class _OrbitWalk:
     can no longer send the order lower and are dropped, and those that fix
     it are kept.  Once the identity is the only map left, every arrangement
     of the remaining words is least in its orbit.  From there on a prefix
-    whose ballot state settles the verdict of all its completions (the rule
-    in ``order_precheck_witness``'s docstring) ends the descent as one
-    block; any other prefix descends one more word, and a full order always
-    settles.  Before that, only some completions are representatives, so a
-    verdict on the prefix would stand for an unknown count.
+    whose ballot settles the verdict of all its completions ends the
+    descent as one block; any other prefix descends one more word, and a
+    full order always settles.  Before that, only some completions are
+    representatives, so a verdict on the prefix would stand for an unknown
+    count.
     """
 
     def __init__(self, params: Params):
@@ -141,61 +157,27 @@ class _OrbitWalk:
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], bool]]:
         params = self.params
-        heads, tails = edge_nodes(params)
-        arcs = [None if h == t else (h, t) for h, t in zip(heads, tails)]
-        scanned = [v for v, _ in _scanned_nodes(params)]
-        # per node: the non-loop words left that leave it and that enter it
-        # (as many of each), and whether its count rose above 0 or fell
-        # below it; the count is the entering words left minus the leaving
-        leaving = [0] * params.node_count
-        for arc in filter(None, arcs):
-            leaving[arc[0]] += 1
-        start = (leaving, leaving.copy(), [False] * len(leaving), [False] * len(leaving))
-
-        def step(ballot, idx):
-            if arcs[idx] is None:
-                return ballot  # a loop word leaves and enters its node
-            h, t = arcs[idx]
-            leaving, entering, rose, fell = map(list.copy, ballot)
-            leaving[h] -= 1
-            entering[t] -= 1
-            rose[h] = rose[h] or entering[h] > leaving[h]
-            fell[t] = fell[t] or entering[t] < leaving[t]
-            return leaving, entering, rose, fell
-
-        def verdict(ballot):
-            """True if every completion is a hit, False if none is, None if
-            the prefix does not settle it."""
-            leaving, entering, rose, fell = ballot
-            silent = True
-            for v in scanned:
-                if not rose[v]:
-                    if not entering[v]:
-                        return True  # green in every completion
-                    silent = False
-                if not fell[v]:
-                    if not leaving[v]:
-                        return True  # red in every completion
-                    silent = False
-            return False if silent else None
 
         def walk(prefix, rest, stabilizer, ballot):
             self.prefixes += 1
             if len(stabilizer) == 1:
-                hit = verdict(ballot)
-                if hit is not None:
-                    yield prefix, rest, hit
+                hit = ballot.settle()
+                if hit is not _Ballot.UNSETTLED:
+                    yield prefix, rest, hit is not None
                     return
             for k, idx in enumerate(rest):
                 if all(g[idx] >= idx for g in stabilizer):
+                    branch = ballot.copy()
+                    branch.extend((idx,))
                     yield from walk(
                         prefix + (idx,),
                         rest[:k] + rest[k + 1 :],
                         [g for g in stabilizer if g[idx] == idx],
-                        step(ballot, idx),
+                        branch,
                     )
 
-        yield from walk((), tuple(range(params.word_count)), list(word_symmetries(params)), start)
+        words = tuple(range(params.word_count))
+        yield from walk((), words, _Symmetries(params), _Ballot.start(params))
 
 
 def representatives(params: Params) -> Iterator[tuple[int, ...]]:

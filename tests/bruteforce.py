@@ -3,7 +3,9 @@
 Each one searches the whole space the faster library code reasons about:
 every arrangement within a transposition distance, every rank order of a
 census with both of its decision procedures run on each, or every increasing
-value assignment of a rank order by depth-first search.
+value assignment of a rank order by depth-first search.  The matching
+pre-check's reference reads each node's balance row, built from word tuples,
+in rank order.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Sequence
 
-from profilerank.core import Params, edge_nodes, fan_out, split_range
+from profilerank.core import Params, edge_nodes, fan_out, is_constant, split_range, word_index
 from profilerank.feasibility import order_lp_solution, order_precheck_witness
 
 BFS_CAP = 10
@@ -46,6 +48,40 @@ def kendall_tau_bfs(a: Sequence, b: Sequence) -> int:
                 dist[nxt] = d
                 queue.append(nxt)
     raise AssertionError("transposition graph is connected on a multiset class")
+
+
+def balance_rows(params: Params) -> list[list[int]]:
+    """Node v's balance row, from word tuples: +1 on the words v + (s,), -1
+    on the words (s,) + v, so a loop word cancels."""
+    q = params.q
+    rows = []
+    for v in params.nodes():
+        coef = [0] * params.word_count
+        for s in range(q):
+            coef[word_index(v + (s,), q)] += 1
+            coef[word_index((s,) + v, q)] -= 1
+        rows.append(coef)
+    return rows
+
+
+def ballot_reference(order: Sequence[int], params: Params):
+    """The per-node ballot: each scanned node's balance row read in rank
+    order; green if the running sum never rises above 0, red if it never
+    drops below 0.  Every letter is scanned at ell = 2, the mixed nodes above,
+    and none at ell = 1, whose one node is the empty word."""
+    for v, row in zip(params.nodes(), balance_rows(params)):
+        if params.ell != 2 and is_constant(v):
+            continue
+        acc, green, red = 0, True, True
+        for idx in order:
+            acc += row[idx]
+            green = green and acc <= 0
+            red = red and acc >= 0
+        if green:
+            return v, "green"
+        if red:
+            return v, "red"
+    return None
 
 
 @dataclass(frozen=True)

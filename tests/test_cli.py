@@ -197,6 +197,15 @@ def test_whole_number_options_take_ascii_digits_only(value, tmp_path, capsys):
         assert captured.err.startswith("usage error: ") and option in captured.err
 
 
+def test_check_takes_no_precheck_switch(capsys):
+    # a pre-check hit is already a proof, so check has no switch to run the
+    # LP in its place
+    assert main(["check", "--perm", CHANNEL_ORDER, "--no-precheck"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --no-precheck" in captured.err
+
+
 def test_check_rejects_ragged_words(capsys):
     assert main(["check", "--perm", "00,1,10,11"]) == 2
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import balance_rows, ballot_reference
 from profilerank import _simplex, encoder
 from profilerank._simplex import (
     DEGENERATE_STREAK,
@@ -18,7 +19,6 @@ from profilerank.core import (
     Params,
     ProfileVector,
     RankPermutation,
-    is_constant,
     profile_of,
     rank_of,
     word_index,
@@ -34,6 +34,7 @@ from profilerank.feasibility import (
     order_precheck_witness,
     upper_bound,
 )
+from profilerank.oracle import representatives
 
 P32 = Params(3, 2)
 CHANNEL_ORDER = "00,01,10,20,02,11,12,21,22"
@@ -65,20 +66,6 @@ def test_simplex_handles_redundant_rows():
 
 def _dot(u, v):
     return sum(map(mul, u, v))
-
-
-def _balance_rows(params):
-    """Node v's balance row, from word tuples: +1 on the words v + (s,), -1
-    on the words (s,) + v, so a loop word cancels."""
-    q = params.q
-    rows = []
-    for v in params.nodes():
-        coef = [0] * params.word_count
-        for s in range(q):
-            coef[word_index(v + (s,), q)] += 1
-            coef[word_index((s,) + v, q)] -= 1
-        rows.append(coef)
-    return rows
 
 
 def _reference_phase1(rhs, n, column, price):
@@ -336,7 +323,7 @@ def test_perturbed_farkas_vector_fails_the_check():
     check_farkas(perm, y)
     # The slack LP A e = b of the order, from its definition: column k holds
     # each node's coefficient sums over ranks k and up.
-    rows = _balance_rows(P32)
+    rows = balance_rows(P32)
     order = perm.order
     columns = [[sum(row[i] for i in order[k:]) for row in rows] for k in range(9)]
     b = [-sum((k + 1) * row[i] for k, i in enumerate(order)) for row in rows]
@@ -451,7 +438,7 @@ def test_lp_verdicts_agree_with_highs(repo, q, ell):
     >= 1, unit steps along the order, flow balance at every node)."""
     np = pytest.importorskip("numpy")
     optimize = pytest.importorskip("scipy.optimize")
-    a_eq = np.array(_balance_rows(Params(q, ell)), dtype=float)
+    a_eq = np.array(balance_rows(Params(q, ell)), dtype=float)
     n = q**ell
     verdicts = []
     for perm in _swapped_encoder_orders(repo, q, ell, 40, random.Random(q * 10 + ell)):
@@ -507,31 +494,12 @@ def test_constraint_tables_follow_word_overlaps(q, ell):
     # built from word tuples: column k sums each row over ranks k and up,
     # and rhs is minus each row weighted by 1-based rank.
     params = Params(q, ell)
-    rows = _balance_rows(params)
+    rows = balance_rows(params)
     for order in _near_balanced_orders(params, 10, random.Random(q * 10 + ell)):
         lp, n = _OrderLP(order, params), len(order)
         columns = [[sum(row[i] for i in order[k:]) for row in rows] for k in range(n)]
         rhs = [-sum((k + 1) * row[i] for k, i in enumerate(order)) for row in rows]
         assert lp.columns() == columns and lp.rhs == rhs
-
-
-def _ballot_reference(order, params):
-    """The per-node ballot: each scanned node's balance row read in rank
-    order; green if the running sum never rises above 0, red if it never
-    drops below 0.  Every letter is scanned at ell = 2, the mixed nodes above."""
-    for v, row in zip(params.nodes(), _balance_rows(params)):
-        if params.ell > 2 and is_constant(v):
-            continue
-        acc, green, red = 0, True, True
-        for idx in order:
-            acc += row[idx]
-            green = green and acc <= 0
-            red = red and acc >= 0
-        if green:
-            return v, "green"
-        if red:
-            return v, "red"
-    return None
 
 
 @pytest.mark.parametrize("q, ell", OVERLAP_PARAMS)
@@ -540,11 +508,36 @@ def test_precheck_matches_the_per_node_ballot(q, ell):
     outcomes = set()
     for order in _near_balanced_orders(params, 150, random.Random(q * 100 + ell)):
         witness = order_precheck_witness(order, params)
-        assert witness == _ballot_reference(order, params)
+        assert witness == ballot_reference(order, params)
         outcomes.add(None if witness is None else witness[1])
     assert outcomes >= {"green", "red"}
     # At (2,2) no order is realizable, and the pre-check refutes them all.
     assert (None in outcomes) == (params != Params(2, 2))
+
+
+def _hit_is_a_unit_farkas_vector(order, params):
+    """Whether the pre-check hits ``order``; a hit at node v must pass
+    ``check_farkas`` as -e_v when v is green and as +e_v when it is red."""
+    hit = order_precheck_witness(order, params)
+    if hit is None:
+        return False
+    node, color = hit
+    y = [0] * params.node_count
+    y[word_index(node, params.q)] = -1 if color == "green" else 1
+    check_farkas(RankPermutation(params, order), y)
+    return True
+
+
+def test_every_precheck_hit_among_the_census_representatives_is_a_unit_farkas_vector():
+    hits = sum(_hit_is_a_unit_farkas_vector(rep, P32) for rep in representatives(P32))
+    assert hits == 27720
+
+
+@pytest.mark.parametrize("q, ell", [(4, 3), (3, 4), (5, 3), (6, 3), (2, 3), (3, 3)])
+def test_every_precheck_hit_on_random_orders_is_a_unit_farkas_vector(q, ell):
+    params = Params(q, ell)
+    orders = _near_balanced_orders(params, 40, random.Random(q * 1000 + ell))
+    assert sum(_hit_is_a_unit_farkas_vector(order, params) for order in orders) > 0
 
 
 def test_precheck_fires_on_forced_pattern_window_two():

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from bruteforce import full_sweep, least_max_search, min_sum_search
+from bruteforce import ballot_reference, full_sweep, least_max_search, min_sum_search
 from profilerank.core import (
     PackedRows,
     Params,
@@ -123,15 +123,28 @@ def test_representatives_match_pinned_digest(params):
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
 def test_walk_blocks_carry_the_precheck_verdict(params):
     # every order of every block the walk yields has the pre-check verdict
-    # the block's prefix settled, and the blocks, expanded in turn, are the
-    # representatives, whose sequence the digests above pin
+    # the block's prefix settled, by the per-node ballot of the test
+    # reference, and the blocks, expanded in turn, are the representatives,
+    # whose sequence the digests above pin
     expanded = []
     for prefix, rest, hit in _OrbitWalk(params):
         for tail in permutations(rest):
             order = prefix + tail
-            assert (order_precheck_witness(order, params) is not None) == hit, order
+            assert (ballot_reference(order, params) is not None) == hit, order
             expanded.append(order)
     assert expanded == list(representatives(params))
+
+
+def test_walk_at_window_one_holds_no_list_of_the_group():
+    # the root of the walk re-iterates G instead of listing its 9! maps at
+    # (9,1), which as 9-tuples would take about 44 MB
+    tracemalloc.start()
+    try:
+        list(_OrbitWalk(Params(9, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
