@@ -11,9 +11,14 @@ Devroye's geometric method while c*p < 10 (L. Devroye, *Non-Uniform Random
 Variate Generation*, 1986, ch. X), Hormann's transformed rejection with
 squeeze (BTRS; W. Hormann, "The generation of binomial random variates",
 *J. Stat. Comput. Simul.* 46, 1993) above it, the method CPython 3.12+
-ships as ``random.binomialvariate``.  Counts above ``BINOMIAL_CHUNK`` reads
-are drawn as a sum of draws of at most that many reads, so a count costs
+ships as ``random.binomialvariate``.  From 2^31 reads on, BTRS's log-pmf
+ratio comes from Stirling's series written without cancellation, so one
+draw stays exact up to ``BINOMIAL_CHUNK`` = 2^52 reads.  Larger counts are
+drawn as a sum of draws of at most that many reads, so a count costs
 O(1 + c / BINOMIAL_CHUNK) uniform draws at any rate.
+
+``simulate`` runs its trials in one serial pass: trial k of model m draws
+from a generator seeded by (master seed, m, k).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import ProfileVector, RankPermutation, TieError, fan_out, rank_of, split_range
+from .core import ProfileVector, RankPermutation, TieError, rank_of
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,47 @@ class AdditiveNoise:
         return f"additive:{self.magnitude}"
 
 
-# The most reads one binomial draw takes.  The BTRS acceptance test compares
-# lgamma terms near c*log(c); up to 2^31 reads their float error stays near
-# 1e-5, while beyond it the test would lose the precision it needs.
-BINOMIAL_CHUNK = 1 << 31
+# The most reads one binomial draw takes: below 2^52, n and k are exact as
+# floats, and so is BTRS's candidate k.
+BINOMIAL_CHUNK = 1 << 52
+
+# From this many reads on, BTRS's log-pmf ratio comes from ``_log_pmf_ratio``.
+# Below it the lgamma differences, whose float error is near 1e-5 at 2^31,
+# are kept as they are, so no smaller draw moves for any seed.
+_STIRLING_READS = 1 << 31
+
+# Below this argument lgamma differences are accurate to about 1e-9; above
+# it, the Stirling term that ``_stirling_rest`` drops is below 1e-18.
+_LGAMMA_BELOW = 1 << 20
+
+
+def _stirling_rest(x: int, y: int) -> float:
+    """ln x! - ln y! - d*ln(x), d = x - y, for naturals x >= 1 and y.
+
+    Stirling's series to its 1/(12x) term, with x ln x - y ln y written as
+    y*log1p(d/y) + d*ln(x), so that nothing of size x ln x cancels: what is
+    left is about -d^2 / (2y)."""
+    d = x - y
+    if x < _LGAMMA_BELOW or y < _LGAMMA_BELOW:
+        return math.lgamma(x + 1) - math.lgamma(y + 1) - d * math.log(x)
+    t = math.log1p(d / y)
+    return y * t - d + 0.5 * t + (1 / x - 1 / y) / 12
+
+
+def _log_pmf_ratio(n: int, p: float, m: int, k: int) -> float:
+    """ln(b(k) / b(m)) for the Binomial(n, p) pmf b and 1 <= m < n.
+
+    The sum ln m! - ln k! + ln (n-m)! - ln (n-k)! + (k-m) ln(p/(1-p)) with
+    each log-factorial difference from ``_stirling_rest``, and their d*ln
+    terms folded into one logarithm near ln 1.  Each difference alone is
+    near d*ln(m), some 10^10 at 2^52 reads, where a float is 2e-6 apart; the
+    sum stays within about 1e-7 of the exact value there."""
+    d = m - k
+    return (
+        _stirling_rest(m, k)
+        + _stirling_rest(n - m, n - k)
+        + d * math.log(m * (1.0 - p) / ((n - m) * p))
+    )
 
 
 def _binomial(n: int, p: float, random) -> int:
@@ -103,7 +145,11 @@ def _binomial(n: int, p: float, random) -> int:
             m = math.floor((n + 1) * p)  # the mode
             h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
         v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+        if n < _STIRLING_READS:
+            ratio = h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq
+        else:
+            ratio = _log_pmf_ratio(n, p, m, k)
+        if math.log(v) <= ratio:
             return k
 
 
@@ -118,9 +164,9 @@ class DropNoise:
 
         Each count takes one exact Binomial(c, min(rate, 1 - rate)) draw of
         the rarer outcome (drop if rate <= 1/2, else keep), split into
-        draws of at most ``BINOMIAL_CHUNK`` reads, so it costs
-        O(1 + c / BINOMIAL_CHUNK) uniform draws.  Rates 0 and 1 draw
-        nothing.
+        draws of at most ``BINOMIAL_CHUNK`` = 2^52 reads, so it costs
+        O(1 + c / BINOMIAL_CHUNK) uniform draws: a few per count below 2^52
+        reads.  Rates 0 and 1 draw nothing.
         """
         rate = self.rate
         if not 0.0 <= rate <= 1.0:
@@ -181,45 +227,31 @@ class TrialRow:
         )
 
 
-def _trial_block(args) -> tuple[int, int, int]:
-    p, model, seed, mi, trials = args
-    clean = rank_of(p)
-    successes = ties = errors = 0
-    for trial in trials:
-        noisy = perturb(p, model, seed=(seed * 1_000_003 + mi) * 1_000_003 + trial)
-        got = rank_decode(noisy)
-        if isinstance(got, TieFailure):
-            ties += 1
-        elif got == clean:
-            successes += 1
-        else:
-            errors += 1
-    return successes, ties, errors
-
-
 def simulate(
     p: ProfileVector,
     models: Sequence[NoiseModel],
     trials: int,
     seed: int,
-    jobs: int | None = None,
 ) -> list[TrialRow]:
-    """Monte-Carlo recovery sweep; ``jobs=None`` uses every core.
+    """Monte-Carlo recovery sweep, one row per noise model.
 
     Trial k of model m draws from a generator seeded by (master seed, m, k),
-    so results are reproducible and independent of how trials are split
-    across workers.
+    so every trial is reproducible on its own.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    rank_of(p)  # fail fast on a tied clean profile
-    pieces = split_range(trials, jobs)
-    tasks = [(p, m, seed, mi, piece) for mi, m in enumerate(models) for piece in pieces]
-    parts = fan_out(_trial_block, tasks, jobs)
+    clean = rank_of(p)  # fails fast on a tied clean profile
     rows = []
     for mi, model in enumerate(models):
-        mine = parts[mi * len(pieces) : (mi + 1) * len(pieces)]
-        # the zero row keeps the sums defined when trials == 0 left no pieces
-        successes, ties, errors = (sum(col) for col in zip((0, 0, 0), *mine))
+        successes = ties = errors = 0
+        for trial in range(trials):
+            noisy = perturb(p, model, seed=(seed * 1_000_003 + mi) * 1_000_003 + trial)
+            got = rank_decode(noisy)
+            if isinstance(got, TieFailure):
+                ties += 1
+            elif got == clean:
+                successes += 1
+            else:
+                errors += 1
         rows.append(TrialRow(model.label(), trials, successes, ties, errors))
     return rows

@@ -58,7 +58,7 @@ def _whole(least: int = 0):
 
 
 _natural = _whole()
-_positive = _whole(1)  # window lengths, string lengths, c3, worker counts
+_positive = _whole(1)  # window lengths, string lengths, c3
 _alphabet = _whole(2)  # alphabet sizes
 
 
@@ -304,7 +304,7 @@ def cmd_simulate(args) -> int:
     else:
         models = [channel.DropNoise(_checked(_rate, v)) for v in args.params]
     profile = ProfileVector.from_text(_read(args.profile))
-    rows = channel.simulate(profile, models, args.trials, args.seed, jobs=args.jobs)
+    rows = channel.simulate(profile, models, args.trials, args.seed)
     header = "noise\ttrials\tsuccesses\tties\trank_errors"
     _write(args.out, "\n".join([header] + [r.to_text() for r in rows]) + "\n")
     return EXIT_OK
@@ -401,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--params", nargs="+", required=True)
     p.add_argument("--trials", type=_natural, default=100)
     p.add_argument("--seed", type=_natural, required=True)
-    p.add_argument("--jobs", type=_positive, help="worker processes (default: all cores)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
-import os
 import re
 from array import array
 from bisect import bisect_left
@@ -24,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations, product, zip_longest
 from struct import Struct
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Word = tuple[int, ...]
 Entry = Union[int, Fraction]
@@ -266,14 +265,11 @@ class PackedRows(Sequence):
     packed table of the same rows.  Packed rows compare as bytes in the
     order their tuples compare, since bytes compare as unsigned bytes.
 
-    :meth:`index` finds a row through a lookup built on first use: per
-    prefix of all but the last 8 entries (the first entry, at width 9), the
-    big-endian integers of those last 8 entries, sorted in an ``array`` of
-    64-bit keys beside their row positions, so a search is one C-level
-    bisection.
+    :meth:`index` is one bisection over the row positions, held in an
+    ``array`` sorted stably by row bytes on first use.
     """
 
-    __slots__ = ("data", "width", "_row", "_lookup")
+    __slots__ = ("data", "width", "_row", "_sorted")
 
     def __init__(self, data: bytes | bytearray, width: int):
         if width < 1 or len(data) % width:
@@ -281,7 +277,7 @@ class PackedRows(Sequence):
         self.data = bytes(data)
         self.width = width
         self._row = Struct(f"{width}B")  # one row as a tuple, read in place
-        self._lookup: dict[bytes, tuple[array, array]] | None = None
+        self._sorted: array | None = None  # row positions in row order
 
     def __len__(self) -> int:
         return len(self.data) // self.width
@@ -317,35 +313,18 @@ class PackedRows(Sequence):
         except (TypeError, ValueError):  # not naturals below 256: in no row
             packed = b""
         if len(packed) == self.width:
-            lookup = self._lookup
-            if lookup is None:
-                lookup = self._lookup = self._build_lookup()
-            cut = max(self.width - 8, 0)
-            keys, rows = lookup.get(packed[:cut], ((), ()))
-            key = int.from_bytes(packed[cut:], "big")
-            j = bisect_left(keys, key)
-            if j < len(keys) and keys[j] == key:
+            rows = self._sorted
+            if rows is None:  # a stable sort: equal rows keep their order
+                rows = self._sorted = array("I", sorted(range(len(self)), key=self._packed))
+            j = bisect_left(rows, packed, key=self._packed)
+            if j < len(rows) and self._packed(rows[j]) == packed:
                 return rows[j]
         raise ValueError("row not in table")
 
-    def _build_lookup(self) -> dict[bytes, tuple[array, array]]:
-        w, data = self.width, self.data
-        cut = max(w - 8, 0)  # the bytes before the last 8, one 64-bit key
-        by_prefix: dict[bytes, array] = {}
-        for k in range(len(self)):
-            prefix = data[k * w : k * w + cut]
-            if prefix not in by_prefix:
-                by_prefix[prefix] = array("I")
-            by_prefix[prefix].append(k)
-        lookup = {}
-        for prefix, rows in by_prefix.items():
-            keys = [int.from_bytes(data[k * w + cut : k * w + w], "big") for k in rows]
-            ranked = sorted(range(len(rows)), key=keys.__getitem__)  # stable: first row wins
-            lookup[prefix] = (
-                array("Q", map(keys.__getitem__, ranked)),
-                array("I", map(rows.__getitem__, ranked)),
-            )
-        return lookup
+    def _packed(self, i: int) -> bytes:
+        """Row i as bytes, which compare as the row's tuple does."""
+        w = self.width
+        return self.data[i * w : i * w + w]
 
 
 # ---------------------------------------------------------------------------
@@ -660,47 +639,3 @@ def rank_of(
             )
         )
     return RankPermutation(p, tuple(order))
-
-
-# ---------------------------------------------------------------------------
-# Parallel fan-out
-# ---------------------------------------------------------------------------
-
-PIECES_PER_JOB = 4  # work pieces per worker, so a slow piece does not idle the rest
-
-
-def _job_count(jobs: int | None) -> int:
-    """Worker count for a ``jobs`` argument, capped at the core count: None
-    means every core."""
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cores = os.cpu_count() or 1
-    return cores if jobs is None else min(jobs, cores)
-
-
-def split_range(total: int, jobs: int | None) -> list[range]:
-    """Contiguous pieces covering ``range(total)`` in order: one piece when
-    serial, PIECES_PER_JOB per worker otherwise, none when ``total`` is 0."""
-    workers = _job_count(jobs)
-    pieces = 1 if workers == 1 else workers * PIECES_PER_JOB
-    step = max(1, -(-total // pieces))
-    return [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def get_context(method: str):
-    """``multiprocessing.get_context``, imported on the first call: only a
-    fan-out forks, so importing the library does not pay for the module."""
-    from multiprocessing import get_context
-
-    return get_context(method)
-
-
-def fan_out(work: Callable, tasks: Sequence, jobs: int | None) -> list:
-    """``[work(t) for t in tasks]``, in a fork pool of ``min(jobs, cores,
-    len(tasks))`` workers when that is more than one.  ``work`` must be a
-    module-level function; results come back in task order."""
-    workers = min(_job_count(jobs), len(tasks))
-    if workers <= 1:
-        return [work(t) for t in tasks]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(work, tasks, chunksize=1)

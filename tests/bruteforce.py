@@ -5,19 +5,22 @@ every arrangement within a transposition distance, every rank order of a
 census with both of its decision procedures run on each, or every increasing
 value assignment of a rank order by depth-first search.  The matching
 pre-check's reference reads each node's balance row, built from word tuples,
-in rank order.
+in rank order.  The noise channel's reference sums over every noisy value
+of every count.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
-from math import factorial
-from typing import Sequence
+from itertools import accumulate, permutations
+from math import comb
+from typing import Callable, Sequence
 
-from profilerank.core import Params, edge_nodes, fan_out, is_constant, split_range, word_index
+from profilerank.core import Params, edge_nodes, is_constant, word_index
 from profilerank.feasibility import order_lp_solution, order_precheck_witness
 
 BFS_CAP = 10
@@ -100,11 +103,14 @@ class FullSweep:
         return (self.feasible, self.hit_feasible + self.hit_infeasible, self.silent_infeasible)
 
 
-def _full_sweep_chunk(args):
-    params, piece = args
+@lru_cache(maxsize=None)
+def full_sweep(params: Params) -> FullSweep:
+    """Both decision procedures on every order, in lexicographic order, in
+    one serial pass.  Cached, so one test session sweeps each (q, ell)
+    once."""
     feasible = []
     counts = [0, 0, 0]  # hit_feasible, hit_infeasible, silent_infeasible
-    for order in islice(permutations(range(params.word_count)), piece.start, piece.stop):
+    for order in permutations(range(params.word_count)):
         hit = order_precheck_witness(order, params) is not None
         lp_feasible = order_lp_solution(order, params).x is not None
         if lp_feasible and not hit:
@@ -113,18 +119,7 @@ def _full_sweep_chunk(args):
             counts[0 if lp_feasible else 1] += 1
         else:
             counts[2] += 1
-    return feasible, counts
-
-
-@lru_cache(maxsize=None)
-def full_sweep(params: Params, jobs: int) -> FullSweep:
-    """Both decision procedures on every order, in the lexicographic
-    permutation stream split into index ranges.  Cached, so one test
-    session sweeps each (q, ell) once."""
-    tasks = [(params, piece) for piece in split_range(factorial(params.word_count), jobs)]
-    parts = fan_out(_full_sweep_chunk, tasks, jobs)
-    counts = [sum(part[1][i] for part in parts) for i in range(3)]
-    return FullSweep(tuple(o for part in parts for o in part[0]), *counts)
+    return FullSweep(tuple(feasible), *counts)
 
 
 def _order_constraints(order: Sequence[int], params: Params):
@@ -227,3 +222,44 @@ def min_sum_search(order: Sequence[int], params: Params, cap: int) -> tuple[int,
     if best is None:
         raise ValueError(f"no assignment with entries <= {cap}")
     return _in_word_order(order, best)
+
+
+def readout_probability(counts: Sequence[int], noise: Callable[[int], dict]):
+    """P(the noisy counts read out the clean rank order), each count c
+    noised independently to value v with weight ``noise(c)[v]``.
+
+    The readout is clean when the noisy counts strictly increase along the
+    clean order (no tie, no swap).  Over the counts in that order, the chain
+    sum F_i(v) = P(w_i = v) * sum_{u < v} F_{i-1}(u) carries the weight of
+    the noisy prefixes that increase and end at v; the answer is the total
+    of the last F.  Integer weights give an integer, float weights a float.
+    """
+    chain = {-1: 1}  # the empty prefix, below every value
+    for c in sorted(counts):
+        values = sorted(chain)
+        below = [0, *accumulate(chain[u] for u in values)]
+        chain = {v: w * below[bisect_left(values, v)] for v, w in noise(c).items()}
+    return sum(chain.values())
+
+
+def additive_readout_probability(counts: Sequence[int], m: int) -> Fraction:
+    """``readout_probability`` under uniform shifts in [-m, m] clamped at 0:
+    an integer over (2m+1)^n, the clamp a point mass at 0."""
+
+    def noise(c: int) -> dict[int, int]:
+        weights = {v: 1 for v in range(max(1, c - m), c + m + 1)}
+        if c <= m:
+            weights[0] = m - c + 1  # the shifts to c - m, ..., 0
+        return weights
+
+    return Fraction(readout_probability(counts, noise), (2 * m + 1) ** len(counts))
+
+
+def drop_readout_probability(counts: Sequence[int], rate: float) -> float:
+    """``readout_probability`` when each read is lost with ``rate``: kept
+    reads of c follow the Binomial(c, 1 - rate) pmf, through ``math.comb``."""
+    keep = 1.0 - rate
+    return readout_probability(
+        counts,
+        lambda c: {k: comb(c, k) * keep**k * rate ** (c - k) for k in range(c + 1)},
+    )

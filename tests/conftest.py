@@ -22,7 +22,7 @@ def census32():
 
 @pytest.fixture(scope="session")
 def sweep32():
-    return full_sweep(Params(3, 2), jobs=2)
+    return full_sweep(Params(3, 2))
 
 
 @pytest.fixture(scope="session")

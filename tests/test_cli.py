@@ -102,22 +102,15 @@ def test_census_command_output_at_three_two(capsys):
     assert lines[-1].startswith("elapsed_seconds=")
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_jobs_below_one_is_usage_error(jobs, tmp_path, capsys):
+def test_census_and_repo_build_take_no_jobs(tmp_path, capsys):
+    # each is one serial pass, the noise sweep too
     pfile = tmp_path / "profile.txt"
     pfile.write_text(profile_of(CHANNEL_STRING, Params(3, 2)).to_text())
-    argv = ["simulate", "--profile", str(pfile), "--noise", "additive", "--params", "1"]
-    assert main(argv + ["--seed", "1", "--jobs", jobs]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: ") and "--jobs" in captured.err
-
-
-def test_census_and_repo_build_take_no_jobs(tmp_path, capsys):
-    # both are one serial pass; only simulate fans out
     commands = [
         ["census", "--q", "2", "--ell", "2"],
         ["repo", "build", "--file", str(tmp_path / "repo.txt")],
+        ["simulate", "--profile", str(pfile), "--noise", "additive", "--params", "1",
+         "--seed", "1"],
     ]
     for argv in commands:
         assert main(argv + ["--jobs", "2"]) == 1
@@ -180,7 +173,6 @@ def test_whole_number_options_take_ascii_digits_only(value, tmp_path, capsys):
     commands = [
         (["census", "--q", value, "--ell", "1"], "--q"),
         (["census", "--q", "3", "--ell", value], "--ell"),
-        (sweep + ["--params", "1", "--seed", "1", "--jobs", value], "--jobs"),
         (["profile", "--q", value, "--ell", "2", "--string", "012"], "--q"),
         (["bounds", "--q", "3", "--ell", value, "--upper"], "--ell"),
         (["bounds", "--q", "3", "--ell", "3", "--length", "--c3", value], "--c3"),
@@ -612,7 +604,7 @@ def test_decode_exit_codes_on_one_changed_entry(repo, tmp_path, capsys, edit):
 
 def _drop_argv(profile, *rates):
     return ["simulate", "--profile", str(profile), "--noise", "drop",
-            "--params", *rates, "--trials", "4", "--seed", "3", "--jobs", "1"]
+            "--params", *rates, "--trials", "4", "--seed", "3"]
 
 
 @pytest.mark.parametrize(
@@ -641,7 +633,7 @@ def test_drop_rates_at_the_ends_of_the_unit_interval(tmp_path, capsys):
 def test_drop_simulate_on_encoder_scale_counts(repo, tmp_path, capsys):
     # a (4,3) encoder output has entries of up to 41 bits, 7.8*10^13 reads
     # in all: skipping geometric runs would take 2.3*10^13 uniform draws a
-    # trial at rate 0.3, one binomial draw per 2^31 reads about 36000 draws
+    # trial at rate 0.3, and one BTRS draw per count takes a few per count
     vec = encode_b(random_info_b(4, 3, random.Random(6)), repo)
     assert max(vec.entries).bit_length() == 41
     pfile = tmp_path / "profile.txt"

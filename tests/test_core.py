@@ -1,4 +1,3 @@
-import os
 import random
 import time
 import tracemalloc
@@ -11,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from profilerank import core
 from profilerank.core import (
-    PIECES_PER_JOB,
-    _job_count,
     PackedRows,
     Params,
     ProfileVector,
@@ -20,7 +17,6 @@ from profilerank.core import (
     TieError,
     all_words,
     edge_nodes,
-    fan_out,
     homo_image,
     homo_preimages,
     index_to_word,
@@ -30,7 +26,6 @@ from profilerank.core import (
     rank_of,
     relabeling,
     satisfies,
-    split_range,
     word_index,
     word_symmetries,
     word_text,
@@ -495,54 +490,6 @@ def test_perm_text_rejects_ragged_words(text):
     # "00,1,10,11" used to be read as 00,01,10,11
     with pytest.raises(ValueError, match="does not have length"):
         RankPermutation.from_text(text)
-
-
-@pytest.mark.parametrize("total", [0, 1, 7, 362880])
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_split_range_covers_in_order(total, jobs):
-    pieces = split_range(total, jobs)
-    assert [i for piece in pieces for i in piece] == list(range(total))
-    assert all(len(piece) > 0 for piece in pieces)
-    if jobs == 1:
-        assert len(pieces) == min(total, 1)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_fan_out_keeps_task_order(jobs):
-    tasks = [-5, 3, -1, 0, 8, -2, 7]
-    assert fan_out(abs, tasks, jobs) == [5, 3, 1, 0, 8, 2, 7]
-    assert fan_out(abs, [], jobs) == []
-
-
-def test_jobs_are_capped_at_the_core_count(monkeypatch):
-    cores = os.cpu_count() or 1
-    assert _job_count(10**6) == cores
-    pieces = split_range(362880, 10**6)
-    assert len(pieces) == (1 if cores == 1 else cores * PIECES_PER_JOB)
-
-    sizes = []
-
-    class Context:
-        def Pool(self, workers):
-            sizes.append(workers)
-            raise RuntimeError("no pool in this test")
-
-    monkeypatch.setattr(core, "get_context", lambda method: Context())
-    tasks = list(range(3 * cores))
-    if cores == 1:
-        assert fan_out(abs, tasks, 10**6) == tasks
-    else:
-        with pytest.raises(RuntimeError, match="no pool"):
-            fan_out(abs, tasks, 10**6)
-    assert sizes == ([] if cores == 1 else [cores])
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_fan_out_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match="jobs"):
-        fan_out(abs, [1, 2], jobs)
-    with pytest.raises(ValueError, match="jobs"):
-        split_range(10, jobs)
 
 
 def test_word_text_limited_to_ten_symbols():

@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: importing all of it pulls in
 none of the scientific or test libraries the suite itself may use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -41,7 +42,7 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_importing_the_library_loads_no_process_pool():
-    # only core.fan_out forks, and it imports multiprocessing when it does
+    # the library runs in one process: nothing it imports starts a pool
     src = str(Path(profilerank.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -51,3 +52,20 @@ def test_importing_the_library_loads_no_process_pool():
     loaded = json.loads(out)
     assert "profilerank.oracle" in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_no_module_imports_a_process_pool():
+    # every import statement of the package, at any depth, function bodies too
+    pools = ("multiprocessing", "concurrent")
+    package = Path(profilerank.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] in pools]
+    assert found == []

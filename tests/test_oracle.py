@@ -74,7 +74,7 @@ CAPPED = [Params(q, 1) for q in range(2, 10)] + [Params(2, 2), Params(3, 2), Par
 def test_orbit_census_matches_full_sweep(params):
     # ground truth: the pre-check and the LP on every one of the (q^ell)!
     # orders, against the census's one serial orbit sweep
-    reference = full_sweep(params, jobs=2)
+    reference = full_sweep(params)
     assert reference.hit_feasible == 0  # the pre-check never fires on a realizable order
     result = enumerate_feasible(params)
     assert result.total == factorial(params.word_count)
@@ -468,7 +468,7 @@ def test_integer_witness_search_agrees_with_lp_census(census32):
 
 
 def test_gap_report_at_two_two():
-    sweep = full_sweep(Params(2, 2), jobs=2)
+    sweep = full_sweep(Params(2, 2))
     assert sweep.feasible == ()
     assert sweep.hit_feasible == 0
     assert sweep.hit_infeasible == 24  # the witness test refutes all
