@@ -8,8 +8,10 @@ failure, 3 internal assertion.  Every randomized path takes a mandatory
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
+from dataclasses import asdict
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -158,6 +160,8 @@ def cmd_census(args) -> int:
     params = Params(args.q, args.ell)
     result = oracle.enumerate_feasible(params)
     sys.stdout.write(result.summary())
+    if args.stats:
+        print(json.dumps(asdict(result.stats)), file=sys.stderr)
     return EXIT_OK
 
 
@@ -360,6 +364,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="count realizable orders exhaustively")
     p.add_argument("--q", type=_alphabet, required=True)
     p.add_argument("--ell", type=_positive, required=True)
+    p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("repo", help="build or verify the base repository")

@@ -151,34 +151,40 @@ class Verdict:
 
 
 class _Ballot(NamedTuple):
-    """The matching pre-check's ballot state after a prefix of a rank order.
+    """The ballot state of a partition of the overlap nodes after a prefix
+    of a rank order: the matching pre-check's, one part per node, or one of
+    the census's ballots on node sets.
 
-    The pre-check goes up the ranks keeping, per node, the words placed so
-    far that leave it minus those that enter it; a loop word does both at
-    once, so it changes nothing.  A node is green while that count never
-    rises above 0, red while it never drops below 0 (never both: its first
-    non-loop word moves it).  A node has as many non-loop words entering it
-    as leaving it, so its count ends at 0, and after a prefix it equals the
-    entering words still to place minus the leaving ones: the state keeps
-    those two per node, with the flags ``rose`` (the count went above 0:
-    not green) and ``fell`` (it went below 0: not red).  The pre-check
-    scans every node at ell = 2 (a single letter, its self-loop skipped)
-    and the non-constant ones otherwise; a node it skips starts with both
-    flags set.
+    A word either leaves one part and enters another, or stays inside its
+    part, as a loop word does, and then changes nothing.  The ballot goes up
+    the ranks keeping, per part, the words placed so far that leave it minus
+    those that enter it.  A part is green while that count never rises above
+    0, red while it never drops below 0 (never both: its first crossing word
+    moves it).  Every node has q words leaving and q entering, and the words
+    inside a part cancel, so a part has as many words entering it as leaving
+    it: its count ends at 0, and after a prefix it equals the entering words
+    still to place minus the leaving ones.  The state keeps those two per
+    part, with the flags ``rose`` (the count went above 0: not green) and
+    ``fell`` (it went below 0: not red).  A part S's row is the sum of its
+    nodes' balance rows, so a green S refutes the order with the Farkas
+    vector -1_S and a red one with +1_S (:func:`check_farkas`).  The
+    pre-check scans every node at ell = 2 (a single letter, its self-loop
+    inside it) and the non-constant ones otherwise; a node it skips starts
+    with both flags set.
 
     :meth:`settle` reads off what the prefix decides for every order that
-    starts with it.  A node that has not risen and has no entering word
+    starts with it.  A part that has not risen and has no entering word
     left is green in every completion: only leaving words remain, which
     lift the count one step at a time to its final 0 and never above it.
-    Mirrored, a node that has not fallen and has no leaving word left is
-    red in every completion.  And once every node has both risen and
+    Mirrored, a part that has not fallen and has no leaving word left is
+    red in every completion.  And once every part has both risen and
     fallen, no completion is a hit, since a flag once set stays set.  A
     full order settles one way or the other.
     """
 
-    arcs: tuple[tuple[int, int] | None, ...]  # per word: (leaves, enters), None for a loop
-    nodes: tuple[Word, ...]
-    leaving: Sequence[int]  # per node: the non-loop words left that leave it
+    arcs: tuple[tuple[int, int] | None, ...]  # per word: (leaves, enters), None inside a part
+    names: tuple  # per part: what :meth:`settle` returns for it
+    leaving: Sequence[int]  # per part: the crossing words left that leave it
     entering: Sequence[int]  # and those left that enter it
     rose: Sequence[bool]
     fell: Sequence[bool]
@@ -187,22 +193,36 @@ class _Ballot(NamedTuple):
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def start(params: Params) -> _Ballot:
-        """The state before the first word, built once per ``params``.  Its
-        rows are tuples, shared by every caller: only a :meth:`copy`, whose
-        rows are lists, can be extended."""
+    def start(params: Params, parts: tuple[tuple[int, ...], ...] | None = None) -> _Ballot:
+        """The state before the first word, built once per ``params`` and
+        ``parts``.  Without ``parts`` it is the pre-check's: one part per
+        node, named by its word, the skipped nodes flagged.  Otherwise
+        ``parts`` lists the parts as sets of node indices, each named by
+        itself and none skipped.  Its rows are tuples, shared by every
+        caller: only a :meth:`copy`, whose rows are lists, can be
+        extended."""
+        nodes = tuple(params.nodes())
+        if parts is None:
+            part, names = range(len(nodes)), nodes
+            skipped = tuple(params.ell != 2 and is_constant(v) for v in nodes)
+        else:
+            part = [0] * len(nodes)
+            for k, cut in enumerate(parts):
+                for v in cut:
+                    part[v] = k
+            names, skipped = parts, (False,) * len(parts)
         heads, tails = edge_nodes(params)
-        arcs = tuple(None if h == t else (h, t) for h, t in zip(heads, tails))
-        leaving = [0] * params.node_count
+        arcs = tuple(
+            None if part[h] == part[t] else (part[h], part[t]) for h, t in zip(heads, tails)
+        )
+        leaving = [0] * len(names)
         for arc in filter(None, arcs):
             leaving[arc[0]] += 1
-        nodes = tuple(params.nodes())
-        skipped = tuple(params.ell != 2 and is_constant(v) for v in nodes)
-        return _Ballot(arcs, nodes, tuple(leaving), tuple(leaving), skipped, skipped)
+        return _Ballot(arcs, names, tuple(leaving), tuple(leaving), skipped, skipped)
 
     def copy(self) -> _Ballot:
-        arcs, nodes, leaving, entering, rose, fell = self
-        return _Ballot(arcs, nodes, list(leaving), list(entering), list(rose), list(fell))
+        arcs, names, leaving, entering, rose, fell = self
+        return _Ballot(arcs, names, list(leaving), list(entering), list(rose), list(fell))
 
     def extend(self, words: Iterable[int]) -> None:
         """Place ``words`` next, in rank order."""
@@ -218,16 +238,16 @@ class _Ballot(NamedTuple):
                 if not fell[t] and entering[t] < leaving[t]:
                     fell[t] = True
 
-    def settle(self) -> tuple[Word, str] | None | str:
-        """``(node, color)`` of the first node that has that color in every
+    def settle(self) -> tuple[object, str] | None | str:
+        """``(name, color)`` of the first part that has that color in every
         completion, None if no completion is a hit, and :attr:`UNSETTLED`
         otherwise."""
-        _, nodes, leaving, entering, rose, fell = self
-        for v, word in enumerate(nodes):
-            if not rose[v] and not entering[v]:
-                return word, "green"
-            if not fell[v] and not leaving[v]:
-                return word, "red"
+        _, names, leaving, entering, rose, fell = self
+        for k, name in enumerate(names):
+            if not rose[k] and not entering[k]:
+                return name, "green"
+            if not fell[k] and not leaving[k]:
+                return name, "red"
         return None if all(rose) and all(fell) else _Ballot.UNSETTLED
 
 

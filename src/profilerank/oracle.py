@@ -15,10 +15,14 @@ most 12 maps at ell >= 2, where the census is capped at 9 words).  The walk
 also carries the matching pre-check's ballot state, so once only the
 identity fixes a prefix, a prefix that settles the pre-check for every
 completion ends in one block: the census counts a block of hits without
-building its orders, and runs the exact LP on every order of a silent
-block.  Both are one serial pass over the representatives: at (3,2), the
-largest census input, a pass takes a fraction of a second, less than a
-worker pool costs to start.
+building its orders.  Each order of a silent block gets a checked verdict
+without the LP: a ballot on a node set the pre-check leaves out refutes
+it, with a Farkas vector, or the value search below assigns it, and the
+census keeps the assignments for the repository build.  The exact LP runs
+only on an order neither settles, which no census size has.  Both are one
+serial pass over the representatives: at (3,2), the largest census input,
+a pass takes a fraction of a second, less than a worker pool costs to
+start.
 
 The value-assignment searches test, for one largest value at a time, every
 increasing sequence of rank-order values that ends at it: each sequence is
@@ -41,7 +45,7 @@ from typing import Iterator, Sequence
 
 from .core import PackedRows, Params, RankPermutation, _at_most, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import FeasibleVector, _Ballot, order_lp_solution
+from .feasibility import FeasibleVector, _Ballot, check_farkas, decide
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -59,8 +63,9 @@ class CensusStats:
 
     prefixes: int = 0  # prefixes the orbit walk visited
     settled_hits: int = 0  # representatives a prefix proved pre-check hits
-    lp_calls: int = 0
-    lp_pivots: int = 0  # the sum of Phase1.pivots over the LP calls
+    set_refuted: int = 0  # silent representatives a ballot on a node set refuted
+    assigned: int = 0  # silent representatives the value search assigned
+    lp_calls: int = 0  # silent representatives left to the exact LP
 
 
 @dataclass(frozen=True)
@@ -69,21 +74,35 @@ class CensusResult:
     packed rows, one byte per word index and ``params.word_count`` bytes a
     row, sorted: byte order is the orders' lexicographic order, so row i
     reads back as the i-th realizable order.  ``orbits`` names the row of
-    every image of every feasible representative (:func:`_expand`); like
-    ``stats`` it is not part of ``==`` or :meth:`summary`."""
+    every image of every feasible representative (:func:`_expand`).
+    ``assignments`` packs the checked least-maximum assignments the value
+    search found for the feasible representatives, in their order, one
+    byte per entry, and the r-th representative's are its rows
+    ``offsets[r]`` to ``offsets[r + 1]`` (:meth:`assignments_of`).  Like
+    ``stats``, these are not part of ``==``, ``repr`` or :meth:`summary`."""
 
     params: Params
     total: int
     feasible: PackedRows  # rank orders, lexicographic
     precheck_hit_infeasible: int  # refuted by the pre-check
-    silent_infeasible: int  # pre-check silent, LP refuted
+    silent_infeasible: int  # pre-check silent, refuted by a node set or the LP
     elapsed: float
     stats: CensusStats = field(default=CensusStats(), compare=False)
     orbits: array = field(default_factory=lambda: array("I"), compare=False, repr=False)
+    assignments: bytes = field(default=b"", compare=False, repr=False)
+    offsets: array = field(default_factory=lambda: array("I"), compare=False, repr=False)
 
     @property
     def count(self) -> int:
         return len(self.feasible)
+
+    def assignments_of(self, r: int) -> list[bytes]:
+        """The kept assignments of the r-th feasible representative, the
+        first order of orbit r in ``orbits``: entries in word order at the
+        least maximum within :data:`REPOSITORY_CAP`.  Empty when the
+        search found none and the LP proved the order feasible."""
+        w, data = self.params.word_count, self.assignments
+        return [data[k * w : k * w + w] for k in range(self.offsets[r], self.offsets[r + 1])]
 
     def summary(self) -> str:
         lines = [
@@ -189,14 +208,54 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
             yield prefix + tail
 
 
+@lru_cache(maxsize=None)
+def _set_ballots(params: Params) -> tuple[_Ballot, ...]:
+    """The start states of the ballots on the node sets the pre-check
+    leaves out: the single nodes at ell >= 3, where the pre-check skips the
+    constant ones, and each split of the nodes into two sets of two or
+    more.  A set's ballot is its complement's with the colours swapped, so
+    with the pre-check's these cover every proper node set.  Census sizes
+    have at most 4 nodes."""
+    n = params.node_count
+    splits = [
+        (side, tuple(v for v in range(n) if v not in side))
+        for k in range(2, n // 2 + 1)
+        for side in combinations(range(n), k)
+        if 2 * k < n or 0 in side  # one of each pair of complements
+    ]
+    singles = [tuple((v,) for v in range(n))] if params.ell >= 3 else []
+    return tuple(_Ballot.start(params, parts) for parts in singles + splits)
+
+
+def _set_refutation(order: tuple[int, ...], params: Params) -> tuple[int, ...] | None:
+    """The Farkas vector of the first node set S whose ballot
+    (:func:`_set_ballots`) refutes the full ``order``: -1_S for a green S,
+    +1_S for a red one; None if none does."""
+    for start in _set_ballots(params):
+        ballot = start.copy()
+        ballot.extend(order)
+        hit = ballot.settle()
+        if hit is not None:
+            cut, color = hit
+            sign = -1 if color == "green" else 1
+            return tuple(sign if v in cut else 0 for v in range(params.node_count))
+    return None
+
+
 def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     """Full census of realizable orders.  The orbit walk (:class:`_OrbitWalk`)
     settles the pre-check's refutations by prefix: a block of hits adds its
-    ``(len(rest))!`` representatives to the count without building them, and
-    the LP runs on every order the pre-check lets through.  The feasible
-    representatives are then expanded through G (:func:`_expand`), which
-    also gives ``orbits``.  ``jobs`` selects nothing: the census is one
-    serial pass; the keyword stays for callers."""
+    ``(len(rest))!`` representatives to the count without building them.
+    Every order the pre-check lets through gets a checked verdict: a ballot
+    on a node set refutes it (:func:`_set_refutation`, checked by
+    :func:`feasibility.check_farkas`), or :func:`least_max_vectors` assigns
+    it within :data:`REPOSITORY_CAP`, and every assignment it finds passes
+    :meth:`FeasibleVector.check` and is kept.  Only an order that neither
+    settles goes to the exact LP, through :func:`feasibility.decide`, which
+    checks its certificate.  The feasible representatives are then expanded
+    through G (:func:`_expand`), which also gives ``orbits``.  ``jobs``
+    selects nothing: the census is one serial pass; the keyword stays for
+    callers."""
     if not _at_most(params, CENSUS_CAP):
         raise ValueError(f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}")
     total = factorial(params.word_count)
@@ -204,7 +263,8 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     orbit = orbit_size(params)
     walk = _OrbitWalk(params)
     feasible_reps: list[bytes] = []
-    swept = settled = silent_infeasible = lp_calls = lp_pivots = 0
+    kept, offsets = bytearray(), array("I", [0])
+    swept = settled = silent_infeasible = set_refuted = assigned = lp_calls = 0
     for prefix, rest, hit in walk:
         block = factorial(len(rest))
         swept += block
@@ -213,13 +273,26 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
             continue
         for tail in permutations(rest):
             order = prefix + tail
-            solution = order_lp_solution(order, params)
-            lp_calls += 1
-            lp_pivots += solution.pivots
-            if solution.x is None:
+            perm = RankPermutation(params, order)
+            farkas = _set_refutation(order, params)
+            if farkas is not None:
+                check_farkas(perm, farkas)
+                set_refuted += 1
                 silent_infeasible += 1
+                continue
+            sols = least_max_vectors(order, params, REPOSITORY_CAP)
+            for sol in sols:
+                FeasibleVector(params, sol).check(perm)
+                kept += bytes(sol)
+            if sols:
+                assigned += 1
             else:
-                feasible_reps.append(bytes(order))
+                lp_calls += 1
+                if not decide(perm, use_precheck=False).feasible:
+                    silent_infeasible += 1
+                    continue
+            feasible_reps.append(bytes(order))
+            offsets.append(len(kept) // params.word_count)
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
     feasible, orbits = _expand(params, feasible_reps)
@@ -230,8 +303,10 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
         orbit * settled,
         orbit * silent_infeasible,
         time.monotonic() - started,
-        CensusStats(walk.prefixes, settled, lp_calls, lp_pivots),
+        CensusStats(walk.prefixes, settled, set_refuted, assigned, lp_calls),
         orbits,
+        bytes(kept),
+        offsets,
     )
 
 
@@ -379,7 +454,7 @@ def _tops(n: int, floor: int, cap: int) -> range:
 
 
 def least_max_vectors(
-    order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
+    order: Sequence[int], params: Params, cap: int = REPOSITORY_CAP, floor: int = 1
 ) -> list[tuple[int, ...]]:
     """Every flow-balanced assignment of distinct values >= ``floor`` in the
     order's rank order at the least maximum within ``cap`` (entries in word
@@ -400,7 +475,7 @@ def least_max_vectors(
 
 
 def minimal_max_vector(
-    order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
+    order: Sequence[int], params: Params, cap: int = REPOSITORY_CAP, floor: int = 1
 ) -> tuple[int, ...] | None:
     """The flow-balanced assignment minimizing the maximum entry, ties broken
     by the lexicographically smallest vector (entries in word order); None
@@ -409,7 +484,7 @@ def minimal_max_vector(
 
 
 def minimal_max_value(
-    order: Sequence[int], params: Params, cap: int = 17, floor: int = 1
+    order: Sequence[int], params: Params, cap: int = REPOSITORY_CAP, floor: int = 1
 ) -> int | None:
     """Smallest achievable maximum entry for the order, or None within cap.
 
@@ -428,10 +503,12 @@ def build_repository(
     """Construct and sanity-check the full 30240-entry repository.
 
     Every realizable order must admit an assignment within
-    :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  Only the
-    census's orbit representatives are searched, and ``census.orbits``
-    names the rows of each one's images, so no order is looked up.  A map g
-    of G sends the least-maximum assignments of an order onto those of its
+    :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  The
+    build runs no search: the census keeps the checked least-maximum
+    assignments of its orbit representatives
+    (:meth:`CensusResult.assignments_of`), and ``census.orbits`` names the
+    rows of each one's images, so no order is looked up.  A map g of G
+    sends the least-maximum assignments of an order onto those of its
     image, so the image's vector, :func:`minimal_max_vector`'s choice, is
     the least image under g of its representative's assignments.  Each
     vector is written into the packed rows at its order's census position.
@@ -455,6 +532,8 @@ def build_repository(
     width, size, data, orbits = params.word_count, orbit_size(params), orders.data, census.orbits
     if len(orbits) != len(orders):
         raise AssertionError(unclosed)
+    if len(census.offsets) != len(orbits) // size + 1:
+        raise AssertionError("the census keeps no assignments for its orbits")
     # an assignment to an order, moved to the same ranks of g(order)
     moves = [_inverse(g) for g in word_symmetries(params)]
     tables = list(_translations(params))
@@ -472,11 +551,17 @@ def build_repository(
             if filled[j]:
                 raise AssertionError(unclosed)
             filled[j] = 1
-        sols = least_max_vectors(rep, params, REPOSITORY_CAP)
+    for r, start in enumerate(range(0, len(orbits), size)):
+        places = orbits[start : start + size]
+        rep = data[places[0] * width : places[0] * width + width]
+        sols = census.assignments_of(r)
         if not sols:
             raise AssertionError(
                 f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(rep)}"
             )
+        # the kept assignments are this orbit's: each ranks the words as rep does
+        if any(bytes(sorted(range(width), key=sol.__getitem__)) != rep for sol in sols):
+            raise AssertionError(f"a kept assignment does not realize order {tuple(rep)}")
         for j, move in zip(places, moves):
             vectors[j * width : j * width + width] = min(map(move, sols))
     return Repository(PackedRows(vectors, width))

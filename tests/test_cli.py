@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import random
 import sys
 import time
@@ -100,6 +101,28 @@ def test_census_command_output_at_three_two(capsys):
         "silent_infeasible=0",
     ]
     assert lines[-1].startswith("elapsed_seconds=")
+
+
+@pytest.mark.parametrize(
+    "q, ell, counters",
+    [
+        (3, 2, {"prefixes": 6649, "settled_hits": 27720, "set_refuted": 0, "assigned": 2520}),
+        (2, 3, {"prefixes": 3532, "settled_hits": 8904, "set_refuted": 1176, "assigned": 0}),
+    ],
+    ids=["q3l2", "q2l3"],
+)
+def test_census_stats_flag(capsys, q, ell, counters):
+    # one JSON line of CensusStats on stderr; stdout as without the flag
+    argv = ["census", "--q", str(q), "--ell", str(ell)]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--stats"]) == 0
+    captured = capsys.readouterr()
+    # all but the elapsed line
+    assert captured.out.splitlines()[:-1] == plain.out.splitlines()[:-1]
+    assert plain.err == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {**counters, "lp_calls": 0}
 
 
 def test_census_and_repo_build_take_no_jobs(tmp_path, capsys):

@@ -9,6 +9,7 @@ from math import comb, factorial
 import pytest
 
 from bruteforce import ballot_reference, full_sweep, least_max_search, min_sum_search
+from profilerank import feasibility, oracle
 from profilerank.core import (
     PackedRows,
     Params,
@@ -23,12 +24,13 @@ from profilerank.core import (
     word_symmetries,
 )
 from profilerank.encoder import BASE_COUNT
-from profilerank.feasibility import order_lp_solution, order_precheck_witness
+from profilerank.feasibility import check_farkas, order_precheck_witness
 from profilerank.oracle import (
     REPOSITORY_CAP,
     CensusStats,
     _candidates,
     _OrbitWalk,
+    _set_refutation,
     build_repository,
     compute_c3,
     enumerate_feasible,
@@ -44,6 +46,7 @@ from profilerank.oracle import (
 from profilerank.synthesis import eulerian_string
 
 P32 = Params(3, 2)
+P23 = Params(2, 3)
 CHANNEL_ORDER = RankPermutation.from_text("00,01,10,20,02,11,12,21,22")
 
 
@@ -165,18 +168,179 @@ def test_census_orbits_name_the_row_of_every_image(params):
 
 
 def test_census_stats_at_three_two(census32):
-    # the LP runs on the 2520 silent representatives; every pre-check hit
-    # is settled by a prefix of the walk
+    # the value search assigns each of the 2520 silent representatives and
+    # no LP runs; every pre-check hit is settled by a prefix of the walk,
+    # and at (2,3) a ballot on a node set refutes each of the 1176 silent
+    # representatives
     stats = census32.stats
     assert stats.prefixes == 6649
-    assert stats.lp_calls == 2520
+    assert (stats.set_refuted, stats.assigned, stats.lp_calls) == (0, 2520, 0)
     assert stats.settled_hits * orbit_size(P32) == census32.precheck_hit_infeasible
     silent = [rep for rep in representatives(P32) if order_precheck_witness(rep, P32) is None]
     assert len(silent) == 2520
-    assert stats.lp_pivots == sum(order_lp_solution(rep, P32).pivots for rep in silent)
+    size, orbits = orbit_size(P32), census32.orbits
+    assert [census32.feasible[orbits[start]] for start in range(0, len(orbits), size)] == silent
+    stats23 = enumerate_feasible(P23).stats
+    assert (stats23.set_refuted, stats23.assigned, stats23.lp_calls) == (1176, 0, 0)
     # the counters stay out of == and of the summary
     blank = replace(census32, stats=CensusStats())
     assert blank == census32 and blank.summary() == census32.summary()
+
+
+@pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
+def test_census_runs_no_lp_at_capped_sizes(params, monkeypatch):
+    def no_lp(perm, use_precheck=True):
+        raise AssertionError(f"LP on {perm.order}")
+
+    monkeypatch.setattr(oracle, "decide", no_lp)
+    stats = enumerate_feasible(params).stats
+    assert stats.lp_calls == 0
+    assert stats.settled_hits + stats.set_refuted + stats.assigned == len(
+        list(representatives(params))
+    )
+
+
+def test_every_set_refutation_at_two_three_is_a_farkas_vector(census32):
+    # each of the 1176 silent (2,3) representatives is refuted by the ballot
+    # on a node set S, with -1_S for a green S and +1_S for a red one
+    silent = [rep for rep in representatives(P23) if order_precheck_witness(rep, P23) is None]
+    assert len(silent) == 1176
+    for order in silent:
+        y = _set_refutation(order, P23)
+        assert y is not None and len(y) == P23.node_count
+        assert set(y) in ({0, 1}, {0, -1})
+        check_farkas(RankPermutation(P23, order), y)
+    # none fires on a realizable order
+    for order in random.Random(11).sample(list(census32.feasible), 300):
+        assert _set_refutation(order, P32) is None
+
+
+def test_set_ballots_cover_the_node_sets_the_precheck_leaves_out():
+    # at (2,3): the four single nodes (the pre-check skips the constant 00
+    # and 11) and the three splits into pairs, one of each complement pair
+    ballots = oracle._set_ballots(P23)
+    assert [b.names for b in ballots] == [
+        ((0,), (1,), (2,), (3,)),
+        ((0, 1), (2, 3)),
+        ((0, 2), (1, 3)),
+        ((0, 3), (1, 2)),
+    ]
+    # at window two the pre-check scans every node, and with three nodes or
+    # fewer every set or its complement is a single node
+    for params in CAPPED:
+        if params != P23:
+            assert oracle._set_ballots(params) == ()
+
+
+def test_kept_assignments_match_the_reference_search(census32):
+    size, orbits = orbit_size(P32), census32.orbits
+    assert len(census32.offsets) == len(orbits) // size + 1
+    for r in random.Random(12).sample(range(len(orbits) // size), 200):
+        rep = census32.feasible[orbits[r * size]]
+        kept = [tuple(sol) for sol in census32.assignments_of(r)]
+        assert kept == least_max_search(rep, P32, REPOSITORY_CAP, 1)
+
+
+def test_census_kept_assignments_are_packed(census32):
+    # one byte per entry, 9 a row, and one offset per representative
+    assert isinstance(census32.assignments, bytes)
+    assert len(census32.assignments) == 9 * census32.offsets[-1]
+    assert census32.offsets.typecode == "I"
+    assert "assignments" not in repr(census32) and "offsets" not in repr(census32)
+    blank = replace(census32, assignments=b"", offsets=array("I"))
+    assert blank == census32 and blank.summary() == census32.summary()
+
+
+def _census_rows(result):
+    return (
+        result.total,
+        result.feasible,
+        result.precheck_hit_infeasible,
+        result.silent_infeasible,
+        result.summary().splitlines()[:-1],
+    )
+
+
+def test_census_with_a_smaller_cap_falls_back_to_the_checked_lp(census32, monkeypatch):
+    # at cap 16 the search cannot assign the 6 orbits of the 72 orders that
+    # need an entry of 17: the LP proves them feasible, the census is the
+    # same, and the build refuses the orders with no kept assignment
+    monkeypatch.setattr(oracle, "REPOSITORY_CAP", 16)
+    result = enumerate_feasible(P32)
+    assert _census_rows(result) == _census_rows(census32)
+    assert (result.stats.assigned, result.stats.lp_calls) == (2514, 6)
+    size = orbit_size(P32)
+    unassigned = [r for r in range(result.count // size) if not result.assignments_of(r)]
+    assert len(unassigned) == 6
+    with pytest.raises(AssertionError, match="no assignment with entries <= 16"):
+        build_repository(result)
+
+
+def test_census_with_no_search_falls_back_to_the_lp(census32, monkeypatch):
+    monkeypatch.setattr(oracle, "least_max_vectors", lambda order, params, cap: [])
+    result = enumerate_feasible(P32)
+    assert _census_rows(result) == _census_rows(census32)
+    assert (result.stats.assigned, result.stats.lp_calls) == (0, 2520)
+
+
+def test_census_with_no_set_ballots_falls_back_to_the_lp(monkeypatch):
+    # without the ballots on node sets, the search finds nothing and the
+    # LP refutes each of the 1176 silent (2,3) representatives
+    expected = enumerate_feasible(P23)
+    monkeypatch.setattr(oracle, "_set_refutation", lambda order, params: None)
+    result = enumerate_feasible(P23)
+    assert _census_rows(result) == _census_rows(expected)
+    assert (result.stats.set_refuted, result.stats.lp_calls) == (0, 1176)
+
+
+@pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+def test_census_checks_the_lp_certificate(monkeypatch, feasible):
+    # an LP result that is not a certificate stops the census: a Farkas
+    # vector +e_0 on a realizable order, or a zero slack vector (every
+    # value its rank) on an unrealizable one
+    solve = feasibility.order_lp_solution
+
+    def bogus(order, params):
+        solution = solve(order, params)
+        if feasible:
+            return solution._replace(x=None, farkas=[1] + [0] * (params.node_count - 1))
+        return solution._replace(x=[0] * len(order), denom=1, farkas=None)
+
+    if feasible:
+        params = P32
+        monkeypatch.setattr(oracle, "least_max_vectors", lambda order, params, cap: [])
+    else:
+        params = P23
+        monkeypatch.setattr(oracle, "_set_refutation", lambda order, params: None)
+    monkeypatch.setattr(feasibility, "order_lp_solution", bogus)
+    with pytest.raises(ValueError):
+        enumerate_feasible(params)
+
+
+def test_census_checks_every_assignment_it_keeps(monkeypatch):
+    # an assignment with two entries swapped no longer realizes its order
+    search = oracle.least_max_vectors
+
+    def swapped(order, params, cap):
+        sols = search(order, params, cap)
+        return sols[:-1] + [(sols[-1][1], sols[-1][0]) + sols[-1][2:]]
+
+    monkeypatch.setattr(oracle, "least_max_vectors", swapped)
+    with pytest.raises(ValueError):
+        enumerate_feasible(P32)
+
+
+def test_census_checks_every_set_refutation(monkeypatch):
+    # a set's colour flipped is no Farkas vector
+    refute = oracle._set_refutation
+
+    def flipped(order, params):
+        y = refute(order, params)
+        return None if y is None else tuple(-w for w in y)
+
+    monkeypatch.setattr(oracle, "_set_refutation", flipped)
+    with pytest.raises(ValueError, match="Farkas"):
+        enumerate_feasible(P23)
 
 
 def test_census_at_window_one_keeps_one_translation_table_at_a_time():
@@ -299,6 +463,20 @@ def test_repository_refuses_a_census_with_two_orbit_entries_swapped(census32, fi
     orbits[first], orbits[second] = orbits[second], orbits[first]
     with pytest.raises(AssertionError, match="union of orbits"):
         build_repository(replace(census32, orbits=orbits))
+
+
+def test_repository_refuses_assignments_of_another_order(census32):
+    # the kept assignments moved one row along: some orbit's assignments
+    # then include another representative's
+    kept = census32.assignments
+    moved = replace(census32, assignments=kept[9:] + kept[:9])
+    with pytest.raises(AssertionError, match="does not realize"):
+        build_repository(moved)
+
+
+def test_repository_refuses_a_census_that_keeps_no_assignments(census32):
+    with pytest.raises(AssertionError, match="keeps no assignments"):
+        build_repository(replace(census32, offsets=array("I")))
 
 
 def test_repository_vectors_revalidate(repo):
