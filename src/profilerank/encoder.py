@@ -37,7 +37,6 @@ fractional ones included, raise :class:`NotACodeword`.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -134,6 +133,8 @@ class Repository:
             previous = order
 
     def save(self, path) -> None:
+        import hashlib  # here and in load only: at the top it adds about 5 ms to every import
+
         digest = hashlib.sha256()
         with open(path, "w", encoding="utf-8") as fh:
             for line in chain([f"f32={BASE_COUNT}\n"], starmap(_ROW_TEXT.format, self.vectors)):
@@ -143,6 +144,8 @@ class Repository:
 
     @classmethod
     def load(cls, path) -> "Repository":
+        import hashlib
+
         digest = hashlib.sha256()
         data = bytearray()
         with open(path, encoding="utf-8") as fh:
@@ -676,7 +679,7 @@ def random_info_a(q: int, rng) -> InfoVecA:
 
 def random_layer(q: int, i: int, rng) -> dict[Word, tuple[int, ...]]:
     layer = {}
-    for u in layer_domain(q, i):
+    for u in _window_plan(q, i).keys:
         perm = list(range(q))
         rng.shuffle(perm)
         layer[u] = tuple(perm)
@@ -730,7 +733,7 @@ def info_a_from_text(text: str) -> InfoVecA:
 def info_b_to_text(info: InfoVecB) -> str:
     lines = [f"q={info.q} ell={info.ell}"] + _alphabet_lines(info.base)
     for offset, layer in enumerate(info.layers):
-        for u in layer_domain(info.q, 3 + offset):
+        for u in _window_plan(info.q, 3 + offset).keys:
             perm = ",".join(str(v) for v in layer[u])
             lines.append(f"P({word_text(u)})={perm}")
     return "\n".join(lines) + "\n"

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, count, permutations
-from math import factorial
-from operator import itemgetter
+from itertools import chain, combinations, count, permutations, repeat
+from math import comb, factorial
+from operator import itemgetter, le, lt, sub
 from struct import Struct
 from typing import Iterator, Sequence
 
@@ -54,6 +55,7 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
 _LABEL = Struct("I")  # an image's label in the census sort, as array("I") holds it
+_JOIN_ROWS = 1024  # rows joined at once by _joined
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class CensusStats:
     set_refuted: int = 0  # silent representatives a ballot on a node set refuted
     assigned: int = 0  # silent representatives the value search assigned
     lp_calls: int = 0  # silent representatives left to the exact LP
+    maxima_tried: int = 0  # largest values the value search tried, over all its calls
+    sequences_tested: int = 0  # candidate sequences those largest values hold
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,7 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     feasible_reps: list[bytes] = []
     kept, offsets = bytearray(), array("I", [0])
     swept = settled = silent_infeasible = set_refuted = assigned = lp_calls = 0
+    maxima = sequences = 0
     for prefix, rest, hit in walk:
         block = factorial(len(rest))
         swept += block
@@ -281,6 +286,9 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
                 silent_infeasible += 1
                 continue
             sols = least_max_vectors(order, params, REPOSITORY_CAP)
+            tried, tested = _search_work(len(order), max(sols[0]) if sols else REPOSITORY_CAP)
+            maxima += tried
+            sequences += tested
             for sol in sols:
                 FeasibleVector(params, sol).check(perm)
                 kept += bytes(sol)
@@ -303,11 +311,24 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
         orbit * settled,
         orbit * silent_infeasible,
         time.monotonic() - started,
-        CensusStats(walk.prefixes, settled, set_refuted, assigned, lp_calls),
+        CensusStats(walk.prefixes, settled, set_refuted, assigned, lp_calls, maxima, sequences),
         orbits,
         bytes(kept),
         offsets,
     )
+
+
+def _joined(rows: list[bytes]) -> bytearray:
+    """``rows`` joined in order, emptying the list: ``b"".join`` holds an
+    80-byte buffer record per row, so it takes :data:`_JOIN_ROWS` rows at
+    a time, and each slice is released once joined.  The list is reversed
+    first, so each slice leaves from its end without moving the rest."""
+    rows.reverse()
+    joined = bytearray()
+    while rows:
+        joined += b"".join(rows[: -_JOIN_ROWS - 1 : -1])  # the last rows, in their order
+        del rows[-_JOIN_ROWS:]
+    return joined
 
 
 def _expand(params: Params, reps: list[bytes]) -> tuple[bytearray, array]:
@@ -329,10 +350,7 @@ def _expand(params: Params, reps: list[bytes]) -> tuple[bytearray, array]:
             map(_LABEL.pack, count()),
         )
     )
-    blob = bytearray()
-    for row in labelled:
-        blob += row  # b"".join would first take an 80-byte buffer record per row
-    del labelled
+    blob = _joined(labelled)
     stride = width + _LABEL.size
     rows = len(blob) // stride
     feasible, labels = bytearray(rows * width), bytearray(rows * _LABEL.size)
@@ -453,6 +471,15 @@ def _tops(n: int, floor: int, cap: int) -> range:
     return range(n + floor - 1, cap + 1)
 
 
+def _search_work(n: int, top: int) -> tuple[int, int]:
+    """The maxima and the candidate sequences :func:`least_max_vectors`
+    tests, at floor 1, on an order of n words to reach the maximum ``top``
+    (the cap when it finds nothing): each maximum t of :func:`_tops` up to
+    ``top`` and its C(t - 1, n - 1) sequences, C(top, n) in all.  Derived
+    from the result, so the search counts nothing."""
+    return max(top - n + 1, 0), comb(top, n)
+
+
 def least_max_vectors(
     order: Sequence[int], params: Params, cap: int = REPOSITORY_CAP, floor: int = 1
 ) -> list[tuple[int, ...]]:
@@ -497,6 +524,97 @@ def minimal_max_value(
     return None if vec is None else max(vec)
 
 
+_UNCLOSED = "the census is not a union of orbits of the code's symmetries"
+
+
+def _rows(blob: bytes, width: int) -> list[bytes]:
+    """``blob`` cut into its rows of ``width`` bytes, in one pass in C."""
+    return list(map(itemgetter(0), Struct(f"{width}s").iter_unpack(blob)))
+
+
+def _moved(kept: bytes, g: Sequence[int], width: int) -> bytearray:
+    """Every row of ``kept``, an assignment to an order, moved onto the
+    same ranks of the order's image under g, as :func:`_inverse` of g
+    moves one row: one strided slice per column."""
+    moved = bytearray(len(kept))
+    for i, j in enumerate(_inverse(g)(range(width))):
+        moved[i::width] = kept[j::width]
+    return moved
+
+
+def _ranks_as(order: bytes, sol: bytes) -> bool:
+    """Whether the entries of ``sol``, read along ``order``, increase."""
+    ranked = order.translate(sol.ljust(256))
+    return all(map(lt, ranked, ranked[1:]))
+
+
+def _orbit_firsts(census: CensusResult) -> list[bytes]:
+    """The first row of every orbit ``census.orbits`` lists, after checking
+    that the census is a union of orbits.
+
+    It is iff ``orbits`` lists each census row once (:func:`_placed`) and
+    each orbit it lists is a representative's: every listed row holds the
+    image of the orbit's first row under the map at its place, and that
+    first row is the least of them and above the previous orbit's, so no
+    orbit is listed twice.  Each map's check is one gather of the rows at
+    its places, compared with the first rows translated by the map."""
+    width, size = census.params.word_count, orbit_size(census.params)
+    rows, orbits = _rows(census.feasible.data, width), census.orbits
+    try:
+        firsts = list(map(rows.__getitem__, orbits[::size]))  # the images under the identity
+        joined = b"".join(firsts)
+        for g, table in enumerate(_translations(census.params)):
+            images = list(map(rows.__getitem__, orbits[g::size]))
+            if b"".join(images) != joined.translate(table) or not all(map(le, firsts, images)):
+                raise AssertionError(_UNCLOSED)
+    except IndexError:  # a place past the last row
+        raise AssertionError(_UNCLOSED) from None
+    if not all(map(lt, firsts, firsts[1:])):
+        raise AssertionError(_UNCLOSED)
+    return firsts
+
+
+def _check_assignments(census: CensusResult, firsts: list[bytes]) -> None:
+    """Refuse unless every orbit keeps an assignment and each kept one ranks
+    the words as the orbit's first order does.  All of them are read along
+    their orders at once, one ``translate`` each, and compared column by
+    column; on a failure the first order at fault is named."""
+    width, offsets, kept = census.params.word_count, census.offsets, census.assignments
+    owners = chain.from_iterable(map(repeat, firsts, map(sub, offsets[1:], offsets)))
+    tables = map(bytes.ljust, _rows(kept, width), repeat(256))
+    ranked = b"".join(map(bytes.translate, owners, tables))
+    if all(map(lt, offsets, offsets[1:])) and all(
+        all(map(lt, ranked[k::width], ranked[k + 1 :: width])) for k in range(width - 1)
+    ):
+        return
+    for r, order in enumerate(firsts):
+        sols = census.assignments_of(r)
+        if not sols:
+            raise AssertionError(
+                f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(order)}"
+            )
+        if not all(_ranks_as(order, sol) for sol in sols):
+            raise AssertionError(f"a kept assignment does not realize order {tuple(order)}")
+
+
+def _placed(orbits: array, size: int, per_map: Iterator[list[bytes]]) -> bytearray:
+    """One row per image, joined in census row order.  The g-th list of
+    ``per_map`` holds each orbit's row for its image under the g-th map of
+    G, and ``orbits[r * size + g]`` names that image's census row.  Each
+    map's rows are scattered in C into one list, which is then joined a
+    slice at a time and released as it goes.  Refuses unless every census
+    row receives one row."""
+    rows: list[bytes | None] = [None] * len(orbits)
+    try:
+        for g, mapped in enumerate(per_map):
+            deque(map(rows.__setitem__, orbits[g::size], mapped), maxlen=0)
+    except IndexError:  # a place past the last row
+        raise AssertionError(_UNCLOSED) from None
+    if None in rows:  # a row no place names, so another is named twice
+        raise AssertionError(_UNCLOSED)
+    return _joined(rows)
+
+
 def build_repository(
     census: CensusResult | None = None, jobs: int | None = None
 ) -> Repository:
@@ -510,10 +628,15 @@ def build_repository(
     rows of each one's images, so no order is looked up.  A map g of G
     sends the least-maximum assignments of an order onto those of its
     image, so the image's vector, :func:`minimal_max_vector`'s choice, is
-    the least image under g of its representative's assignments.  Each
-    vector is written into the packed rows at its order's census position.
-    ``jobs`` selects nothing: the build is one serial pass, and the keyword
-    stays for callers that still pass it.
+    the least image under g of its representative's assignments.
+
+    No step runs once per image.  For each map g, every kept assignment is
+    moved at once by strided slices (:func:`_moved`); only the orbits that
+    keep several assignments take a ``min`` of their moved rows; and the
+    vectors of all maps are placed in census row order by one scatter over
+    ``orbits`` (:func:`_placed`).  The orbit checks read whole maps too
+    (:func:`_orbit_firsts`).  ``jobs`` selects nothing: the build is one
+    serial pass, and the keyword stays for callers that still pass it.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -523,47 +646,24 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    # the census is a union of orbits iff ``census.orbits`` lists each of
-    # its rows once and each orbit it lists is a representative's: every
-    # listed row holds the image of the orbit's first row under the map at
-    # its place, and that first row is the least of them and above the
-    # previous orbit's, so no orbit is listed twice
-    unclosed = "the census is not a union of orbits of the code's symmetries"
-    width, size, data, orbits = params.word_count, orbit_size(params), orders.data, census.orbits
+    width, size, orbits = params.word_count, orbit_size(params), census.orbits
     if len(orbits) != len(orders):
-        raise AssertionError(unclosed)
-    if len(census.offsets) != len(orbits) // size + 1:
+        raise AssertionError(_UNCLOSED)
+    kept, offsets = census.assignments, census.offsets
+    if len(offsets) != len(orbits) // size + 1 or offsets[0] or len(kept) != offsets[-1] * width:
         raise AssertionError("the census keeps no assignments for its orbits")
-    # an assignment to an order, moved to the same ranks of g(order)
-    moves = [_inverse(g) for g in word_symmetries(params)]
-    tables = list(_translations(params))
-    vectors = bytearray(len(data))
-    filled = bytearray(len(orders))
-    last = b""
-    for start in range(0, len(orbits), size):
-        places = orbits[start : start + size]
-        images = [data[j * width : j * width + width] for j in places]
-        rep = images[0]  # the image under the identity
-        if rep <= last or rep != min(images) or images != [rep.translate(t) for t in tables]:
-            raise AssertionError(unclosed)
-        last = rep
-        for j in places:
-            if filled[j]:
-                raise AssertionError(unclosed)
-            filled[j] = 1
-    for r, start in enumerate(range(0, len(orbits), size)):
-        places = orbits[start : start + size]
-        rep = data[places[0] * width : places[0] * width + width]
-        sols = census.assignments_of(r)
-        if not sols:
-            raise AssertionError(
-                f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(rep)}"
-            )
-        # the kept assignments are this orbit's: each ranks the words as rep does
-        if any(bytes(sorted(range(width), key=sol.__getitem__)) != rep for sol in sols):
-            raise AssertionError(f"a kept assignment does not realize order {tuple(rep)}")
-        for j, move in zip(places, moves):
-            vectors[j * width : j * width + width] = min(map(move, sols))
+    _check_assignments(census, _orbit_firsts(census))
+    leads = offsets[:-1]  # each orbit's first kept assignment
+    several = [(r, slice(a, b)) for r, (a, b) in enumerate(zip(offsets, offsets[1:])) if b - a > 1]
+
+    def least_images(g: Sequence[int]) -> list[bytes]:
+        moved = _rows(_moved(kept, g, width), width)
+        images = list(map(moved.__getitem__, leads))
+        for r, span in several:
+            images[r] = min(moved[span])
+        return images
+
+    vectors = _placed(orbits, size, map(least_images, word_symmetries(params)))
     return Repository(PackedRows(vectors, width))
 
 

@@ -3,7 +3,8 @@
 Each one searches the whole space the faster library code reasons about:
 every arrangement within a transposition distance, every rank order of a
 census with both of its decision procedures run on each, or every increasing
-value assignment of a rank order by depth-first search.  The matching
+value assignment of a rank order by depth-first search.  The repository's
+reference builds it one image at a time.  The matching
 pre-check's reference reads each node's balance row, built from word tuples,
 in rank order.  The noise channel's reference sums over every noisy value
 of every count.
@@ -18,10 +19,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from profilerank.core import Params, edge_nodes, is_constant, word_index
+from profilerank.core import (
+    PackedRows,
+    Params,
+    edge_nodes,
+    is_constant,
+    word_index,
+    word_symmetries,
+)
+from profilerank.encoder import BASE_COUNT, Repository
 from profilerank.feasibility import order_lp_solution, order_precheck_witness
+from profilerank import oracle
 
 BFS_CAP = 10
 
@@ -263,3 +274,59 @@ def drop_readout_probability(counts: Sequence[int], rate: float) -> float:
         counts,
         lambda c: {k: comb(c, k) * keep**k * rate ** (c - k) for k in range(c + 1)},
     )
+
+
+def build_repository_reference(census: oracle.CensusResult) -> Repository:
+    """The repository from a (3,2) census, one image at a time, with the
+    orbit and assignment checks made one orbit at a time.
+
+    For each orbit the census lists: its images are the rows ``orbits``
+    names; the first, the image under the identity, must be the least and
+    above the previous orbit's first, and each must be its translation by
+    the map at its place, with every row listed once.  Each kept assignment
+    must rank the words as the first order does.  Each image's vector is
+    the least of the kept assignments moved to the same ranks of the image,
+    written at the image's row.  Raises AssertionError with the messages
+    of :func:`oracle.build_repository`."""
+    params = census.params
+    unclosed = "the census is not a union of orbits of the code's symmetries"
+    orders = census.feasible
+    if len(orders) != BASE_COUNT:
+        raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
+    width, size = params.word_count, oracle.orbit_size(params)
+    data, orbits = orders.data, census.orbits
+    if len(orbits) != len(orders):
+        raise AssertionError(unclosed)
+    if len(census.offsets) != len(orbits) // size + 1:
+        raise AssertionError("the census keeps no assignments for its orbits")
+    maps = list(word_symmetries(params))
+    # an assignment to an order, moved to the same ranks of g(order)
+    moves = [itemgetter(*sorted(range(width), key=g.__getitem__)) for g in maps]
+    tables = [bytes(g).ljust(256) for g in maps]
+    vectors = bytearray(len(data))
+    filled = bytearray(len(orders))
+    last = b""
+    for start in range(0, len(orbits), size):
+        places = orbits[start : start + size]
+        images = [data[j * width : j * width + width] for j in places]
+        rep = images[0]
+        if rep <= last or rep != min(images) or images != [rep.translate(t) for t in tables]:
+            raise AssertionError(unclosed)
+        last = rep
+        for j in places:
+            if filled[j]:
+                raise AssertionError(unclosed)
+            filled[j] = 1
+    for r, start in enumerate(range(0, len(orbits), size)):
+        places = orbits[start : start + size]
+        rep = data[places[0] * width : places[0] * width + width]
+        sols = census.assignments_of(r)
+        if not sols:
+            raise AssertionError(
+                f"no assignment with entries <= {oracle.REPOSITORY_CAP} for order {tuple(rep)}"
+            )
+        if any(bytes(sorted(range(width), key=sol.__getitem__)) != rep for sol in sols):
+            raise AssertionError(f"a kept assignment does not realize order {tuple(rep)}")
+        for j, move in zip(places, moves):
+            vectors[j * width : j * width + width] = min(map(move, sols))
+    return Repository(PackedRows(vectors, width))

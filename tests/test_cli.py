@@ -106,8 +106,30 @@ def test_census_command_output_at_three_two(capsys):
 @pytest.mark.parametrize(
     "q, ell, counters",
     [
-        (3, 2, {"prefixes": 6649, "settled_hits": 27720, "set_refuted": 0, "assigned": 2520}),
-        (2, 3, {"prefixes": 3532, "settled_hits": 8904, "set_refuted": 1176, "assigned": 0}),
+        (
+            3,
+            2,
+            {
+                "prefixes": 6649,
+                "settled_hits": 27720,
+                "set_refuted": 0,
+                "assigned": 2520,
+                "maxima_tried": 8340,
+                "sequences_tested": 1570950,
+            },
+        ),
+        (
+            2,
+            3,
+            {
+                "prefixes": 3532,
+                "settled_hits": 8904,
+                "set_refuted": 1176,
+                "assigned": 0,
+                "maxima_tried": 0,
+                "sequences_tested": 0,
+            },
+        ),
     ],
     ids=["q3l2", "q2l3"],
 )

@@ -41,17 +41,28 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_importing_the_library_loads_no_process_pool():
-    # the library runs in one process: nothing it imports starts a pool
+def _bench_imports() -> list[str]:
     src = str(Path(profilerank.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run(
         [sys.executable, "-c", _BENCH_PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_importing_the_library_loads_no_process_pool():
+    # the library runs in one process: nothing it imports starts a pool
+    loaded = _bench_imports()
     assert "profilerank.oracle" in loaded
     assert "multiprocessing" not in loaded
+
+
+def test_importing_the_library_loads_no_hashlib():
+    # only Repository.save and load hash, and they import hashlib when called
+    loaded = _bench_imports()
+    assert "profilerank.encoder" in loaded
+    assert "hashlib" not in loaded
 
 
 def test_no_module_imports_a_process_pool():

@@ -189,6 +189,25 @@ def test_layer_domain_size():
     assert layer_domain(3, 3) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
+# every class the decide and codec benchmarks draw messages at
+BENCH_CLASSES = [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (3, 4), (5, 3), (6, 3), (4, 4)]
+# three messages a class at seed 2029: their reprs and texts, then the
+# generator's state after them; the benchmark's inputs rest on these draws
+RANDOM_INFO_B_DIGEST = "7c41e87c92ced6320b033cbebde3d10b6c9d0971de6292272fa4c469e49d26d6"
+
+
+def test_random_messages_match_pinned_digest():
+    digest = hashlib.sha256()
+    for q, ell in BENCH_CLASSES:
+        rng = random.Random(2029)
+        for _ in range(3):
+            info = random_info_b(q, ell, rng)
+            digest.update(repr(info).encode())
+            digest.update(info_b_to_text(info).encode())
+        digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == RANDOM_INFO_B_DIGEST
+
+
 def test_encode_b_window_two_delegates(repo):
     rng = random.Random(4)
     info = random_info_b(4, 2, rng)

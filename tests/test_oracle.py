@@ -8,7 +8,13 @@ from math import comb, factorial
 
 import pytest
 
-from bruteforce import ballot_reference, full_sweep, least_max_search, min_sum_search
+from bruteforce import (
+    ballot_reference,
+    build_repository_reference,
+    full_sweep,
+    least_max_search,
+    min_sum_search,
+)
 from profilerank import feasibility, oracle
 from profilerank.core import (
     PackedRows,
@@ -182,9 +188,33 @@ def test_census_stats_at_three_two(census32):
     assert [census32.feasible[orbits[start]] for start in range(0, len(orbits), size)] == silent
     stats23 = enumerate_feasible(P23).stats
     assert (stats23.set_refuted, stats23.assigned, stats23.lp_calls) == (1176, 0, 0)
+    # the value search's work: no search runs at (2,3)
+    assert (stats.maxima_tried, stats.sequences_tested) == (8340, 1_570_950)
+    assert (stats23.maxima_tried, stats23.sequences_tested) == (0, 0)
     # the counters stay out of == and of the summary
     blank = replace(census32, stats=CensusStats())
     assert blank == census32 and blank.summary() == census32.summary()
+
+
+@pytest.mark.parametrize("cap", [16, 17])
+def test_census_search_counters_match_the_work_done(monkeypatch, cap):
+    # every byte-parallel test the census's searches run, with the size of
+    # its table; at cap 16 the six orders the search cannot assign count
+    # every maximum up to the cap
+    maxima = sequences = 0
+    balanced = oracle._balanced
+
+    def counted(in_word_order, nodes, n, floor, top):
+        nonlocal maxima, sequences
+        maxima += 1
+        sequences += _candidates(n, floor, top).count
+        return balanced(in_word_order, nodes, n, floor, top)
+
+    monkeypatch.setattr(oracle, "_balanced", counted)
+    monkeypatch.setattr(oracle, "REPOSITORY_CAP", cap)
+    stats = enumerate_feasible(P32).stats
+    assert stats.lp_calls == (6 if cap == 16 else 0)
+    assert (stats.maxima_tried, stats.sequences_tested) == (maxima, sequences)
 
 
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
@@ -409,6 +439,89 @@ def test_repository_build_looks_up_no_order(census32, repo, monkeypatch):
 
     monkeypatch.setattr(PackedRows, "index", lookup)
     assert build_repository(census32) == repo
+
+
+def test_repository_build_matches_the_per_image_reference(census32, repo):
+    built = build_repository(census32)
+    assert built.vectors.data == build_repository_reference(census32).vectors.data
+    assert built.vectors.data == repo.vectors.data
+
+
+def test_repository_build_ignores_the_order_of_kept_assignments(census32, repo):
+    # 390 orbits keep several assignments, and each image takes the least
+    # of them moved: the order they are kept in does not matter
+    kept = b"".join(
+        b"".join(reversed(census32.assignments_of(r))) for r in range(len(census32.offsets) - 1)
+    )
+    assert kept != census32.assignments
+    reordered = replace(census32, assignments=kept)
+    built = build_repository(reordered)
+    assert built.vectors.data == build_repository_reference(reordered).vectors.data
+    assert built == repo
+
+
+def _broken_censuses(census32):
+    size, orbits, kept = orbit_size(P32), census32.orbits, census32.assignments
+    rng = random.Random(29)
+    for _ in range(6):  # two entries of orbits swapped, in one orbit or two
+        swapped = array("I", orbits)
+        a, b = rng.sample(range(len(orbits)), 2)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        yield replace(census32, orbits=swapped)
+    listed_twice = array("I", orbits)
+    listed_twice[7] = listed_twice[5]
+    yield replace(census32, orbits=listed_twice)
+    past_the_end = array("I", orbits)
+    past_the_end[-1] = len(orbits)
+    yield replace(census32, orbits=past_the_end)
+    yield replace(census32, orbits=array("I", orbits[size:] + orbits[:size]))  # out of order
+    rows = bytearray(census32.feasible.data)
+    j = orbits[100 * size] * 9  # an orbit's first row, reversed
+    rows[j : j + 9] = rows[j : j + 9][::-1]
+    yield replace(census32, feasible=PackedRows(rows, 9))
+    for r in (0, 700, 2519):  # one kept assignment swapped for another order's
+        other = census32.offsets[(r + 1) % 2520] * 9
+        k = census32.offsets[r] * 9
+        yield replace(census32, assignments=kept[:k] + kept[other : other + 9] + kept[k + 9 :])
+    for r in (3, 1200):  # an orbit that keeps none
+        offsets = array("I", census32.offsets)
+        offsets[r + 1] = offsets[r]
+        yield replace(census32, offsets=offsets)
+
+
+def test_repository_build_refuses_as_the_reference_does(census32):
+    broken = list(_broken_censuses(census32))
+    for census in broken:
+        with pytest.raises(AssertionError) as reference:
+            build_repository_reference(census)
+        with pytest.raises(AssertionError) as built:
+            build_repository(census)
+        assert str(built.value) == str(reference.value)
+    assert len(broken) == 15
+
+
+def test_placement_fills_every_row_once():
+    # two orbits of two images: orbits[r * 2 + g] is the row of orbit r's
+    # image under map g, and the g-th list holds each orbit's row for it
+    per_map = [[b"a", b"c"], [b"b", b"d"]]
+    assert oracle._placed(array("I", [0, 1, 3, 2]), 2, iter(per_map)) == b"abdc"
+    # two images named to one row leave another row empty
+    with pytest.raises(AssertionError, match="union of orbits"):
+        oracle._placed(array("I", [0, 1, 2, 2]), 2, iter(per_map))
+    with pytest.raises(AssertionError, match="union of orbits"):
+        oracle._placed(array("I", [0, 1, 4, 2]), 2, iter(per_map))
+
+
+def test_repository_refuses_a_kept_assignment_with_a_tie(census32):
+    # two equal entries rank no pair of words: such an assignment realizes
+    # no order, even where a stable sort would rank them as the order does
+    order = census32.feasible[census32.orbits[0]]
+    assert order[0] < order[1]
+    sol = bytearray(census32.assignments_of(0)[0])
+    sol[order[1]] = sol[order[0]]
+    kept = bytes(sol) + census32.assignments[9:]
+    with pytest.raises(AssertionError, match="does not realize"):
+        build_repository(replace(census32, assignments=kept))
 
 
 def test_repository_refuses_a_census_not_closed_under_the_symmetries(census32):
