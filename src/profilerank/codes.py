@@ -22,8 +22,8 @@ from .encoder import (
     InfoVecB,
     Repository,
     StageA,
+    _window_plan,
     interleave,
-    layer_domain,
     random_info_a,
     random_layer,
 )
@@ -284,9 +284,10 @@ class PrecodedInfoB:
         return self.top_code.min_distance
 
     def sample(self, rng) -> InfoVecB:
+        self.check()
         layers = [random_layer(self.q, i, rng) for i in range(3, self.ell)]
         top = {
             u: rng.choice(self.top_code.codewords)
-            for u in layer_domain(self.q, self.ell)
+            for u in _window_plan(self.q, self.ell).keys
         }
         return InfoVecB(random_info_a(self.q, rng), tuple(layers + [top]))

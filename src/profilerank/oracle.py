@@ -6,9 +6,9 @@ smallest witness lengths, and the monochromatic-matching count that the
 counting bound rests on.  The census and the repository visit one rank order
 per orbit of the symmetry group G of :func:`core.word_symmetries`, which
 keeps every verdict and every least-maximum assignment, and expand the
-results through G: the census sorts each image of a feasible
-representative with its label and keeps the row where it landed, which is
-where the build writes the image's vector, so no order is looked up.  The
+results through G: the census sorts the images of its feasible
+representatives, and the build sorts each image with its vector and checks
+that the images sorted are the census rows, so no order is looked up.  The
 representatives, the least order of each orbit, come from a depth-first
 walk over prefixes that keeps the maps of G fixing the prefix (G has at
 most 12 maps at ell >= 2, where the census is capped at 9 words).  The walk
@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import time
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, count, permutations, repeat
+from functools import lru_cache, partial
+from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
 from operator import itemgetter, le, lt, sub
 from struct import Struct
@@ -54,7 +53,6 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # entries the encoders need cost at most a +1 shift, and 72 orders need it.
 # It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
-_LABEL = Struct("I")  # an image's label in the census sort, as array("I") holds it
 _JOIN_ROWS = 1024  # rows joined at once by _joined
 
 
@@ -77,13 +75,13 @@ class CensusResult:
     """One census sweep.  ``feasible`` holds the realizable rank orders as
     packed rows, one byte per word index and ``params.word_count`` bytes a
     row, sorted: byte order is the orders' lexicographic order, so row i
-    reads back as the i-th realizable order.  ``orbits`` names the row of
-    every image of every feasible representative (:func:`_expand`).
-    ``assignments`` packs the checked least-maximum assignments the value
-    search found for the feasible representatives, in their order, one
-    byte per entry, and the r-th representative's are its rows
-    ``offsets[r]`` to ``offsets[r + 1]`` (:meth:`assignments_of`).  Like
-    ``stats``, these are not part of ``==``, ``repr`` or :meth:`summary`."""
+    reads back as the i-th realizable order.  ``firsts`` packs the feasible
+    representatives, the least order of each orbit, alike and in order:
+    their images under G, sorted, are ``feasible`` (:func:`_expand`).
+    ``assignments`` packs the checked least-maximum assignments the search
+    found for them, in their order, one byte per entry, and the r-th one's
+    are its rows ``offsets[r]`` to ``offsets[r + 1]`` (:meth:`assignments_of`).
+    Like ``stats``, these are not part of ``==``, ``repr`` or :meth:`summary`."""
 
     params: Params
     total: int
@@ -92,7 +90,7 @@ class CensusResult:
     silent_infeasible: int  # pre-check silent, refuted by a node set or the LP
     elapsed: float
     stats: CensusStats = field(default=CensusStats(), compare=False)
-    orbits: array = field(default_factory=lambda: array("I"), compare=False, repr=False)
+    firsts: bytes = field(default=b"", compare=False, repr=False)
     assignments: bytes = field(default=b"", compare=False, repr=False)
     offsets: array = field(default_factory=lambda: array("I"), compare=False, repr=False)
 
@@ -101,10 +99,14 @@ class CensusResult:
         return len(self.feasible)
 
     def assignments_of(self, r: int) -> list[bytes]:
-        """The kept assignments of the r-th feasible representative, the
-        first order of orbit r in ``orbits``: entries in word order at the
-        least maximum within :data:`REPOSITORY_CAP`.  Empty when the
-        search found none and the LP proved the order feasible."""
+        """The kept assignments of the r-th feasible representative, row r
+        of ``firsts``: entries in word order at the least maximum within
+        :data:`REPOSITORY_CAP`.  Empty when the search found none and the
+        LP proved the order feasible.  Raises IndexError unless
+        ``0 <= r < len(offsets) - 1``."""
+        reps = len(self.offsets) - 1
+        if not 0 <= r < reps:
+            raise IndexError(f"representative {r} out of range 0..{reps - 1}")
         w, data = self.params.word_count, self.assignments
         return [data[k * w : k * w + w] for k in range(self.offsets[r], self.offsets[r + 1])]
 
@@ -256,9 +258,9 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     it within :data:`REPOSITORY_CAP`, and every assignment it finds passes
     :meth:`FeasibleVector.check` and is kept.  Only an order that neither
     settles goes to the exact LP, through :func:`feasibility.decide`, which
-    checks its certificate.  The feasible representatives are then expanded
-    through G (:func:`_expand`), which also gives ``orbits``.  ``jobs``
-    selects nothing: the census is one serial pass; the keyword stays for
+    checks its certificate.  The feasible representatives are kept as
+    ``firsts`` and expanded through G (:func:`_expand`).  ``jobs`` selects
+    nothing: the census is one serial pass; the keyword stays for
     callers."""
     if not _at_most(params, CENSUS_CAP):
         raise ValueError(f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}")
@@ -266,8 +268,7 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     started = time.monotonic()
     orbit = orbit_size(params)
     walk = _OrbitWalk(params)
-    feasible_reps: list[bytes] = []
-    kept, offsets = bytearray(), array("I", [0])
+    firsts, kept, offsets = bytearray(), bytearray(), array("I", [0])
     swept = settled = silent_infeasible = set_refuted = assigned = lp_calls = 0
     maxima = sequences = 0
     for prefix, rest, hit in walk:
@@ -299,23 +300,27 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
                 if not decide(perm, use_precheck=False).feasible:
                     silent_infeasible += 1
                     continue
-            feasible_reps.append(bytes(order))
+            firsts += bytes(order)
             offsets.append(len(kept) // params.word_count)
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
-    feasible, orbits = _expand(params, feasible_reps)
     return CensusResult(
         params,
         total,
-        PackedRows(feasible, params.word_count),
+        PackedRows(_expand(params, firsts), params.word_count),
         orbit * settled,
         orbit * silent_infeasible,
         time.monotonic() - started,
         CensusStats(walk.prefixes, settled, set_refuted, assigned, lp_calls, maxima, sequences),
-        orbits,
+        bytes(firsts),
         bytes(kept),
         offsets,
     )
+
+
+def _rows(blob: bytes, width: int) -> Iterator[bytes]:
+    """``blob`` cut into its rows of ``width`` bytes, lazily, in C."""
+    return map(itemgetter(0), Struct(f"{width}s").iter_unpack(blob))
 
 
 def _joined(rows: list[bytes]) -> bytearray:
@@ -331,41 +336,13 @@ def _joined(rows: list[bytes]) -> bytearray:
     return joined
 
 
-def _expand(params: Params, reps: list[bytes]) -> tuple[bytearray, array]:
-    """Every order of the orbits of ``reps``, sorted and packed, and where
-    each landed: entry ``r * orbit_size(params) + g`` of the array is the
-    row of the image of ``reps[r]`` under the g-th map of G.
-
-    Image k, the map ``k // len(reps)``'s image of ``reps[k % len(reps)]``,
-    is sorted with k in trailing bytes.  The images are distinct, so the
-    trailing bytes never decide a comparison.  Strided slices split the
-    sorted rows into the orders and the labels, one pass puts each image's
-    row at its label k, and one strided slice per representative gathers
-    the rows of its images in map order."""
-    width, size, n = params.word_count, orbit_size(params), len(reps)
-    labelled = sorted(
-        map(
-            bytes.__add__,
-            (rep.translate(table) for table in _translations(params) for rep in reps),
-            map(_LABEL.pack, count()),
-        )
-    )
-    blob = _joined(labelled)
-    stride = width + _LABEL.size
-    rows = len(blob) // stride
-    feasible, labels = bytearray(rows * width), bytearray(rows * _LABEL.size)
-    for k in range(width):
-        feasible[k::width] = blob[k::stride]
-    for k in range(_LABEL.size):
-        labels[k :: _LABEL.size] = blob[width + k :: stride]
-    del blob
-    landed = array("I", bytes(len(labels)))
-    for row, k in enumerate(array("I", labels)):
-        landed[k] = row
-    orbits = array("I", bytes(len(labels)))
-    for r in range(n):
-        orbits[r * size : r * size + size] = landed[r::n]
-    return feasible, orbits
+def _expand(params: Params, firsts: bytearray) -> bytearray:
+    """Every order of the orbits of the packed orders ``firsts``, sorted
+    bare and packed.  Each image is one ``translate`` of its order, which
+    at window one, with q! maps and one order, beats cutting a translated
+    blob per map."""
+    reps = list(_rows(firsts, params.word_count))
+    return _joined(sorted(rep.translate(table) for table in _translations(params) for rep in reps))
 
 
 # ---------------------------------------------------------------------------
@@ -527,51 +504,10 @@ def minimal_max_value(
 _UNCLOSED = "the census is not a union of orbits of the code's symmetries"
 
 
-def _rows(blob: bytes, width: int) -> list[bytes]:
-    """``blob`` cut into its rows of ``width`` bytes, in one pass in C."""
-    return list(map(itemgetter(0), Struct(f"{width}s").iter_unpack(blob)))
-
-
-def _moved(kept: bytes, g: Sequence[int], width: int) -> bytearray:
-    """Every row of ``kept``, an assignment to an order, moved onto the
-    same ranks of the order's image under g, as :func:`_inverse` of g
-    moves one row: one strided slice per column."""
-    moved = bytearray(len(kept))
-    for i, j in enumerate(_inverse(g)(range(width))):
-        moved[i::width] = kept[j::width]
-    return moved
-
-
 def _ranks_as(order: bytes, sol: bytes) -> bool:
     """Whether the entries of ``sol``, read along ``order``, increase."""
     ranked = order.translate(sol.ljust(256))
     return all(map(lt, ranked, ranked[1:]))
-
-
-def _orbit_firsts(census: CensusResult) -> list[bytes]:
-    """The first row of every orbit ``census.orbits`` lists, after checking
-    that the census is a union of orbits.
-
-    It is iff ``orbits`` lists each census row once (:func:`_placed`) and
-    each orbit it lists is a representative's: every listed row holds the
-    image of the orbit's first row under the map at its place, and that
-    first row is the least of them and above the previous orbit's, so no
-    orbit is listed twice.  Each map's check is one gather of the rows at
-    its places, compared with the first rows translated by the map."""
-    width, size = census.params.word_count, orbit_size(census.params)
-    rows, orbits = _rows(census.feasible.data, width), census.orbits
-    try:
-        firsts = list(map(rows.__getitem__, orbits[::size]))  # the images under the identity
-        joined = b"".join(firsts)
-        for g, table in enumerate(_translations(census.params)):
-            images = list(map(rows.__getitem__, orbits[g::size]))
-            if b"".join(images) != joined.translate(table) or not all(map(le, firsts, images)):
-                raise AssertionError(_UNCLOSED)
-    except IndexError:  # a place past the last row
-        raise AssertionError(_UNCLOSED) from None
-    if not all(map(lt, firsts, firsts[1:])):
-        raise AssertionError(_UNCLOSED)
-    return firsts
 
 
 def _check_assignments(census: CensusResult, firsts: list[bytes]) -> None:
@@ -597,24 +533,6 @@ def _check_assignments(census: CensusResult, firsts: list[bytes]) -> None:
             raise AssertionError(f"a kept assignment does not realize order {tuple(order)}")
 
 
-def _placed(orbits: array, size: int, per_map: Iterator[list[bytes]]) -> bytearray:
-    """One row per image, joined in census row order.  The g-th list of
-    ``per_map`` holds each orbit's row for its image under the g-th map of
-    G, and ``orbits[r * size + g]`` names that image's census row.  Each
-    map's rows are scattered in C into one list, which is then joined a
-    slice at a time and released as it goes.  Refuses unless every census
-    row receives one row."""
-    rows: list[bytes | None] = [None] * len(orbits)
-    try:
-        for g, mapped in enumerate(per_map):
-            deque(map(rows.__setitem__, orbits[g::size], mapped), maxlen=0)
-    except IndexError:  # a place past the last row
-        raise AssertionError(_UNCLOSED) from None
-    if None in rows:  # a row no place names, so another is named twice
-        raise AssertionError(_UNCLOSED)
-    return _joined(rows)
-
-
 def build_repository(
     census: CensusResult | None = None, jobs: int | None = None
 ) -> Repository:
@@ -623,20 +541,20 @@ def build_repository(
     Every realizable order must admit an assignment within
     :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  The
     build runs no search: the census keeps the checked least-maximum
-    assignments of its orbit representatives
-    (:meth:`CensusResult.assignments_of`), and ``census.orbits`` names the
-    rows of each one's images, so no order is looked up.  A map g of G
-    sends the least-maximum assignments of an order onto those of its
-    image, so the image's vector, :func:`minimal_max_vector`'s choice, is
-    the least image under g of its representative's assignments.
+    assignments of its orbit representatives, ``census.firsts``
+    (:meth:`CensusResult.assignments_of`).  A map g of G sends the
+    least-maximum assignments of an order onto those of its image, so the
+    image's vector, :func:`minimal_max_vector`'s choice, is the least image
+    under g of its representative's assignments.
 
-    No step runs once per image.  For each map g, every kept assignment is
-    moved at once by strided slices (:func:`_moved`); only the orbits that
-    keep several assignments take a ``min`` of their moved rows; and the
-    vectors of all maps are placed in census row order by one scatter over
-    ``orbits`` (:func:`_placed`).  The orbit checks read whole maps too
-    (:func:`_orbit_firsts`).  ``jobs`` selects nothing: the build is one
-    serial pass, and the keyword stays for callers that still pass it.
+    No step runs once per image.  Per map g, one ``translate`` gives the
+    firsts' images and strided slices move every kept assignment; only the
+    orbits that keep several take a ``min``.  Each image and its vector
+    make one row of a single list, which one sort puts in census order.
+    The firsts must increase and each be at most its images, so no orbit
+    is listed twice, and the sorted images must be the census rows: the
+    census is the union of the firsts' orbits.  ``jobs`` selects nothing;
+    the keyword stays for callers.
     """
     params = Params(BASE_Q, 2)
     if census is None:
@@ -646,24 +564,45 @@ def build_repository(
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
-    width, size, orbits = params.word_count, orbit_size(params), census.orbits
-    if len(orbits) != len(orders):
+    width, size = params.word_count, orbit_size(params)
+    firsts, kept, offsets = census.firsts, census.assignments, census.offsets
+    count = len(firsts) // width
+    if len(firsts) != count * width or count * size != len(orders):
         raise AssertionError(_UNCLOSED)
-    kept, offsets = census.assignments, census.offsets
-    if len(offsets) != len(orbits) // size + 1 or offsets[0] or len(kept) != offsets[-1] * width:
+    if len(offsets) != count + 1 or offsets[0] or len(kept) != offsets[-1] * width:
         raise AssertionError("the census keeps no assignments for its orbits")
-    _check_assignments(census, _orbit_firsts(census))
+    rows_of = partial(_rows, width=width)
+    if not all(map(lt, rows_of(firsts), rows_of(firsts[width:]))) or not all(
+        all(map(le, rows_of(firsts), rows_of(firsts.translate(t)))) for t in _translations(params)
+    ):
+        raise AssertionError(_UNCLOSED)
+    _check_assignments(census, list(rows_of(firsts)))
     leads = offsets[:-1]  # each orbit's first kept assignment
     several = [(r, slice(a, b)) for r, (a, b) in enumerate(zip(offsets, offsets[1:])) if b - a > 1]
 
     def least_images(g: Sequence[int]) -> list[bytes]:
-        moved = _rows(_moved(kept, g, width), width)
-        images = list(map(moved.__getitem__, leads))
+        """The vectors of the firsts' images under g: the kept assignments
+        moved onto the same ranks, one strided slice a column (:func:`_inverse`)."""
+        moved = bytearray(len(kept))
+        for i, j in enumerate(_inverse(g)(range(width))):
+            moved[i::width] = kept[j::width]
+        moved_rows = list(rows_of(moved))
+        least = list(map(moved_rows.__getitem__, leads))
         for r, span in several:
-            images[r] = min(moved[span])
-        return images
+            least[r] = min(moved_rows[span])
+        return least
 
-    vectors = _placed(orbits, size, map(least_images, word_symmetries(params)))
+    rows = [b""] * len(orders)  # each image, then its vector
+    for k, (g, table) in enumerate(zip(word_symmetries(params), _translations(params))):
+        images = rows_of(firsts.translate(table))
+        rows[k * count : k * count + count] = map(bytes.__add__, images, least_images(g))
+    rows.sort()
+    placed = _joined(rows)
+    if any(placed[k :: 2 * width] != orders.data[k::width] for k in range(width)):
+        raise AssertionError(_UNCLOSED)
+    vectors = bytearray(len(placed) // 2)
+    for k in range(width):
+        vectors[k::width] = placed[width + k :: 2 * width]
     return Repository(PackedRows(vectors, width))
 
 

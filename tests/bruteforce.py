@@ -278,55 +278,49 @@ def drop_readout_probability(counts: Sequence[int], rate: float) -> float:
 
 def build_repository_reference(census: oracle.CensusResult) -> Repository:
     """The repository from a (3,2) census, one image at a time, with the
-    orbit and assignment checks made one orbit at a time.
+    checks made one representative at a time.
 
-    For each orbit the census lists: its images are the rows ``orbits``
-    names; the first, the image under the identity, must be the least and
-    above the previous orbit's first, and each must be its translation by
-    the map at its place, with every row listed once.  Each kept assignment
-    must rank the words as the first order does.  Each image's vector is
-    the least of the kept assignments moved to the same ranks of the image,
-    written at the image's row.  Raises AssertionError with the messages
-    of :func:`oracle.build_repository`."""
+    Each row of ``census.firsts`` must be the least of its images and above
+    the previous row, and each of its kept assignments must rank the words
+    as it does.  Each image's vector, the least of the kept assignments
+    moved to the same ranks of the image, goes into a dict keyed by the
+    image, which is read back in census row order: the census rows must
+    increase and be exactly the images.  Raises AssertionError with the
+    messages of :func:`oracle.build_repository`."""
     params = census.params
     unclosed = "the census is not a union of orbits of the code's symmetries"
     orders = census.feasible
     if len(orders) != BASE_COUNT:
         raise AssertionError(f"census produced {len(orders)} orders, not {BASE_COUNT}")
     width, size = params.word_count, oracle.orbit_size(params)
-    data, orbits = orders.data, census.orbits
-    if len(orbits) != len(orders):
+    blob, kept, offsets = census.firsts, census.assignments, census.offsets
+    firsts = [blob[k : k + width] for k in range(0, len(blob), width)]
+    if len(blob) % width or len(firsts) * size != len(orders):
         raise AssertionError(unclosed)
-    if len(census.offsets) != len(orbits) // size + 1:
+    if len(offsets) != len(firsts) + 1 or offsets[0] or len(kept) != offsets[-1] * width:
         raise AssertionError("the census keeps no assignments for its orbits")
     maps = list(word_symmetries(params))
     # an assignment to an order, moved to the same ranks of g(order)
     moves = [itemgetter(*sorted(range(width), key=g.__getitem__)) for g in maps]
-    tables = [bytes(g).ljust(256) for g in maps]
-    vectors = bytearray(len(data))
-    filled = bytearray(len(orders))
     last = b""
-    for start in range(0, len(orbits), size):
-        places = orbits[start : start + size]
-        images = [data[j * width : j * width + width] for j in places]
-        rep = images[0]
-        if rep <= last or rep != min(images) or images != [rep.translate(t) for t in tables]:
+    for rep in firsts:
+        if rep <= last or any(bytes(map(g.__getitem__, rep)) < rep for g in maps):
             raise AssertionError(unclosed)
         last = rep
-        for j in places:
-            if filled[j]:
-                raise AssertionError(unclosed)
-            filled[j] = 1
-    for r, start in enumerate(range(0, len(orbits), size)):
-        places = orbits[start : start + size]
-        rep = data[places[0] * width : places[0] * width + width]
+    for r, rep in enumerate(firsts):
         sols = census.assignments_of(r)
         if not sols:
             raise AssertionError(
                 f"no assignment with entries <= {oracle.REPOSITORY_CAP} for order {tuple(rep)}"
             )
-        if any(bytes(sorted(range(width), key=sol.__getitem__)) != rep for sol in sols):
+        if any(sol[a] >= sol[b] for sol in sols for a, b in zip(rep, rep[1:])):
             raise AssertionError(f"a kept assignment does not realize order {tuple(rep)}")
-        for j, move in zip(places, moves):
-            vectors[j * width : j * width + width] = min(map(move, sols))
-    return Repository(PackedRows(vectors, width))
+    vectors = {}
+    for r, rep in enumerate(firsts):
+        sols = census.assignments_of(r)
+        for g, move in zip(maps, moves):
+            vectors[tuple(map(g.__getitem__, rep))] = bytes(min(map(move, sols)))
+    rows = list(orders)
+    if any(a >= b for a, b in zip(rows, rows[1:])) or vectors.keys() != set(rows):
+        raise AssertionError(unclosed)
+    return Repository(PackedRows(b"".join(map(vectors.__getitem__, rows)), width))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations, permutations, product
@@ -331,3 +332,33 @@ def test_precoded_window_pairs_meet_distance(repo):
         oa = rank_of(encode_b(ia, repo).entries, Params(3, 3)).order
         ob = rank_of(encode_b(ib, repo).entries, Params(3, 3)).order
         assert kendall_tau(oa, ob) >= 3
+
+
+# the draws of PrecodedInfoB.sample at (3,3) and (4,3), seed 2030, and the
+# generator's state after them
+PRECODED_SAMPLE_DIGEST = "cad835f6c35eaf0b764a1103e8233a2e73fdbc90a8af00660253d54b6755a0dd"
+
+
+def test_precoded_window_sampling_matches_pinned_digest():
+    digest = hashlib.sha256()
+    for q, top in ((3, PermCode((0, 1, 2), ((0, 1, 2), (2, 1, 0)))), (4, PermCode.full(range(4)))):
+        rng = random.Random(2030)
+        space = PrecodedInfoB(q, 3, top)
+        for _ in range(3):
+            info = space.sample(rng)
+            info.check()
+            digest.update(repr(info).encode())
+        digest.update(repr(rng.getstate()).encode())
+    assert digest.hexdigest() == PRECODED_SAMPLE_DIGEST
+
+
+def test_precoded_window_sampling_checks_its_space():
+    # below window length 3 there is no layer to pre-code: the space is
+    # refused rather than sampled into a message that fails its own check
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="window length 3"):
+        PrecodedInfoB(3, 2, PermCode.full((0, 1, 2))).sample(rng)
+    with pytest.raises(ValueError, match="permute 0..q-1"):
+        PrecodedInfoB(3, 3, PermCode.full((0, 1))).sample(rng)
+    assert rng.getstate() == state

@@ -158,19 +158,16 @@ def test_walk_at_window_one_holds_no_list_of_the_group():
 
 @pytest.mark.parametrize("params", CAPPED, ids=lambda p: f"q{p.q}l{p.ell}")
 def test_census_orbits_name_the_row_of_every_image(params):
+    # the census hands over its feasible representatives, ``firsts``: they
+    # are the walk's representatives that the census holds, in order, and
+    # the images of their orbits, sorted, are the census rows one for one
     result = enumerate_feasible(params)
-    size, orbits = orbit_size(params), result.orbits
-    # one to one onto the census rows
-    assert sorted(orbits) == list(range(result.count))
-    maps = list(word_symmetries(params))
-    reps = [result.feasible[orbits[start]] for start in range(0, len(orbits), size)]
-    for r, rep in enumerate(reps):
-        images = [tuple(map(g.__getitem__, rep)) for g in maps]
-        assert [result.feasible[orbits[r * size + g]] for g in range(size)] == images
-        assert min(images) == rep  # the least order of its orbit
-    assert reps == sorted(set(reps))
-    feasible = set(result.feasible)
-    assert reps == [rep for rep in representatives(params) if rep in feasible]
+    width, data = params.word_count, result.feasible.data
+    rows = {data[k : k + width] for k in range(0, len(data), width)}
+    firsts = [bytes(rep) for rep in representatives(params) if bytes(rep) in rows]
+    assert result.firsts == b"".join(firsts)
+    images = (bytes(map(g.__getitem__, rep)) for rep in firsts for g in word_symmetries(params))
+    assert b"".join(sorted(images)) == data
 
 
 def test_census_stats_at_three_two(census32):
@@ -184,8 +181,7 @@ def test_census_stats_at_three_two(census32):
     assert stats.settled_hits * orbit_size(P32) == census32.precheck_hit_infeasible
     silent = [rep for rep in representatives(P32) if order_precheck_witness(rep, P32) is None]
     assert len(silent) == 2520
-    size, orbits = orbit_size(P32), census32.orbits
-    assert [census32.feasible[orbits[start]] for start in range(0, len(orbits), size)] == silent
+    assert census32.firsts == b"".join(map(bytes, silent))
     stats23 = enumerate_feasible(P23).stats
     assert (stats23.set_refuted, stats23.assigned, stats23.lp_calls) == (1176, 0, 0)
     # the value search's work: no search runs at (2,3)
@@ -263,21 +259,33 @@ def test_set_ballots_cover_the_node_sets_the_precheck_leaves_out():
 
 
 def test_kept_assignments_match_the_reference_search(census32):
-    size, orbits = orbit_size(P32), census32.orbits
-    assert len(census32.offsets) == len(orbits) // size + 1
-    for r in random.Random(12).sample(range(len(orbits) // size), 200):
-        rep = census32.feasible[orbits[r * size]]
+    firsts = census32.firsts
+    assert len(census32.offsets) == len(firsts) // 9 + 1
+    for r in random.Random(12).sample(range(len(firsts) // 9), 200):
+        rep = tuple(firsts[r * 9 : r * 9 + 9])
         kept = [tuple(sol) for sol in census32.assignments_of(r)]
         assert kept == least_max_search(rep, P32, REPOSITORY_CAP, 1)
 
 
+@pytest.mark.parametrize("r", [-1, -2521, 2520])
+def test_assignments_of_refuses_a_representative_out_of_range(census32, r):
+    # a negative r does not wrap: -1 would read as an order the LP proved
+    # feasible, and -2 as representative 2519
+    assert len(census32.offsets) == 2521
+    with pytest.raises(IndexError, match=r"representative -?\d+ out of range 0\.\.2519"):
+        census32.assignments_of(r)
+
+
 def test_census_kept_assignments_are_packed(census32):
-    # one byte per entry, 9 a row, and one offset per representative
-    assert isinstance(census32.assignments, bytes)
+    # one byte per entry, 9 a row, one offset per representative, and the
+    # representatives themselves 9 bytes each
+    assert isinstance(census32.assignments, bytes) and isinstance(census32.firsts, bytes)
     assert len(census32.assignments) == 9 * census32.offsets[-1]
+    assert len(census32.firsts) == 9 * (len(census32.offsets) - 1) == 9 * 2520
     assert census32.offsets.typecode == "I"
-    assert "assignments" not in repr(census32) and "offsets" not in repr(census32)
-    blank = replace(census32, assignments=b"", offsets=array("I"))
+    for name in ("firsts", "assignments", "offsets"):
+        assert name not in repr(census32)
+    blank = replace(census32, firsts=b"", assignments=b"", offsets=array("I"))
     assert blank == census32 and blank.summary() == census32.summary()
 
 
@@ -433,7 +441,8 @@ def test_repository_checksum_pinned(repo, tmp_path):
 
 
 def test_repository_build_looks_up_no_order(census32, repo, monkeypatch):
-    # census.orbits names every image's row: no packed lookup is built
+    # the build sorts the images with their vectors and compares them with
+    # the census rows: no packed lookup is built
     def lookup(self, row):
         raise AssertionError(f"looked up {row}")
 
@@ -461,23 +470,32 @@ def test_repository_build_ignores_the_order_of_kept_assignments(census32, repo):
 
 
 def _broken_censuses(census32):
-    size, orbits, kept = orbit_size(P32), census32.orbits, census32.assignments
-    rng = random.Random(29)
-    for _ in range(6):  # two entries of orbits swapped, in one orbit or two
-        swapped = array("I", orbits)
-        a, b = rng.sample(range(len(orbits)), 2)
+    firsts, kept = census32.firsts, census32.assignments
+    reps = [firsts[k : k + 9] for k in range(0, len(firsts), 9)]
+    rng = random.Random(30)
+    for _ in range(4):  # two firsts swapped
+        swapped = list(reps)
+        a, b = rng.sample(range(len(reps)), 2)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        yield replace(census32, orbits=swapped)
-    listed_twice = array("I", orbits)
-    listed_twice[7] = listed_twice[5]
-    yield replace(census32, orbits=listed_twice)
-    past_the_end = array("I", orbits)
-    past_the_end[-1] = len(orbits)
-    yield replace(census32, orbits=past_the_end)
-    yield replace(census32, orbits=array("I", orbits[size:] + orbits[:size]))  # out of order
+        yield replace(census32, firsts=b"".join(swapped))
+    # one first listed twice: in place of the next, and as one more row
+    yield replace(census32, firsts=b"".join(reps[:8] + reps[7:8] + reps[9:]))
+    yield replace(census32, firsts=b"".join(reps[:8] + reps[7:]))
+    maps = list(word_symmetries(P32))
+    for r in (1300, 2519):  # a first replaced by a non-least image of its orbit
+        raised = list(reps)
+        raised[r] = bytes(map(maps[-1].__getitem__, reps[r]))
+        yield replace(census32, firsts=b"".join(raised))
+    # a first from outside the census: an unrealizable least order that
+    # keeps the firsts increasing
+    stray = next(bytes(o) for o in representatives(P32) if reps[99] < bytes(o) < reps[100])
+    yield replace(census32, firsts=b"".join(reps[:100] + [stray] + reps[101:]))
+    yield replace(census32, firsts=firsts[:-4])  # a partial row
     rows = bytearray(census32.feasible.data)
-    j = orbits[100 * size] * 9  # an orbit's first row, reversed
-    rows[j : j + 9] = rows[j : j + 9][::-1]
+    rows[9000:9009] = rows[9000:9009][::-1]  # a census row reversed
+    yield replace(census32, feasible=PackedRows(rows, 9))
+    rows = bytearray(census32.feasible.data)
+    rows[9000:9018] = rows[9009:9018] + rows[9000:9009]  # two census rows swapped
     yield replace(census32, feasible=PackedRows(rows, 9))
     for r in (0, 700, 2519):  # one kept assignment swapped for another order's
         other = census32.offsets[(r + 1) % 2520] * 9
@@ -497,25 +515,13 @@ def test_repository_build_refuses_as_the_reference_does(census32):
         with pytest.raises(AssertionError) as built:
             build_repository(census)
         assert str(built.value) == str(reference.value)
-    assert len(broken) == 15
-
-
-def test_placement_fills_every_row_once():
-    # two orbits of two images: orbits[r * 2 + g] is the row of orbit r's
-    # image under map g, and the g-th list holds each orbit's row for it
-    per_map = [[b"a", b"c"], [b"b", b"d"]]
-    assert oracle._placed(array("I", [0, 1, 3, 2]), 2, iter(per_map)) == b"abdc"
-    # two images named to one row leave another row empty
-    with pytest.raises(AssertionError, match="union of orbits"):
-        oracle._placed(array("I", [0, 1, 2, 2]), 2, iter(per_map))
-    with pytest.raises(AssertionError, match="union of orbits"):
-        oracle._placed(array("I", [0, 1, 4, 2]), 2, iter(per_map))
+    assert len(broken) == 17
 
 
 def test_repository_refuses_a_kept_assignment_with_a_tie(census32):
     # two equal entries rank no pair of words: such an assignment realizes
     # no order, even where a stable sort would rank them as the order does
-    order = census32.feasible[census32.orbits[0]]
+    order = census32.firsts[:9]
     assert order[0] < order[1]
     sol = bytearray(census32.assignments_of(0)[0])
     sol[order[1]] = sol[order[0]]
@@ -551,31 +557,17 @@ def test_repository_refuses_a_census_with_an_orbit_twice(census32):
 
 def test_repository_refuses_orbits_that_list_one_orbit_from_two_orders(census32):
     # as in the test above, one orbit dropped and one held twice, but with
-    # orbits that name the rows truly: the second copy is listed from an
-    # order above its least one, so only the check that a listed orbit
-    # starts at its least order refuses it
+    # firsts that list both copies, so the images of the firsts, sorted,
+    # are the census rows: the second copy is listed from an order above
+    # its least one, and only the check that a first is least refuses it
     maps = list(word_symmetries(P32))
-    size, orbits = orbit_size(P32), census32.orbits
-    reps = [census32.feasible[orbits[start]] for start in range(0, len(orbits), size)]
-    starts = reps[2:] + [reps[0], tuple(map(maps[1].__getitem__, reps[0]))]
-    images = [tuple(map(g.__getitem__, start)) for start in sorted(starts) for g in maps]
-    rows = sorted(images)
-    places = {}
-    for k, row in enumerate(rows):
-        places.setdefault(row, []).append(k)
-    listed = array("I", (places[image].pop(0) for image in images))
-    packed = PackedRows(bytes(e for row in rows for e in row), P32.word_count)
+    reps = [tuple(census32.firsts[k : k + 9]) for k in range(0, len(census32.firsts), 9)]
+    starts = sorted(reps[2:] + [reps[0], tuple(map(maps[1].__getitem__, reps[0]))])
+    rows = sorted(tuple(map(g.__getitem__, start)) for start in starts for g in maps)
+    packed = PackedRows(bytes(chain.from_iterable(rows)), P32.word_count)
+    firsts = bytes(chain.from_iterable(starts))
     with pytest.raises(AssertionError, match="union of orbits"):
-        build_repository(replace(census32, feasible=packed, orbits=listed))
-
-
-@pytest.mark.parametrize("first, second", [(1, 2), (5, 17)], ids=["one-orbit", "two-orbits"])
-def test_repository_refuses_a_census_with_two_orbit_entries_swapped(census32, first, second):
-    # every row still listed once, but two images at the wrong map's place
-    orbits = array("I", census32.orbits)
-    orbits[first], orbits[second] = orbits[second], orbits[first]
-    with pytest.raises(AssertionError, match="union of orbits"):
-        build_repository(replace(census32, orbits=orbits))
+        build_repository(replace(census32, feasible=packed, firsts=firsts))
 
 
 def test_repository_refuses_assignments_of_another_order(census32):
@@ -590,6 +582,18 @@ def test_repository_refuses_assignments_of_another_order(census32):
 def test_repository_refuses_a_census_that_keeps_no_assignments(census32):
     with pytest.raises(AssertionError, match="keeps no assignments"):
         build_repository(replace(census32, offsets=array("I")))
+
+
+def test_census_at_window_one_stays_under_its_memory_guard():
+    # the one orbit of 9! orders at (9,1) is sorted as bare 9-byte images,
+    # with no label bytes
+    tracemalloc.start()
+    try:
+        enumerate_feasible(Params(9, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19_000_000
 
 
 def test_repository_vectors_revalidate(repo):
