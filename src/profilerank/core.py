@@ -327,6 +327,11 @@ class PackedRows(Sequence):
         return self.data[i * w : i * w + w]
 
 
+def _rows(blob: bytes, width: int) -> Iterator[bytes]:
+    """``blob`` cut into its rows of ``width`` bytes, lazily, in C."""
+    return map(operator.itemgetter(0), Struct(f"{width}s").iter_unpack(blob))
+
+
 # ---------------------------------------------------------------------------
 # Profile vectors
 # ---------------------------------------------------------------------------

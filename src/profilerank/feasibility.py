@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, repeat
+from operator import lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from ._simplex import Phase1, phase1
@@ -38,6 +38,7 @@ from .core import (
     RankPermutation,
     Word,
     _at_most,
+    _rows,
     edge_nodes,
     first_flow_violation,
     is_constant,
@@ -116,6 +117,34 @@ class FeasibleVector:
         vec = cls(params, tuple(v.numerator * (d // v.denominator) for v in values), d)
         read_back(text, vec.to_text(), "vector")
         return vec
+
+
+def check_rows(params: Params, data: bytes, orders: bytes) -> None:
+    """Raise ValueError unless each packed row of ``data`` (one byte per
+    entry, in word order) passes :meth:`FeasibleVector.check` against the
+    same row of ``orders``, rank orders packed alike.  One ``min``, a
+    compare per column of the rows read along their orders, and one
+    :func:`core.first_flow_violation` on the columns as integers of 2-byte
+    fields (no carry crosses one: q * 255 < 2^16) test all rows at once; on
+    a failure each row is checked alone, to raise the first one's message."""
+    w = params.word_count
+    if len(data) % w or len(orders) != len(data):
+        raise ValueError("entry count does not match q^ell")
+    # each row read along its order; an index past the words reads 0
+    tables = map(bytes.ljust, _rows(data, w), repeat(256), repeat(b"\0"))
+    ranked = b"".join(map(bytes.translate, _rows(orders, w), tables))
+    wide, columns = bytearray(2 * len(data) // w), []
+    for k in range(w):
+        wide[::2] = data[k::w]  # each entry, then a 0 byte
+        columns.append(int.from_bytes(wide, "little"))
+    if (
+        min(ranked, default=1) >= 1
+        and all(all(map(lt, ranked[k::w], ranked[k + 1 :: w])) for k in range(w - 1))
+        and (params.ell < 2 or params.q < 258 and first_flow_violation(columns, params) is None)
+    ):
+        return
+    for row, order in zip(_rows(data, w), _rows(orders, w)):
+        FeasibleVector(params, tuple(row)).check(RankPermutation(params, tuple(order)))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ completion ends in one block: the census counts a block of hits without
 building its orders.  Each order of a silent block gets a checked verdict
 without the LP: a ballot on a node set the pre-check leaves out refutes
 it, with a Farkas vector, or the value search below assigns it, and the
-census keeps the assignments for the repository build.  The exact LP runs
-only on an order neither settles, which no census size has.  Both are one
-serial pass over the representatives: at (3,2), the largest census input,
-a pass takes a fraction of a second, less than a worker pool costs to
-start.
+census keeps the assignments, checked in one packed pass, for the build.
+The exact LP runs only on an order neither settles, which no census size
+has.  Both are one serial pass over the representatives: at (3,2), the
+largest census input, a pass takes a fraction of a second, less than a
+worker pool costs to start.
 
 The value-assignment searches test, for one largest value at a time, every
 increasing sequence of rank-order values that ends at it: each sequence is
@@ -34,18 +34,18 @@ from __future__ import annotations
 
 import time
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 from operator import itemgetter, le, lt, sub
-from struct import Struct
 from typing import Iterator, Sequence
 
-from .core import PackedRows, Params, RankPermutation, _at_most, edge_nodes, word_symmetries
+from .core import PackedRows, Params, RankPermutation, _at_most, _rows, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import FeasibleVector, _Ballot, check_farkas, decide
+from .feasibility import FeasibleVector, _Ballot, check_farkas, check_rows, decide
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -255,20 +255,20 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     Every order the pre-check lets through gets a checked verdict: a ballot
     on a node set refutes it (:func:`_set_refutation`, checked by
     :func:`feasibility.check_farkas`), or :func:`least_max_vectors` assigns
-    it within :data:`REPOSITORY_CAP`, and every assignment it finds passes
-    :meth:`FeasibleVector.check` and is kept.  Only an order that neither
-    settles goes to the exact LP, through :func:`feasibility.decide`, which
-    checks its certificate.  The feasible representatives are kept as
-    ``firsts`` and expanded through G (:func:`_expand`).  ``jobs`` selects
-    nothing: the census is one serial pass; the keyword stays for
-    callers."""
+    it within :data:`REPOSITORY_CAP`, and every assignment it finds is kept
+    and passes one :func:`feasibility.check_rows` call with all the others.
+    Only an order that neither settles goes to the exact LP, through
+    :func:`feasibility.decide`, which checks its certificate.  The feasible
+    representatives are kept as ``firsts`` and expanded through G
+    (:func:`_expand`).  ``jobs`` selects nothing: the census is one serial
+    pass; the keyword stays for callers."""
     if not _at_most(params, CENSUS_CAP):
         raise ValueError(f"census capped at {CENSUS_CAP} words, got q={params.q} ell={params.ell}")
     total = factorial(params.word_count)
     started = time.monotonic()
     orbit = orbit_size(params)
     walk = _OrbitWalk(params)
-    firsts, kept, offsets = bytearray(), bytearray(), array("I", [0])
+    firsts, kept, owners, offsets = bytearray(), bytearray(), bytearray(), array("I", [0])
     swept = settled = silent_infeasible = set_refuted = assigned = lp_calls = 0
     maxima = sequences = 0
     for prefix, rest, hit in walk:
@@ -279,10 +279,9 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
             continue
         for tail in permutations(rest):
             order = prefix + tail
-            perm = RankPermutation(params, order)
             farkas = _set_refutation(order, params)
             if farkas is not None:
-                check_farkas(perm, farkas)
+                check_farkas(RankPermutation(params, order), farkas)
                 set_refuted += 1
                 silent_infeasible += 1
                 continue
@@ -290,20 +289,20 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
             tried, tested = _search_work(len(order), max(sols[0]) if sols else REPOSITORY_CAP)
             maxima += tried
             sequences += tested
-            for sol in sols:
-                FeasibleVector(params, sol).check(perm)
-                kept += bytes(sol)
+            kept += bytes(chain.from_iterable(sols))
+            owners += bytes(order) * len(sols)
             if sols:
                 assigned += 1
             else:
                 lp_calls += 1
-                if not decide(perm, use_precheck=False).feasible:
+                if not decide(RankPermutation(params, order), use_precheck=False).feasible:
                     silent_infeasible += 1
                     continue
             firsts += bytes(order)
             offsets.append(len(kept) // params.word_count)
     if swept * orbit != total:
         raise AssertionError(f"{swept} orbits of {orbit} orders do not cover {total}")
+    check_rows(params, kept, owners)
     return CensusResult(
         params,
         total,
@@ -316,11 +315,6 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
         bytes(kept),
         offsets,
     )
-
-
-def _rows(blob: bytes, width: int) -> Iterator[bytes]:
-    """``blob`` cut into its rows of ``width`` bytes, lazily, in C."""
-    return map(itemgetter(0), Struct(f"{width}s").iter_unpack(blob))
 
 
 def _joined(rows: list[bytes]) -> bytearray:
@@ -504,33 +498,27 @@ def minimal_max_value(
 _UNCLOSED = "the census is not a union of orbits of the code's symmetries"
 
 
-def _ranks_as(order: bytes, sol: bytes) -> bool:
-    """Whether the entries of ``sol``, read along ``order``, increase."""
-    ranked = order.translate(sol.ljust(256))
-    return all(map(lt, ranked, ranked[1:]))
-
-
 def _check_assignments(census: CensusResult, firsts: list[bytes]) -> None:
-    """Refuse unless every orbit keeps an assignment and each kept one ranks
-    the words as the orbit's first order does.  All of them are read along
-    their orders at once, one ``translate`` each, and compared column by
-    column; on a failure the first order at fault is named."""
-    width, offsets, kept = census.params.word_count, census.offsets, census.assignments
-    owners = chain.from_iterable(map(repeat, firsts, map(sub, offsets[1:], offsets)))
-    tables = map(bytes.ljust, _rows(kept, width), repeat(256))
-    ranked = b"".join(map(bytes.translate, owners, tables))
-    if all(map(lt, offsets, offsets[1:])) and all(
-        all(map(lt, ranked[k::width], ranked[k + 1 :: width])) for k in range(width - 1)
-    ):
-        return
+    """Refuse unless every orbit keeps an assignment and each kept one
+    passes :meth:`FeasibleVector.check` against the orbit's first order:
+    one :func:`feasibility.check_rows` call on all of them, and on a
+    failure one call per orbit, which names the first order at fault."""
+    params, offsets = census.params, census.offsets
+    with suppress(ValueError):
+        if all(map(lt, offsets, offsets[1:])):
+            owners = b"".join(map(bytes.__mul__, firsts, map(sub, offsets[1:], offsets)))
+            check_rows(params, census.assignments, owners)
+            return
     for r, order in enumerate(firsts):
         sols = census.assignments_of(r)
         if not sols:
             raise AssertionError(
                 f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(order)}"
             )
-        if not all(_ranks_as(order, sol) for sol in sols):
-            raise AssertionError(f"a kept assignment does not realize order {tuple(order)}")
+        try:
+            check_rows(params, b"".join(sols), order * len(sols))
+        except ValueError as e:
+            raise AssertionError(f"a kept assignment does not realize order {tuple(order)}") from e
 
 
 def build_repository(
@@ -540,9 +528,9 @@ def build_repository(
 
     Every realizable order must admit an assignment within
     :data:`REPOSITORY_CAP`; failure is a build error, not a skip.  The
-    build runs no search: the census keeps the checked least-maximum
-    assignments of its orbit representatives, ``census.firsts``
-    (:meth:`CensusResult.assignments_of`).  A map g of G sends the
+    build runs no search: it checks the least-maximum assignments the
+    census kept for its orbit representatives, ``census.firsts``, as the
+    census does (:func:`_check_assignments`).  A map g of G sends the
     least-maximum assignments of an order onto those of its image, so the
     image's vector, :func:`minimal_max_vector`'s choice, is the least image
     under g of its representative's assignments.

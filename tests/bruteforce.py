@@ -282,7 +282,8 @@ def build_repository_reference(census: oracle.CensusResult) -> Repository:
 
     Each row of ``census.firsts`` must be the least of its images and above
     the previous row, and each of its kept assignments must rank the words
-    as it does.  Each image's vector, the least of the kept assignments
+    as it does, with entries at least 1 and in- and out-sums equal at every
+    node.  Each image's vector, the least of the kept assignments
     moved to the same ranks of the image, goes into a dict keyed by the
     image, which is read back in census row order: the census rows must
     increase and be exactly the images.  Raises AssertionError with the
@@ -299,6 +300,16 @@ def build_repository_reference(census: oracle.CensusResult) -> Repository:
         raise AssertionError(unclosed)
     if len(offsets) != len(firsts) + 1 or offsets[0] or len(kept) != offsets[-1] * width:
         raise AssertionError("the census keeps no assignments for its orbits")
+    heads, tails = edge_nodes(params)
+
+    def balanced(sol: bytes) -> bool:
+        """Whether each node's leaving words sum to its entering words."""
+        leaving, entering = [0] * params.node_count, [0] * params.node_count
+        for e, h, t in zip(sol, heads, tails):
+            leaving[h] += e
+            entering[t] += e
+        return leaving == entering
+
     maps = list(word_symmetries(params))
     # an assignment to an order, moved to the same ranks of g(order)
     moves = [itemgetter(*sorted(range(width), key=g.__getitem__)) for g in maps]
@@ -313,7 +324,10 @@ def build_repository_reference(census: oracle.CensusResult) -> Repository:
             raise AssertionError(
                 f"no assignment with entries <= {oracle.REPOSITORY_CAP} for order {tuple(rep)}"
             )
-        if any(sol[a] >= sol[b] for sol in sols for a, b in zip(rep, rep[1:])):
+        if any(
+            min(sol) < 1 or not balanced(sol) or any(sol[a] >= sol[b] for a, b in zip(rep, rep[1:]))
+            for sol in sols
+        ):
             raise AssertionError(f"a kept assignment does not realize order {tuple(rep)}")
     vectors = {}
     for r, rep in enumerate(firsts):

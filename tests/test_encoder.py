@@ -684,6 +684,29 @@ def test_repository_validate_refuses_swapped_rows(repo, tmp_path):
         swapped.validate()
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda vec: vec[:4] + vec[:1] + vec[5:], "pairwise distinct"),
+        (lambda vec: [0 if e == min(vec) else e for e in vec], "all be >= 1"),
+        (lambda vec: vec[:1] + [vec[1] + 100] + vec[2:], "flow violated at node 0"),
+    ],
+    ids=["tie", "zero", "unbalanced"],
+)
+def test_repository_validate_names_the_entry_at_fault(repo, tmp_path, mutate, message):
+    # entry 5 with a tie (the loop words 00 and 11, so it stays balanced), a
+    # zero, or out of balance (word 01 leaves node 0), under a fresh
+    # checksum: the file loads, and validate names the entry
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[5] = " ".join(map(str, mutate(list(repo.vector(5)))))
+    _rewrite_with_trailer(path, lines)
+    broken = Repository.load(path)
+    with pytest.raises(ValueError, match=f"^repository entry 5: .*{message}"):
+        broken.validate()
+
+
 def test_repository_load_rejects_corruption(repo, tmp_path):
     path = tmp_path / "repo.txt"
     repo.save(path)

@@ -27,6 +27,7 @@ from profilerank.feasibility import (
     FeasibleVector,
     alpha_star_lower,
     check_farkas,
+    check_rows,
     decide,
     matching_precheck,
     _OrderLP,
@@ -755,3 +756,73 @@ def test_fractional_vector_to_profile_scales_by_its_denominator(repo):
         assert list(profile.counts) == [vec.denom * v for v in values]
         assert rank_of(profile).order == perm.order
     assert fractional > 0
+
+
+def _row_fault(params, row, order):
+    """What FeasibleVector.check says of one row, or None if it passes."""
+    try:
+        FeasibleVector(params, tuple(row)).check(RankPermutation(params, tuple(order)))
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _rows_fault(params, data, orders):
+    """What check_rows says of packed rows, or None if they pass."""
+    try:
+        check_rows(params, data, orders)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_check_rows_is_the_vector_check_on_every_row(repo, census32):
+    # repository rows, some with one entry moved, tied, zeroed or swapped,
+    # against their census orders and against the orders that sort them:
+    # check_rows refuses iff some row fails FeasibleVector.check, with the
+    # first such row's message
+    params, rng = repo.params, random.Random(31)
+    faults = 0
+    for _ in range(300):
+        rows, census_orders = [], []
+        for i in rng.sample(range(len(repo.vectors)), rng.randrange(1, 5)):
+            row = list(repo.vectors[i])
+            a, b = rng.sample(range(9), 2)
+            kind = rng.randrange(6)
+            if kind == 1:
+                row[a] += rng.choice((-1, 1))
+            elif kind == 2:
+                row[a] = row[b]
+            elif kind == 3:
+                row[a] = 0
+            elif kind == 4:
+                row[a], row[b] = row[b], row[a]
+            rows.append(bytes(row))
+            census_orders.append(bytes(census32.feasible[i]))
+        sorting = [bytes(sorted(range(9), key=row.__getitem__)) for row in rows]
+        for orders in (census_orders, sorting):
+            expected = next(filter(None, map(_row_fault, [params] * len(rows), rows, orders)), None)
+            faults += expected is not None
+            assert _rows_fault(params, b"".join(rows), b"".join(orders)) == expected
+    assert faults > 200
+
+
+@pytest.mark.parametrize("params", [Params(2, 3), Params(4, 1)], ids=["q2l3", "q4l1"])
+def test_check_rows_at_other_windows(params):
+    # profiles of random strings, each packed twice, against the order that
+    # sorts it: at (2,3), where no order is realizable, each is refused for
+    # a zero or a tie, and at window one distinct entries >= 1 pass;
+    # check_rows says what the vector check says
+    rng = random.Random(32)
+    for _ in range(200):
+        text = [rng.randrange(params.q) for _ in range(rng.randrange(1, 60))]
+        row = bytes(profile_of(text, params).counts)
+        order = bytes(sorted(range(params.word_count), key=row.__getitem__))
+        assert _rows_fault(params, row * 2, order * 2) == _row_fault(params, row, order)
+
+
+def test_check_rows_refuses_a_partial_row():
+    row, order = bytes(range(1, 10)), bytes(range(9))
+    for data, orders in ((row + b"\x01", order + b"\x00"), (row, order[:8])):
+        with pytest.raises(ValueError, match="entry count"):
+            check_rows(Params(3, 2), data, orders)

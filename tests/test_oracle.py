@@ -30,7 +30,7 @@ from profilerank.core import (
     word_symmetries,
 )
 from profilerank.encoder import BASE_COUNT
-from profilerank.feasibility import check_farkas, order_precheck_witness
+from profilerank.feasibility import FeasibleVector, check_farkas, order_precheck_witness
 from profilerank.oracle import (
     REPOSITORY_CAP,
     CensusStats,
@@ -355,17 +355,59 @@ def test_census_checks_the_lp_certificate(monkeypatch, feasible):
         enumerate_feasible(params)
 
 
-def test_census_checks_every_assignment_it_keeps(monkeypatch):
-    # an assignment with two entries swapped no longer realizes its order
-    search = oracle.least_max_vectors
+def _swapped(sol):
+    """``sol`` with the entries of the loop words 00 and 11 swapped: still
+    balanced, but in another rank order."""
+    return (sol[4],) + tuple(sol[1:4]) + (sol[0],) + tuple(sol[5:])
 
-    def swapped(order, params, cap):
+
+def _unbalanced(sol):
+    """``sol`` with its largest non-loop entry, and every entry above it,
+    raised by one: the rank order is kept, but only that non-loop word
+    moves, so its two nodes fall out of balance."""
+    heads, tails = edge_nodes(P32)
+    top = max(e for e, h, t in zip(sol, heads, tails) if h != t)
+    return tuple(e + (e >= top) for e in sol)
+
+
+def _zeroed(sol):
+    """``sol`` with its lowest-ranked entry set to 0: the rank order is kept."""
+    return tuple(0 if e == min(sol) else e for e in sol)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_swapped, "does not realize the stated permutation"),
+        (_unbalanced, "flow violated at node 0"),
+        (_zeroed, "entries must all be >= 1"),
+    ],
+    ids=["swapped", "unbalanced", "zero"],
+)
+def test_census_checks_every_assignment_it_keeps(monkeypatch, mutate, message):
+    # one kept assignment broken, that of the first order searched: the
+    # census refuses it with the message FeasibleVector.check gives it
+    search, broken_orders = oracle.least_max_vectors, []
+
+    def broken(order, params, cap):
         sols = search(order, params, cap)
-        return sols[:-1] + [(sols[-1][1], sols[-1][0]) + sols[-1][2:]]
+        if not broken_orders:
+            sols[-1] = mutate(sols[-1])
+            broken_orders.append(order)
+        return sols
 
-    monkeypatch.setattr(oracle, "least_max_vectors", swapped)
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(oracle, "least_max_vectors", broken)
+    with pytest.raises(ValueError, match=message):
         enumerate_feasible(P32)
+
+
+def test_census_checks_its_kept_assignments_in_one_pass(monkeypatch):
+    # every kept assignment passes, so no vector is checked one at a time
+    def check(self, perm=None):
+        raise AssertionError("a vector was checked on its own")
+
+    monkeypatch.setattr(FeasibleVector, "check", check)
+    assert enumerate_feasible(P32).stats.assigned == 2520
 
 
 def test_census_checks_every_set_refutation(monkeypatch):
@@ -505,6 +547,12 @@ def _broken_censuses(census32):
         offsets = array("I", census32.offsets)
         offsets[r + 1] = offsets[r]
         yield replace(census32, offsets=offsets)
+    # orbit 0's one kept assignment out of balance or with a zero entry, in
+    # its rank order: (1, 2, 9, ..., 10) becomes (1, 2, 10, ..., 11), or
+    # its 1 becomes 0
+    assert census32.offsets[1] == 1
+    for mutate in (_unbalanced, _zeroed):
+        yield replace(census32, assignments=bytes(mutate(kept[:9])) + kept[9:])
 
 
 def test_repository_build_refuses_as_the_reference_does(census32):
@@ -515,7 +563,7 @@ def test_repository_build_refuses_as_the_reference_does(census32):
         with pytest.raises(AssertionError) as built:
             build_repository(census)
         assert str(built.value) == str(reference.value)
-    assert len(broken) == 17
+    assert len(broken) == 19
 
 
 def test_repository_refuses_a_kept_assignment_with_a_tie(census32):
