@@ -674,27 +674,80 @@ def length_bounds(params: Params, c3: int) -> LengthBounds:
 # Random messages and text formats
 # ---------------------------------------------------------------------------
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n), drawn as ``random.Random._randbelow``
+    draws it: k-bit samples, k the bit length of n, until one falls below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_info_a(q: int, rng) -> InfoVecA:
+    """A uniform alphabet message at q, drawn from ``rng.getrandbits``.
+
+    ``rng`` is any object with a ``getrandbits(k)`` method.  The draws are
+    those of ``shuffle``, ``sample(range(n), k)`` and ``randint`` on a
+    ``random.Random`` (CPython 3.10 and later): per stage j, the rank
+    vector by Fisher-Yates from the top, then the j ones among n = j^2-j+1
+    positions (sample's pool of n for j <= 9, its set of drawn positions
+    from j = 10 on), and last the base index.  So for ``random.Random``, and
+    any subclass whose ``_randbelow`` draws through ``getrandbits`` (every
+    one that does not override ``random`` alone), a seed gives the same
+    message, and leaves the same state, as those calls would.
+    """
+    getrandbits = rng.getrandbits
     stages = []
     for j in range(4, q + 1):
         pi = list(range(1, j + 1))
-        rng.shuffle(pi)
-        positions = rng.sample(range(j * j - j + 1), j)
-        t = tuple(1 if k in positions else 0 for k in range(j * j - j + 1))
-        stages.append(StageA(tuple(pi), t))
-    return InfoVecA(rng.randint(1, BASE_COUNT), tuple(stages))
+        for top in range(j - 1, 0, -1):
+            other = _below(getrandbits, top + 1)
+            pi[top], pi[other] = pi[other], pi[top]
+        n = j * j - j + 1
+        t = [0] * n
+        # sample keeps a pool of all n while n <= 21 + 4^ceil(log4(3j)) (21
+        # while j <= 5): n <= 73 <= 85 up to j = 9, and n is larger from 10 on
+        if j <= 9:
+            pool = list(range(n))
+            for drawn in range(j):
+                pick = _below(getrandbits, n - drawn)
+                t[pool[pick]] = 1
+                pool[pick] = pool[n - drawn - 1]
+        else:  # its set of drawn positions: redraw one already taken
+            for _ in range(j):
+                pick = _below(getrandbits, n)
+                while t[pick]:
+                    pick = _below(getrandbits, n)
+                t[pick] = 1
+        stages.append(StageA(tuple(pi), tuple(t)))
+    return InfoVecA(1 + _below(getrandbits, BASE_COUNT), tuple(stages))
 
 
 def random_layer(q: int, i: int, rng) -> dict[Word, tuple[int, ...]]:
+    """A uniform layer at (q, i): one symbol order per interior word, in
+    ``keys`` order, each a Fisher-Yates shuffle of 0..q-1 drawn from
+    ``rng.getrandbits`` as ``random.Random.shuffle`` draws it (see
+    :func:`random_info_a` for which generators give its very draws)."""
+    getrandbits = rng.getrandbits
+    steps = [(top, (top + 1).bit_length()) for top in range(q - 1, 0, -1)]
+    symbols = list(range(q))
     layer = {}
     for u in _window_plan(q, i).keys:
-        perm = list(range(q))
-        rng.shuffle(perm)
+        perm = symbols[:]
+        for top, bits in steps:
+            other = getrandbits(bits)
+            while other > top:
+                other = getrandbits(bits)
+            perm[top], perm[other] = perm[other], perm[top]
         layer[u] = tuple(perm)
     return layer
 
 
 def random_info_b(q: int, ell: int, rng) -> InfoVecB:
+    """A uniform window message: :func:`random_info_a`, then
+    :func:`random_layer` for i = 3..ell, all from ``rng.getrandbits`` and
+    with that function's draws."""
     return InfoVecB(
         random_info_a(q, rng),
         tuple(random_layer(q, i, rng) for i in range(3, ell + 1)),

@@ -53,7 +53,7 @@ CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # entries the encoders need cost at most a +1 shift, and 72 orders need it.
 # It also caps the value searches, whose candidate tables grow with it.
 REPOSITORY_CAP = 17
-_JOIN_ROWS = 1024  # rows joined at once by _joined
+_JOIN_ROWS = 1024  # rows joined at once by _blocks
 
 
 @dataclass(frozen=True)
@@ -317,16 +317,23 @@ def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     )
 
 
-def _joined(rows: list[bytes]) -> bytearray:
-    """``rows`` joined in order, emptying the list: ``b"".join`` holds an
-    80-byte buffer record per row, so it takes :data:`_JOIN_ROWS` rows at
-    a time, and each slice is released once joined.  The list is reversed
-    first, so each slice leaves from its end without moving the rest."""
+def _blocks(rows: list[bytes]) -> Iterator[bytes]:
+    """``rows`` joined in order :data:`_JOIN_ROWS` at a time, emptying the
+    list: ``b"".join`` holds an 80-byte buffer record per row, so it takes
+    a slice at a time, and each slice is released once joined.  The list is
+    reversed first, so each slice leaves from its end without moving the
+    rest."""
     rows.reverse()
-    joined = bytearray()
     while rows:
-        joined += b"".join(rows[: -_JOIN_ROWS - 1 : -1])  # the last rows, in their order
+        yield b"".join(rows[: -_JOIN_ROWS - 1 : -1])  # the last rows, in their order
         del rows[-_JOIN_ROWS:]
+
+
+def _joined(rows: list[bytes]) -> bytearray:
+    """``rows`` joined in order into one blob, emptying the list."""
+    joined = bytearray()
+    for block in _blocks(rows):
+        joined += block
     return joined
 
 
@@ -538,7 +545,9 @@ def build_repository(
     No step runs once per image.  Per map g, one ``translate`` gives the
     firsts' images and strided slices move every kept assignment; only the
     orbits that keep several take a ``min``.  Each image and its vector
-    make one row of a single list, which one sort puts in census order.
+    make one row of a single list, which one sort puts in census order;
+    the sorted rows are then split a block at a time (:func:`_blocks`), so
+    no blob of all of them is made.
     The firsts must increase and each be at most its images, so no orbit
     is listed twice, and the sorted images must be the census rows: the
     census is the union of the firsts' orbits.  ``jobs`` selects nothing;
@@ -585,12 +594,16 @@ def build_repository(
         images = rows_of(firsts.translate(table))
         rows[k * count : k * count + count] = map(bytes.__add__, images, least_images(g))
     rows.sort()
-    placed = _joined(rows)
-    if any(placed[k :: 2 * width] != orders.data[k::width] for k in range(width)):
-        raise AssertionError(_UNCLOSED)
-    vectors = bytearray(len(placed) // 2)
-    for k in range(width):
-        vectors[k::width] = placed[width + k :: 2 * width]
+    # each block's images against the census rows, its vectors onto the blob
+    vectors = bytearray()
+    for block in _blocks(rows):
+        start, part = len(vectors), bytearray(len(block) // 2)
+        images = orders.data[start : start + len(part)]
+        if any(block[k :: 2 * width] != images[k::width] for k in range(width)):
+            raise AssertionError(_UNCLOSED)
+        for k in range(width):
+            part[k::width] = block[width + k :: 2 * width]
+        vectors += part
     return Repository(PackedRows(vectors, width))
 
 

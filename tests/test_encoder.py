@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from profilerank.codes import PermCode, PrecodedInfoB
 from profilerank.core import (
     PackedRows,
     Params,
@@ -41,6 +42,7 @@ from profilerank.encoder import (
     length_bounds,
     random_info_a,
     random_info_b,
+    random_layer,
     rate_lower_bound,
 )
 from profilerank.feasibility import FeasibleVector
@@ -206,6 +208,113 @@ def test_random_messages_match_pinned_digest():
             digest.update(info_b_to_text(info).encode())
         digest.update(repr(rng.getstate()).encode())
     assert digest.hexdigest() == RANDOM_INFO_B_DIGEST
+
+
+# -- seeded messages against the stdlib calls they draw like ---------------
+# random_info_a, random_layer and random_info_b as they were written on
+# random.Random's shuffle, sample and randint: the library draws from
+# getrandbits directly and must give the same messages and leave the same
+# generator state.
+
+def stdlib_info_a(q, rng):
+    stages = []
+    for j in range(4, q + 1):
+        pi = list(range(1, j + 1))
+        rng.shuffle(pi)
+        positions = rng.sample(range(j * j - j + 1), j)
+        t = tuple(1 if k in positions else 0 for k in range(j * j - j + 1))
+        stages.append(StageA(tuple(pi), t))
+    return InfoVecA(rng.randint(1, BASE_COUNT), tuple(stages))
+
+
+def stdlib_layer(q, i, rng):
+    layer = {}
+    for u in _window_plan(q, i).keys:
+        perm = list(range(q))
+        rng.shuffle(perm)
+        layer[u] = tuple(perm)
+    return layer
+
+
+def stdlib_info_b(q, ell, rng):
+    return InfoVecB(
+        stdlib_info_a(q, rng), tuple(stdlib_layer(q, i, rng) for i in range(3, ell + 1))
+    )
+
+
+SAMPLER_SEEDS = (0, 1, 2029, 2**40 + 7)
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+def test_random_info_a_draws_what_shuffle_sample_and_randint_draw(q):
+    # stages j <= 9 take sample's pool path, j >= 10 its set path
+    for seed in SAMPLER_SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert random_info_a(q, ours) == stdlib_info_a(q, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("q", range(3, 12))
+def test_random_layer_draws_what_shuffle_draws(q):
+    for i in (3, 4):
+        for seed in SAMPLER_SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert random_layer(q, i, ours) == stdlib_layer(q, i, theirs)
+            assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("q", range(3, 12))
+def test_random_info_b_draws_what_the_stdlib_calls_draw(q):
+    for ell in (2, 3, 4):
+        for seed in SAMPLER_SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            info = random_info_b(q, ell, ours)
+            assert info == stdlib_info_b(q, ell, theirs)
+            assert ours.getstate() == theirs.getstate()
+            info.check()
+
+
+@pytest.mark.parametrize("q,ell", [(3, 3), (4, 3), (3, 4), (5, 3), (4, 4)])
+def test_precoded_sample_draws_what_the_stdlib_calls_draw(q, ell):
+    top = PermCode.full(range(q))
+    space = PrecodedInfoB(q, ell, top)
+    for seed in SAMPLER_SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        layers = [stdlib_layer(q, i, theirs) for i in range(3, ell)]
+        layers.append({u: theirs.choice(top.codewords) for u in _window_plan(q, ell).keys})
+        expected = InfoVecB(stdlib_info_a(q, theirs), tuple(layers))
+        assert space.sample(ours) == expected
+        assert ours.getstate() == theirs.getstate()
+
+
+class _Bits:
+    """A bare generator: getrandbits and nothing else."""
+
+    def __init__(self, seed):
+        self.getrandbits = random.Random(seed).getrandbits
+
+
+class _CountingRandom(random.Random):
+    """Keeps its own getrandbits, so _randbelow draws through it."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("q,ell", [(4, 3), (11, 2), (5, 3)])
+def test_random_messages_need_only_getrandbits(q, ell):
+    # any object with getrandbits serves; one backed by a seeded Random
+    # gives that Random's message, and a subclass with its own getrandbits
+    # sees the same calls the stdlib calls make
+    assert random_info_b(q, ell, _Bits(11)) == random_info_b(q, ell, random.Random(11))
+    ours, theirs = _CountingRandom(12), _CountingRandom(12)
+    assert random_info_b(q, ell, ours) == stdlib_info_b(q, ell, theirs)
+    assert ours.calls == theirs.calls > 0
 
 
 def test_encode_b_window_two_delegates(repo):

@@ -34,6 +34,7 @@ from profilerank.feasibility import FeasibleVector, check_farkas, order_precheck
 from profilerank.oracle import (
     REPOSITORY_CAP,
     CensusStats,
+    _blocks,
     _candidates,
     _OrbitWalk,
     _set_refutation,
@@ -539,6 +540,14 @@ def _broken_censuses(census32):
     rows = bytearray(census32.feasible.data)
     rows[9000:9018] = rows[9009:9018] + rows[9000:9009]  # two census rows swapped
     yield replace(census32, feasible=PackedRows(rows, 9))
+    # the build checks its sorted rows 1024 at a time: two rows swapped
+    # across the first block boundary, and a row reversed in the last block
+    rows = bytearray(census32.feasible.data)
+    rows[1023 * 9 : 1025 * 9] = rows[1024 * 9 : 1025 * 9] + rows[1023 * 9 : 1024 * 9]
+    yield replace(census32, feasible=PackedRows(rows, 9))
+    rows = bytearray(census32.feasible.data)
+    rows[30000 * 9 : 30001 * 9] = rows[30000 * 9 : 30001 * 9][::-1]
+    yield replace(census32, feasible=PackedRows(rows, 9))
     for r in (0, 700, 2519):  # one kept assignment swapped for another order's
         other = census32.offsets[(r + 1) % 2520] * 9
         k = census32.offsets[r] * 9
@@ -563,7 +572,7 @@ def test_repository_build_refuses_as_the_reference_does(census32):
         with pytest.raises(AssertionError) as built:
             build_repository(census)
         assert str(built.value) == str(reference.value)
-    assert len(broken) == 19
+    assert len(broken) == 21
 
 
 def test_repository_refuses_a_kept_assignment_with_a_tie(census32):
@@ -630,6 +639,16 @@ def test_repository_refuses_assignments_of_another_order(census32):
 def test_repository_refuses_a_census_that_keeps_no_assignments(census32):
     with pytest.raises(AssertionError, match="keeps no assignments"):
         build_repository(replace(census32, offsets=array("I")))
+
+
+def test_blocks_join_rows_in_order_and_empty_the_list():
+    # the build splits its sorted rows block by block, so no blob of all of
+    # them exists: blocks of 1024 rows, in order, the list emptied
+    rows = [k.to_bytes(2, "big") for k in range(2500)]
+    expected = b"".join(rows)
+    blocks = list(_blocks(rows))
+    assert [len(b) // 2 for b in blocks] == [1024, 1024, 452]
+    assert b"".join(blocks) == expected and rows == []
 
 
 def test_census_at_window_one_stays_under_its_memory_guard():

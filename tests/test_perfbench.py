@@ -56,3 +56,20 @@ def test_setup_builds_the_known_repository(workloads):
     # the harness's own set-up call, with the arguments it passes
     repo, _ = workloads.build_repo(workloads.Library())
     assert workloads.repository_failures(repo) == 0
+
+
+# workloads.state_digest of each workload's set-up at seed 1: the repository
+# and every input item.  A library change that alters what the benchmark
+# runs on (a message drawn differently, another swap count, another
+# repository) changes these.
+SETUP_DIGESTS = {
+    "codec": "1129b7e862a7d93cb09929382cd7219dd0cbedb68189200cfa138835a7a5a90e",
+    "decide": "fee38f100700dcf959ce67bfd05fc173a731ef10eb456f99f4a57307bd71bc36",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_DIGESTS))
+def test_setup_makes_the_pinned_inputs(workloads, name):
+    make = workloads.WORKLOADS[name][0]
+    state, _ = make(workloads.Library(), 1)
+    assert workloads.state_digest(state) == SETUP_DIGESTS[name]
