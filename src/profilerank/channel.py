@@ -77,6 +77,8 @@ _STIRLING_READS = 1 << 31
 # it, the Stirling term that ``_stirling_rest`` drops is below 1e-18.
 _LGAMMA_BELOW = 1 << 20
 
+_STREAMS = 1_000_003  # P in simulate's trial seeds (seed * P + m) * P + k
+
 
 def _stirling_rest(x: int, y: int) -> float:
     """ln x! - ln y! - d*ln(x), d = x - y, for naturals x >= 1 and y.
@@ -235,17 +237,21 @@ def simulate(
 ) -> list[TrialRow]:
     """Monte-Carlo recovery sweep, one row per noise model.
 
-    Trial k of model m draws from a generator seeded by (master seed, m, k),
-    so every trial is reproducible on its own.
+    Trial k of model m draws from a generator seeded by
+    ``(seed * P + m) * P + k``, P = 1,000,003, so every trial is
+    reproducible on its own; more than P trials are refused, since trial P
+    of model m would replay trial 0 of model m + 1.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if trials > _STREAMS:
+        raise ValueError(f"trials must be at most {_STREAMS} (one seed per trial), got {trials}")
     clean = rank_of(p)  # fails fast on a tied clean profile
     rows = []
     for mi, model in enumerate(models):
         successes = ties = errors = 0
         for trial in range(trials):
-            noisy = perturb(p, model, seed=(seed * 1_000_003 + mi) * 1_000_003 + trial)
+            noisy = perturb(p, model, seed=(seed * _STREAMS + mi) * _STREAMS + trial)
             got = rank_decode(noisy)
             if isinstance(got, TieFailure):
                 ties += 1

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, starmap
-from operator import add, itemgetter, lt, mul, sub
+from itertools import chain, compress, count, starmap
+from operator import add, ge, itemgetter, mul, sub
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -63,7 +62,7 @@ from .core import (
     word_index,
     word_text,
 )
-from .feasibility import BOUND_CAP, FeasibleVector, check_rows
+from .feasibility import BOUND_CAP, FeasibleVector, RowError, check_rows
 
 BASE_Q = 3
 BASE_COUNT = 30240  # number of realizable orders at q=3, window 2 (census-verified)
@@ -122,23 +121,21 @@ class Repository:
         """Check that entry i realizes the i-th realizable order: the orders
         that sort the vectors increase strictly, and each vector passes
         :meth:`FeasibleVector.check` against its own, all at once
-        (:func:`feasibility.check_rows`); a refusal names the entry."""
+        (:func:`feasibility.check_rows`); a refusal names the first entry at
+        fault, for its vector before its order."""
         params, vectors = self.params, self.vectors
         orders = [bytes(sorted(range(_WIDTH), key=vec.__getitem__)) for vec in vectors]
-        with suppress(ValueError):
-            if all(map(lt, orders, orders[1:])):
-                check_rows(params, vectors.data, b"".join(orders))
-                return
-        for number, (vec, order) in enumerate(zip(vectors, orders), start=1):
-            try:
-                check_rows(params, bytes(vec), order)
-            except ValueError as e:
-                raise ValueError(f"repository entry {number}: {e}") from None
-            if number > 1 and order <= orders[number - 2]:
-                raise ValueError(
-                    f"repository entry {number} does not realize a later rank order "
-                    f"than entry {number - 1}"
-                )
+        stalled = next(compress(count(1), map(ge, orders, orders[1:])), len(orders))
+        try:
+            check_rows(params, vectors.data, b"".join(orders))
+        except RowError as e:
+            if e.row <= stalled:
+                raise ValueError(f"repository entry {e.row + 1}: {e}") from None
+        if stalled < len(orders):
+            raise ValueError(
+                f"repository entry {stalled + 1} does not realize a later rank order "
+                f"than entry {stalled}"
+            )
 
     def save(self, path) -> None:
         import hashlib  # here and in load only: at the top it adds about 5 ms to every import

@@ -41,6 +41,7 @@ from .core import (
     _rows,
     edge_nodes,
     first_flow_violation,
+    index_to_word,
     is_constant,
     parse_int,
     parse_vector_text,
@@ -119,6 +120,15 @@ class FeasibleVector:
         return vec
 
 
+class RowError(ValueError):
+    """A packed row that fails :meth:`FeasibleVector.check`: the check's
+    message, and ``row``, the row's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 def check_rows(params: Params, data: bytes, orders: bytes) -> None:
     """Raise ValueError unless each packed row of ``data`` (one byte per
     entry, in word order) passes :meth:`FeasibleVector.check` against the
@@ -126,7 +136,8 @@ def check_rows(params: Params, data: bytes, orders: bytes) -> None:
     compare per column of the rows read along their orders, and one
     :func:`core.first_flow_violation` on the columns as integers of 2-byte
     fields (no carry crosses one: q * 255 < 2^16) test all rows at once; on
-    a failure each row is checked alone, to raise the first one's message."""
+    a failure each row is checked alone, and the first one's message is
+    raised as a :class:`RowError` that names it."""
     w = params.word_count
     if len(data) % w or len(orders) != len(data):
         raise ValueError("entry count does not match q^ell")
@@ -143,8 +154,11 @@ def check_rows(params: Params, data: bytes, orders: bytes) -> None:
         and (params.ell < 2 or params.q < 258 and first_flow_violation(columns, params) is None)
     ):
         return
-    for row, order in zip(_rows(data, w), _rows(orders, w)):
-        FeasibleVector(params, tuple(row)).check(RankPermutation(params, tuple(order)))
+    for k, (row, order) in enumerate(zip(_rows(data, w), _rows(orders, w))):
+        try:
+            FeasibleVector(params, tuple(row)).check(RankPermutation(params, tuple(order)))
+        except ValueError as e:
+            raise RowError(str(e), k) from None
 
 
 @dataclass(frozen=True)
@@ -180,40 +194,35 @@ class Verdict:
 
 
 class _Ballot(NamedTuple):
-    """The ballot state of a partition of the overlap nodes after a prefix
-    of a rank order: the matching pre-check's, one part per node, or one of
-    the census's ballots on node sets.
+    """The matching pre-check's ballot state after a prefix of a rank
+    order, one part per overlap node.
 
-    A word either leaves one part and enters another, or stays inside its
-    part, as a loop word does, and then changes nothing.  The ballot goes up
-    the ranks keeping, per part, the words placed so far that leave it minus
-    those that enter it.  A part is green while that count never rises above
-    0, red while it never drops below 0 (never both: its first crossing word
-    moves it).  Every node has q words leaving and q entering, and the words
-    inside a part cancel, so a part has as many words entering it as leaving
-    it: its count ends at 0, and after a prefix it equals the entering words
-    still to place minus the leaving ones.  The state keeps those two per
-    part, with the flags ``rose`` (the count went above 0: not green) and
-    ``fell`` (it went below 0: not red).  A part S's row is the sum of its
-    nodes' balance rows, so a green S refutes the order with the Farkas
-    vector -1_S and a red one with +1_S (:func:`check_farkas`).  The
-    pre-check scans every node at ell = 2 (a single letter, its self-loop
-    inside it) and the non-constant ones otherwise; a node it skips starts
-    with both flags set.
+    The ballot goes up the ranks keeping, per node, the words placed so far
+    that leave it minus those that enter it (a loop word does both and
+    changes nothing).  A node is green while that count never rises above
+    0, red while it never drops below 0 (never both: its first crossing
+    word moves it).  Every node has q words leaving and q entering, so the
+    count ends at 0, and after a prefix it equals the entering words still
+    to place minus the leaving ones.  The state keeps those two per node,
+    with the flags ``rose`` (the count went above 0: not green) and
+    ``fell`` (it went below 0: not red).  A green node v refutes the order
+    with the Farkas vector -e_v and a red one with +e_v
+    (:func:`check_farkas`).  The pre-check scans every node at ell = 2 (a
+    single letter, its self-loop inside it) and the non-constant ones
+    otherwise; a node it skips starts with both flags set.
 
     :meth:`settle` reads off what the prefix decides for every order that
-    starts with it.  A part that has not risen and has no entering word
+    starts with it.  A node that has not risen and has no entering word
     left is green in every completion: only leaving words remain, which
     lift the count one step at a time to its final 0 and never above it.
-    Mirrored, a part that has not fallen and has no leaving word left is
-    red in every completion.  And once every part has both risen and
+    Mirrored, a node that has not fallen and has no leaving word left is
+    red in every completion.  And once every node has both risen and
     fallen, no completion is a hit, since a flag once set stays set.  A
     full order settles one way or the other.
     """
 
-    arcs: tuple[tuple[int, int] | None, ...]  # per word: (leaves, enters), None inside a part
-    names: tuple  # per part: what :meth:`settle` returns for it
-    leaving: Sequence[int]  # per part: the crossing words left that leave it
+    arcs: tuple[tuple[int, int] | None, ...]  # per word: (leaves, enters), None for a loop
+    leaving: Sequence[int]  # per node: the crossing words left that leave it
     entering: Sequence[int]  # and those left that enter it
     rose: Sequence[bool]
     fell: Sequence[bool]
@@ -222,40 +231,26 @@ class _Ballot(NamedTuple):
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def start(params: Params, parts: tuple[tuple[int, ...], ...] | None = None) -> _Ballot:
-        """The state before the first word, built once per ``params`` and
-        ``parts``.  Without ``parts`` it is the pre-check's: one part per
-        node, named by its word, the skipped nodes flagged.  Otherwise
-        ``parts`` lists the parts as sets of node indices, each named by
-        itself and none skipped.  Its rows are tuples, shared by every
-        caller: only a :meth:`copy`, whose rows are lists, can be
+    def start(params: Params) -> _Ballot:
+        """The pre-check's state before the first word, the skipped nodes
+        flagged, built once per ``params``.  Its rows are tuples, shared by
+        every caller: only a :meth:`copy`, whose rows are lists, can be
         extended."""
-        nodes = tuple(params.nodes())
-        if parts is None:
-            part, names = range(len(nodes)), nodes
-            skipped = tuple(params.ell != 2 and is_constant(v) for v in nodes)
-        else:
-            part = [0] * len(nodes)
-            for k, cut in enumerate(parts):
-                for v in cut:
-                    part[v] = k
-            names, skipped = parts, (False,) * len(parts)
+        skipped = tuple(params.ell != 2 and is_constant(v) for v in params.nodes())
         heads, tails = edge_nodes(params)
-        arcs = tuple(
-            None if part[h] == part[t] else (part[h], part[t]) for h, t in zip(heads, tails)
-        )
-        leaving = [0] * len(names)
+        arcs = tuple(None if h == t else (h, t) for h, t in zip(heads, tails))
+        leaving = [0] * params.node_count
         for arc in filter(None, arcs):
             leaving[arc[0]] += 1
-        return _Ballot(arcs, names, tuple(leaving), tuple(leaving), skipped, skipped)
+        return _Ballot(arcs, tuple(leaving), tuple(leaving), skipped, skipped)
 
     def copy(self) -> _Ballot:
-        arcs, names, leaving, entering, rose, fell = self
-        return _Ballot(arcs, names, list(leaving), list(entering), list(rose), list(fell))
+        arcs, leaving, entering, rose, fell = self
+        return _Ballot(arcs, list(leaving), list(entering), list(rose), list(fell))
 
     def extend(self, words: Iterable[int]) -> None:
         """Place ``words`` next, in rank order."""
-        arcs, _, leaving, entering, rose, fell = self
+        arcs, leaving, entering, rose, fell = self
         for idx in words:
             arc = arcs[idx]
             if arc is not None:
@@ -267,16 +262,16 @@ class _Ballot(NamedTuple):
                 if not fell[t] and entering[t] < leaving[t]:
                     fell[t] = True
 
-    def settle(self) -> tuple[object, str] | None | str:
-        """``(name, color)`` of the first part that has that color in every
-        completion, None if no completion is a hit, and :attr:`UNSETTLED`
-        otherwise."""
-        _, names, leaving, entering, rose, fell = self
-        for k, name in enumerate(names):
-            if not rose[k] and not entering[k]:
-                return name, "green"
-            if not fell[k] and not leaving[k]:
-                return name, "red"
+    def settle(self) -> tuple[int, str] | None | str:
+        """``(node index, color)`` of the first node that has that color in
+        every completion, None if no completion is a hit, and
+        :attr:`UNSETTLED` otherwise."""
+        _, leaving, entering, rose, fell = self
+        for v in range(len(rose)):
+            if not rose[v] and not entering[v]:
+                return v, "green"
+            if not fell[v] and not leaving[v]:
+                return v, "red"
         return None if all(rose) and all(fell) else _Ballot.UNSETTLED
 
 
@@ -288,7 +283,11 @@ def order_precheck_witness(
     None."""
     ballot = _Ballot.start(params).copy()
     ballot.extend(order)
-    return ballot.settle()
+    hit = ballot.settle()
+    if hit is None:
+        return None
+    v, color = hit
+    return index_to_word(v, params.q, params.ell - 1), color
 
 
 class _OrderLP:

@@ -16,13 +16,13 @@ also carries the matching pre-check's ballot state, so once only the
 identity fixes a prefix, a prefix that settles the pre-check for every
 completion ends in one block: the census counts a block of hits without
 building its orders.  Each order of a silent block gets a checked verdict
-without the LP: a ballot on a node set the pre-check leaves out refutes
-it, with a Farkas vector, or the value search below assigns it, and the
-census keeps the assignments, checked in one packed pass, for the build.
-The exact LP runs only on an order neither settles, which no census size
-has.  Both are one serial pass over the representatives: at (3,2), the
-largest census input, a pass takes a fraction of a second, less than a
-worker pool costs to start.
+without the LP: the ballot of a constant node, which the pre-check skips
+at ell >= 3, refutes it with a Farkas vector, or the value search below
+assigns it, and the census keeps the assignments, checked in one packed
+pass, for the build.  The exact LP runs only on an order neither
+settles, which no census size has.  Both are one serial pass over the
+representatives: at (3,2), the largest census input, a pass takes a
+fraction of a second, less than a worker pool costs to start.
 
 The value-assignment searches test, for one largest value at a time, every
 increasing sequence of rank-order values that ends at it: each sequence is
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -45,7 +44,7 @@ from typing import Iterator, Sequence
 
 from .core import PackedRows, Params, RankPermutation, _at_most, _rows, edge_nodes, word_symmetries
 from .encoder import BASE_COUNT, BASE_Q, Repository
-from .feasibility import FeasibleVector, _Ballot, check_farkas, check_rows, decide
+from .feasibility import FeasibleVector, RowError, _Ballot, check_farkas, check_rows, decide
 
 CENSUS_CAP = 9  # largest q^ell whose full permutation set we will sweep
 # Largest repository entry.  With zero allowed, every realizable (3,2) order
@@ -63,7 +62,7 @@ class CensusStats:
 
     prefixes: int = 0  # prefixes the orbit walk visited
     settled_hits: int = 0  # representatives a prefix proved pre-check hits
-    set_refuted: int = 0  # silent representatives a ballot on a node set refuted
+    set_refuted: int = 0  # silent representatives the node ballot refuted
     assigned: int = 0  # silent representatives the value search assigned
     lp_calls: int = 0  # silent representatives left to the exact LP
     maxima_tried: int = 0  # largest values the value search tried, over all its calls
@@ -87,7 +86,7 @@ class CensusResult:
     total: int
     feasible: PackedRows  # rank orders, lexicographic
     precheck_hit_infeasible: int  # refuted by the pre-check
-    silent_infeasible: int  # pre-check silent, refuted by a node set or the LP
+    silent_infeasible: int  # pre-check silent, refuted by the node ballot or the LP
     elapsed: float
     stats: CensusStats = field(default=CensusStats(), compare=False)
     firsts: bytes = field(default=b"", compare=False, repr=False)
@@ -215,48 +214,45 @@ def representatives(params: Params) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _set_ballots(params: Params) -> tuple[_Ballot, ...]:
-    """The start states of the ballots on the node sets the pre-check
-    leaves out: the single nodes at ell >= 3, where the pre-check skips the
-    constant ones, and each split of the nodes into two sets of two or
-    more.  A set's ballot is its complement's with the colours swapped, so
-    with the pre-check's these cover every proper node set.  Census sizes
-    have at most 4 nodes."""
-    n = params.node_count
-    splits = [
-        (side, tuple(v for v in range(n) if v not in side))
-        for k in range(2, n // 2 + 1)
-        for side in combinations(range(n), k)
-        if 2 * k < n or 0 in side  # one of each pair of complements
-    ]
-    singles = [tuple((v,) for v in range(n))] if params.ell >= 3 else []
-    return tuple(_Ballot.start(params, parts) for parts in singles + splits)
+def _node_ballot(params: Params) -> _Ballot | None:
+    """The census's ballot on the single nodes: the pre-check's start state
+    with no node skipped, so it also scans the constant nodes the pre-check
+    leaves out at ell >= 3.  None at ell <= 2, where the pre-check already
+    scans every node."""
+    if params.ell < 3:
+        return None
+    unset = (False,) * params.node_count
+    return _Ballot.start(params)._replace(rose=unset, fell=unset)
 
 
 def _set_refutation(order: tuple[int, ...], params: Params) -> tuple[int, ...] | None:
-    """The Farkas vector of the first node set S whose ballot
-    (:func:`_set_ballots`) refutes the full ``order``: -1_S for a green S,
-    +1_S for a red one; None if none does."""
-    for start in _set_ballots(params):
-        ballot = start.copy()
-        ballot.extend(order)
-        hit = ballot.settle()
-        if hit is not None:
-            cut, color = hit
-            sign = -1 if color == "green" else 1
-            return tuple(sign if v in cut else 0 for v in range(params.node_count))
-    return None
+    """The Farkas vector of the first node v that the full ``order`` leaves
+    green or red on the :func:`_node_ballot`: -e_v for green, +e_v for red;
+    None if there is none."""
+    start = _node_ballot(params)
+    if start is None:
+        return None
+    ballot = start.copy()
+    ballot.extend(order)
+    hit = ballot.settle()
+    if hit is None:
+        return None
+    v, color = hit
+    y = [0] * params.node_count
+    y[v] = -1 if color == "green" else 1
+    return tuple(y)
 
 
 def enumerate_feasible(params: Params, jobs: int | None = None) -> CensusResult:
     """Full census of realizable orders.  The orbit walk (:class:`_OrbitWalk`)
     settles the pre-check's refutations by prefix: a block of hits adds its
     ``(len(rest))!`` representatives to the count without building them.
-    Every order the pre-check lets through gets a checked verdict: a ballot
-    on a node set refutes it (:func:`_set_refutation`, checked by
-    :func:`feasibility.check_farkas`), or :func:`least_max_vectors` assigns
-    it within :data:`REPOSITORY_CAP`, and every assignment it finds is kept
-    and passes one :func:`feasibility.check_rows` call with all the others.
+    Every order the pre-check lets through gets a checked verdict: at
+    ell >= 3 the ballot of a constant node refutes it
+    (:func:`_set_refutation`, checked by :func:`feasibility.check_farkas`),
+    or :func:`least_max_vectors` assigns it within :data:`REPOSITORY_CAP`,
+    and every assignment it finds is kept and passes one
+    :func:`feasibility.check_rows` call with all the others.
     Only an order that neither settles goes to the exact LP, through
     :func:`feasibility.decide`, which checks its certificate.  The feasible
     representatives are kept as ``firsts`` and expanded through G
@@ -508,24 +504,24 @@ _UNCLOSED = "the census is not a union of orbits of the code's symmetries"
 def _check_assignments(census: CensusResult, firsts: list[bytes]) -> None:
     """Refuse unless every orbit keeps an assignment and each kept one
     passes :meth:`FeasibleVector.check` against the orbit's first order:
-    one :func:`feasibility.check_rows` call on all of them, and on a
-    failure one call per orbit, which names the first order at fault."""
-    params, offsets = census.params, census.offsets
-    with suppress(ValueError):
-        if all(map(lt, offsets, offsets[1:])):
-            owners = b"".join(map(bytes.__mul__, firsts, map(sub, offsets[1:], offsets)))
-            check_rows(params, census.assignments, owners)
-            return
-    for r, order in enumerate(firsts):
-        sols = census.assignments_of(r)
-        if not sols:
-            raise AssertionError(
-                f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(order)}"
-            )
-        try:
-            check_rows(params, b"".join(sols), order * len(sols))
-        except ValueError as e:
-            raise AssertionError(f"a kept assignment does not realize order {tuple(order)}") from e
+    one :func:`feasibility.check_rows` call on the rows of the orbits before
+    the first that keeps none, whose :class:`feasibility.RowError` names the
+    order at fault.  A row past the blob reads as zeros, which no check
+    passes."""
+    params, offsets, w = census.params, census.offsets, census.params.word_count
+    counts = list(map(sub, offsets[1:], offsets))
+    empty = next((r for r, n in enumerate(counts) if n <= 0), len(counts))
+    end = offsets[empty] * w
+    owners = b"".join(map(bytes.__mul__, firsts[:empty], counts[:empty]))
+    try:
+        check_rows(params, census.assignments[:end].ljust(end, b"\0"), owners)
+    except RowError as e:
+        order = tuple(owners[e.row * w : e.row * w + w])
+        raise AssertionError(f"a kept assignment does not realize order {order}") from e
+    if empty < len(counts):
+        raise AssertionError(
+            f"no assignment with entries <= {REPOSITORY_CAP} for order {tuple(firsts[empty])}"
+        )
 
 
 def build_repository(

@@ -375,3 +375,16 @@ def test_simulate_zero_trials(seed):
 def test_simulate_rejects_negative_trials():
     with pytest.raises(ValueError, match="trials"):
         simulate(STORAGE, [AdditiveNoise(1)], trials=-5, seed=1)
+
+
+def test_simulate_rejects_more_trials_than_seed_streams(monkeypatch):
+    # trial 1,000,003 of model 0 would replay trial 0 of model 1: refused
+    # before any draw, and the limit itself still runs
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(channel, "perturb", no_draw)
+    with pytest.raises(ValueError, match="trials must be at most 1000003"):
+        simulate(STORAGE, [AdditiveNoise(1), AdditiveNoise(2)], trials=1_000_004, seed=1)
+    with pytest.raises(AssertionError, match="a trial was drawn"):
+        simulate(STORAGE, [AdditiveNoise(1)], trials=1_000_003, seed=1)

@@ -80,3 +80,23 @@ def test_no_module_imports_a_process_pool():
                 continue
             found += [f"{path.name}: {name}" for name in names if name.split(".")[0] in pools]
     assert found == []
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs on the package, so a name a module imports at its top
+    # level and never uses is caught here; __init__.py only re-exports
+    package = Path(profilerank.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert unused == []

@@ -816,6 +816,30 @@ def test_repository_validate_names_the_entry_at_fault(repo, tmp_path, mutate, me
         broken.validate()
 
 
+@pytest.mark.parametrize(
+    "zeroed, message",
+    [
+        (5, "repository entry 5: entries must all be >= 1"),
+        (7, "repository entry 7: entries must all be >= 1"),
+        (8, "repository entry 7 does not realize a later rank order than entry 6"),
+    ],
+)
+def test_repository_validate_names_the_first_entry_at_fault(repo, tmp_path, zeroed, message):
+    # entries 6 and 7 swapped, so entry 7's order is not above entry 6's,
+    # and one entry zeroed in its rank order: validate names the first entry
+    # at fault, and for one entry its vector before its order
+    path = tmp_path / "repo.txt"
+    repo.save(path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[6], lines[7] = lines[7], lines[6]
+    vec = list(map(int, lines[zeroed].split()))
+    lines[zeroed] = " ".join(str(0 if e == min(vec) else e) for e in vec)
+    _rewrite_with_trailer(path, lines)
+    broken = Repository.load(path)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        broken.validate()
+
+
 def test_repository_load_rejects_corruption(repo, tmp_path):
     path = tmp_path / "repo.txt"
     repo.save(path)

@@ -25,6 +25,7 @@ from profilerank.core import (
 )
 from profilerank.feasibility import (
     FeasibleVector,
+    RowError,
     alpha_star_lower,
     check_farkas,
     check_rows,
@@ -780,7 +781,7 @@ def test_check_rows_is_the_vector_check_on_every_row(repo, census32):
     # repository rows, some with one entry moved, tied, zeroed or swapped,
     # against their census orders and against the orders that sort them:
     # check_rows refuses iff some row fails FeasibleVector.check, with the
-    # first such row's message
+    # first such row's message, in a RowError that names that row
     params, rng = repo.params, random.Random(31)
     faults = 0
     for _ in range(300):
@@ -801,9 +802,14 @@ def test_check_rows_is_the_vector_check_on_every_row(repo, census32):
             census_orders.append(bytes(census32.feasible[i]))
         sorting = [bytes(sorted(range(9), key=row.__getitem__)) for row in rows]
         for orders in (census_orders, sorting):
-            expected = next(filter(None, map(_row_fault, [params] * len(rows), rows, orders)), None)
+            said = list(map(_row_fault, [params] * len(rows), rows, orders))
+            expected = next(filter(None, said), None)
             faults += expected is not None
             assert _rows_fault(params, b"".join(rows), b"".join(orders)) == expected
+            if expected is not None:
+                with pytest.raises(RowError) as refused:
+                    check_rows(params, b"".join(rows), b"".join(orders))
+                assert refused.value.row == said.index(expected)
     assert faults > 200
 
 

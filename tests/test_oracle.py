@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -30,7 +31,7 @@ from profilerank.core import (
     word_symmetries,
 )
 from profilerank.encoder import BASE_COUNT
-from profilerank.feasibility import FeasibleVector, check_farkas, order_precheck_witness
+from profilerank.feasibility import FeasibleVector, _Ballot, check_farkas, order_precheck_witness
 from profilerank.oracle import (
     REPOSITORY_CAP,
     CensusStats,
@@ -229,34 +230,30 @@ def test_census_runs_no_lp_at_capped_sizes(params, monkeypatch):
 
 def test_every_set_refutation_at_two_three_is_a_farkas_vector(census32):
     # each of the 1176 silent (2,3) representatives is refuted by the ballot
-    # on a node set S, with -1_S for a green S and +1_S for a red one
+    # of one node v, with -e_v for a green v and +e_v for a red one
     silent = [rep for rep in representatives(P23) if order_precheck_witness(rep, P23) is None]
     assert len(silent) == 1176
     for order in silent:
         y = _set_refutation(order, P23)
         assert y is not None and len(y) == P23.node_count
-        assert set(y) in ({0, 1}, {0, -1})
+        assert sorted(map(abs, y)) == [0, 0, 0, 1]
         check_farkas(RankPermutation(P23, order), y)
     # none fires on a realizable order
     for order in random.Random(11).sample(list(census32.feasible), 300):
         assert _set_refutation(order, P32) is None
 
 
-def test_set_ballots_cover_the_node_sets_the_precheck_leaves_out():
-    # at (2,3): the four single nodes (the pre-check skips the constant 00
-    # and 11) and the three splits into pairs, one of each complement pair
-    ballots = oracle._set_ballots(P23)
-    assert [b.names for b in ballots] == [
-        ((0,), (1,), (2,), (3,)),
-        ((0, 1), (2, 3)),
-        ((0, 2), (1, 3)),
-        ((0, 3), (1, 2)),
-    ]
-    # at window two the pre-check scans every node, and with three nodes or
-    # fewer every set or its complement is a single node
+def test_node_ballot_scans_the_nodes_the_precheck_leaves_out():
+    # at (2,3), one ballot: the pre-check's start state, which skips the
+    # constant nodes 00 and 11, with no node skipped
+    start, ballot = _Ballot.start(P23), oracle._node_ballot(P23)
+    assert start.rose == start.fell == (True, False, False, True)
+    assert ballot.rose == ballot.fell == (False,) * 4
+    assert ballot._replace(rose=start.rose, fell=start.fell) == start
+    # at window one and two the pre-check scans every node: no node ballot
     for params in CAPPED:
         if params != P23:
-            assert oracle._set_ballots(params) == ()
+            assert oracle._node_ballot(params) is None
 
 
 def test_kept_assignments_match_the_reference_search(census32):
@@ -323,8 +320,8 @@ def test_census_with_no_search_falls_back_to_the_lp(census32, monkeypatch):
 
 
 def test_census_with_no_set_ballots_falls_back_to_the_lp(monkeypatch):
-    # without the ballots on node sets, the search finds nothing and the
-    # LP refutes each of the 1176 silent (2,3) representatives
+    # without the node ballot, the search finds nothing and the LP refutes
+    # each of the 1176 silent (2,3) representatives
     expected = enumerate_feasible(P23)
     monkeypatch.setattr(oracle, "_set_refutation", lambda order, params: None)
     result = enumerate_feasible(P23)
@@ -634,6 +631,18 @@ def test_repository_refuses_assignments_of_another_order(census32):
     moved = replace(census32, assignments=kept[9:] + kept[:9])
     with pytest.raises(AssertionError, match="does not realize"):
         build_repository(moved)
+
+
+def test_repository_refuses_an_orbit_whose_assignments_run_past_the_blob(census32):
+    # orbit 0's span ends one row past the kept assignments: the row that is
+    # not there realizes no order, so orbit 0's first order is named
+    offsets = array("I", census32.offsets)
+    offsets[1] = offsets[-1] + 1
+    first = tuple(census32.firsts[:9])
+    assert first[:3] == (0, 1, 3)
+    message = f"a kept assignment does not realize order {first}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        build_repository(replace(census32, offsets=offsets))
 
 
 def test_repository_refuses_a_census_that_keeps_no_assignments(census32):
